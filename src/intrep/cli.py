@@ -163,7 +163,8 @@ def figure_rows(n_min: int, n_max: int) -> list[tuple[int, int, int]]:
     if not 5 <= n_min <= n_max <= 1024:
         raise DomainError(f"need 5 <= n_min <= n_max <= 1024, got {n_min}..{n_max}")
     return [
-        (n, 4 * (n - 3) // 5, takum.consecutive_exponent(n)) for n in range(n_min, n_max + 1)
+        (n, posit.largest_consecutive(n).bit_length() - 1, takum.consecutive_exponent(n))
+        for n in range(n_min, n_max + 1)
     ]
 
 

@@ -184,6 +184,20 @@ class DyadicValue:
         return cls(ValueKind.FINITE, sign, numerator >> shift, exponent2 + shift)
 
     @classmethod
+    def from_triple(cls, triple: tuple[int, int, int] | None) -> "DyadicValue":
+        """Value of a decode_uint result: None is NaR, a zero significand is zero.
+
+        A finite triple is already canonical (odd significand), so it is
+        taken as is.
+        """
+        if triple is None:
+            return cls.nar()
+        sign, significand, exponent2 = triple
+        if significand == 0:
+            return cls.zero()
+        return cls(ValueKind.FINITE, sign, significand, exponent2)
+
+    @classmethod
     def from_int(cls, m: int) -> "DyadicValue":
         if m == 0:
             return cls.zero()

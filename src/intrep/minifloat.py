@@ -8,6 +8,9 @@ exponent field is spent, captured by SpecialValues:
   E4M3  - no infinities; the single NaN has exponent and fraction all ones,
           every other all-ones-exponent pattern is an ordinary normal number
   NONE  - no special patterns at all; all-ones exponent is an ordinary normal
+
+decode_uint(spec, u) decodes a pattern held as a plain integer and is the
+only decoder; decode(spec, BitString) checks the width and wraps it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import BitString, BudgetError, DyadicValue, FormatError
+from .core import BitString, BudgetError, DyadicValue, FormatError, trailing_zero_count
 
 ENUMERATION_BIT_LIMIT = 24
 
@@ -69,30 +72,43 @@ PRESETS: dict[str, MinifloatSpec] = {
 }
 
 
+def decode_uint(spec: MinifloatSpec, u: int) -> tuple[int, int, int] | None:
+    """Exact value of the pattern u in the given format, as DyadicValue's triple.
+
+    Returns (sign, odd significand, exponent2), (1, 0, 0) for either zero,
+    or None for NaR (infinities and NaNs alike).
+    """
+    fraction_bits, exponent_bits = spec.fraction_bits, spec.exponent_bits
+    if u < 0 or u >> (1 + exponent_bits + fraction_bits):
+        raise FormatError(f"{u} does not fit in {spec.width} bits")
+    s = u >> (exponent_bits + fraction_bits)
+    all_ones = (1 << exponent_bits) - 1
+    exp_field = (u >> fraction_bits) & all_ones
+    frac = u & ((1 << fraction_bits) - 1)
+
+    if exp_field == all_ones:
+        if spec.special is SpecialValues.IEEE:
+            return None
+        if spec.special is SpecialValues.E4M3 and frac == (1 << fraction_bits) - 1:
+            return None
+
+    if exp_field == 0:
+        if frac == 0:
+            return (1, 0, 0)
+        numer = frac
+        exponent = spec.min_normal_exponent
+    else:
+        numer = (1 << fraction_bits) + frac
+        exponent = exp_field - spec.bias
+    shift = trailing_zero_count(numer)
+    return (-1 if s else 1), numer >> shift, exponent - fraction_bits + shift
+
+
 def decode(spec: MinifloatSpec, bits: BitString) -> DyadicValue:
     """Exact value of a bit string in the given minifloat format."""
     if bits.width != spec.width:
         raise FormatError(f"need exactly {spec.width} bits, got {bits.width}")
-    s = bits.bit(0)
-    exp_field = bits.field(1, spec.exponent_bits)
-    frac = bits.field(1 + spec.exponent_bits, spec.fraction_bits)
-    all_ones = (1 << spec.exponent_bits) - 1
-
-    if exp_field == all_ones:
-        if spec.special is SpecialValues.IEEE:
-            return DyadicValue.nar()  # infinities and NaNs alike
-        if spec.special is SpecialValues.E4M3 and frac == (1 << spec.fraction_bits) - 1:
-            return DyadicValue.nar()
-
-    if exp_field == 0:
-        if frac == 0:
-            return DyadicValue.zero()  # both signs of zero
-        numer = frac
-        exponent = spec.min_normal_exponent
-    else:
-        numer = (1 << spec.fraction_bits) + frac
-        exponent = exp_field - spec.bias
-    return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - spec.fraction_bits)
+    return DyadicValue.from_triple(decode_uint(spec, bits.uint))
 
 
 def largest_consecutive(spec: MinifloatSpec) -> int:

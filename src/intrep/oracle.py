@@ -2,18 +2,22 @@
 
 Everything here works by decoding complete pattern spaces — no shortcuts
 shared with the formulas under test — so agreement between the two routes is
-meaningful evidence.  Enumeration is capped at 24-bit widths.
+meaningful evidence.  Patterns are enumerated as plain integers through each
+family's decode_uint kernel.  Enumeration is capped at 24-bit widths.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from . import formats, minifloat, posit, takum
-from .core import BitString, BudgetError, FormatError
-from .formats import FormatSpec, PositFormat, TakumFormat
+from .core import BudgetError, FormatError
+from .formats import FormatSpec, MinifloatSpec, PositFormat, TakumFormat
 
 MAX_ENUM_BITS = 24
 
@@ -35,7 +39,8 @@ class RepresentableSet:
     integers: tuple[int, ...]
 
     def __contains__(self, m: int) -> bool:
-        return m in set(self.integers)
+        i = bisect_left(self.integers, m)
+        return i < len(self.integers) and self.integers[i] == m
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,12 +55,25 @@ class ConsecutiveReport:
     agreement: bool | None  # oracle vs closed form; None when no closed form applies
 
 
+def _variable_length_kernel(fmt: FormatSpec):
+    """The family's decode_uint(u, n), chosen once per sweep."""
+    if isinstance(fmt, PositFormat):
+        return posit.decode_uint
+    if isinstance(fmt, TakumFormat):
+        return takum.decode_uint
+    raise FormatError(f"{formats.format_name(fmt)} has no variable-length encoding")
+
+
 def _scan_chunk(fmt: FormatSpec, n: int, lo: int, hi: int, window: int) -> set[int]:
+    if isinstance(fmt, MinifloatSpec):
+        decode = partial(minifloat.decode_uint, fmt)
+    else:
+        decode = partial(_variable_length_kernel(fmt), n=n)
     found = set()
     for pattern in range(lo, hi):
-        value = formats.decode(fmt, BitString.from_uint(pattern, n))
-        if value.is_integer():
-            m = value.as_integer()
+        value = decode(pattern)
+        if value is not None and value[2] >= 0:
+            m = value[0] * (value[1] << value[2])
             if -window <= m <= window:
                 found.add(m)
     return found
@@ -63,7 +81,8 @@ def _scan_chunk(fmt: FormatSpec, n: int, lo: int, hi: int, window: int) -> set[i
 
 def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
     total = 1 << n
-    if not workers or workers <= 1 or total < (1 << 16):
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers <= 1 or total < (1 << 16):
         return _scan_chunk(fmt, n, 0, total, window)
     step = -(-total // workers)
     bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -107,14 +126,6 @@ def largest_consecutive(
     return ConsecutiveReport(fmt, width, k, exponent, "oracle", agreement)
 
 
-def _variable_length_decoder(fmt: FormatSpec):
-    if isinstance(fmt, PositFormat):
-        return posit.decode
-    if isinstance(fmt, TakumFormat):
-        return takum.decode
-    raise FormatError(f"{formats.format_name(fmt)} has no variable-length encoding")
-
-
 def min_length_table(
     fmt: FormatSpec, targets, max_len: int = MAX_ENUM_BITS
 ) -> dict[int, int | None]:
@@ -125,18 +136,19 @@ def min_length_table(
     None were not representable within max_len bits.
     """
     _check_budget(max_len)
-    decode = _variable_length_decoder(fmt)
-    remaining = {int(m) for m in targets}
-    if 0 in remaining or not all(isinstance(m, int) for m in remaining):
+    decode = _variable_length_kernel(fmt)
+    targets = list(targets)
+    if any(isinstance(m, bool) or not isinstance(m, int) or m == 0 for m in targets):
         raise FormatError("targets must be nonzero integers")
+    remaining = set(targets)
     lengths: dict[int, int | None] = {m: None for m in remaining}
     for width in range(2, max_len + 1):
         if not remaining:
             break
         for odd in range(1, 1 << width, 2):
-            value = decode(BitString.from_uint(odd, width))
-            if value.is_finite and value.is_integer():
-                m = value.as_integer()
+            value = decode(odd, width)
+            if value is not None and value[2] >= 0:
+                m = value[0] * (value[1] << value[2])
                 if m in remaining:
                     lengths[m] = width
                     remaining.discard(m)
@@ -211,13 +223,15 @@ def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
 
 def check_negation_closure(max_n: int = 14) -> CheckResult:
     name = f"two's-complement negation closure, n=5..{max_n}"
-    for decode, family in ((posit.decode, "posit"), (takum.decode, "takum")):
+    for decode, family in ((posit.decode_uint, "posit"), (takum.decode_uint, "takum")):
         for n in range(5, max_n + 1):
+            mask = (1 << n) - 1
             for pattern in range(1 << n):
-                bits = BitString.from_uint(pattern, n)
-                value = decode(bits)
-                if value.is_finite and decode(bits.twos_complement()) != -value:
-                    return CheckResult(name, False, f"{family} pattern {bits} at n={n}")
+                value = decode(pattern, n)
+                if value is None or not value[1]:
+                    continue
+                if decode(-pattern & mask, n) != (-value[0], value[1], value[2]):
+                    return CheckResult(name, False, f"{family} pattern {pattern:0{n}b} at n={n}")
     return CheckResult(name, True, "negation holds for every finite pattern")
 
 

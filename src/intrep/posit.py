@@ -12,6 +12,9 @@ ones) and 2-bit exponent field e = 2*E1 + E0, the coded exponent is
 fraction f in [0, 1).  A string whose non-sign bits are all zero is 0 (S=0)
 or NaR (S=1).  Short strings decode via zero-extension, so every value keeps
 its meaning under appended zeros.
+
+decode_uint(u, n) decodes an n-bit pattern held as a plain integer and is
+the only decoder; decode(BitString) wraps it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from .core import (
     CapacityError,
     DomainError,
     DyadicValue,
+    FormatError,
     integer_profile,
+    trailing_zero_count,
 )
 
 # Positive encodings start "01...", so nothing meaningful is shorter than 2 bits.
@@ -30,24 +35,49 @@ _MIN_WIDTH = 2
 DEFAULT_MAX_BITS = 256
 
 
+def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
+    """Exact value of the n-bit posit pattern u, as DyadicValue's canonical triple.
+
+    Returns (sign, odd significand, exponent2), (1, 0, 0) for zero, or None
+    for NaR.  The regime run is the leading-bit count of the pattern after
+    the sign, XOR-ed with its first bit so that either run reads as zeros.
+    """
+    if n < 1 or u < 0 or u >> n:
+        raise FormatError(f"{u} does not fit in {n} bits")
+    body_bits = n - 1
+    s = u >> body_bits
+    body = u & ((1 << body_bits) - 1)
+    if not body:
+        return None if s else (1, 0, 0)
+    if body >> (body_bits - 1):
+        k = body_bits - (body ^ ((1 << body_bits) - 1)).bit_length()
+        regime = k - 1
+    else:
+        k = body_bits - body.bit_length()
+        regime = -k
+    # Bits after the termination bit; -1 when the run fills the pattern.
+    rest = body_bits - 1 - k
+    if rest >= 2:
+        p = rest - 2
+        exp_field = (u >> p) & 3
+        frac = u & ((1 << p) - 1)
+    else:
+        p = frac = 0
+        exp_field = (u << (2 - rest)) & 3  # ghost zeros complete the field
+    # value = ((1 - 3s) + frac/2^p) * 2^exponent, kept exact as numer * 2^(exponent-p)
+    if s:
+        numer = (2 << p) - frac
+        exponent = -(4 * regime + exp_field + 1) - p
+    else:
+        numer = (1 << p) + frac
+        exponent = 4 * regime + exp_field - p
+    shift = trailing_zero_count(numer)
+    return (-1 if s else 1), numer >> shift, exponent + shift
+
+
 def decode(bits: BitString) -> DyadicValue:
     """Exact value of a posit bit string of any length >= 1."""
-    s = bits.bit(0)
-    if bits.all_zero_from(1):
-        return DyadicValue.zero() if s == 0 else DyadicValue.nar()
-    lead = bits.bit(1)
-    k = bits.run_length(1)
-    regime = k - 1 if lead == 1 else -k
-    exp_field = bits.field(2 + k, 2)
-    frac_start = 4 + k
-    p = max(0, bits.width - frac_start)
-    frac = bits.field(frac_start, p)
-
-    magnitude = 4 * regime + exp_field + s
-    exponent = -magnitude if s else magnitude
-    # value = ((1 - 3s) + frac/2^p) * 2^exponent, kept exact as numer * 2^(exponent-p)
-    numer = ((1 << p) + frac) if s == 0 else ((2 << p) - frac)
-    return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - p)
+    return DyadicValue.from_triple(decode_uint(bits.uint, bits.width))
 
 
 def min_length(m: int) -> int:

@@ -12,6 +12,9 @@ complemented regime bits and c = -2^(r+1) + 1 + C.  Either way c lies in
 ((1 - 3S) + f) * 2^exponent for fraction f in [0, 1).  A string whose
 non-sign bits are all zero is 0 (S=0) or NaR (S=1).  Short strings decode
 via zero-extension, exactly as posits do.
+
+decode_uint(u, n) decodes an n-bit pattern held as a plain integer and is
+the only decoder; decode(BitString) wraps it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .core import (
     CapacityError,
     DomainError,
     DyadicValue,
+    FormatError,
     integer_profile,
     trailing_zero_count,
 )
@@ -40,26 +44,44 @@ MIN_EXPONENT = -255
 MAX_EXPONENT = 254
 
 
+def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
+    """Exact value of the n-bit takum pattern u, as DyadicValue's canonical triple.
+
+    Returns (sign, odd significand, exponent2), (1, 0, 0) for zero, or None
+    for NaR.  Patterns shorter than the 12-bit header (sign, direction,
+    regime and up to 7 characteristic bits) are zero-extended to it first.
+    """
+    if n < 1 or u < 0 or u >> n:
+        raise FormatError(f"{u} does not fit in {n} bits")
+    if n < 12:
+        u <<= 12 - n
+        n = 12
+    s = u >> (n - 1)
+    if not u & ((1 << (n - 1)) - 1):
+        return None if s else (1, 0, 0)
+    header = u >> (n - 12)
+    r = (header >> 7) & 7
+    if header & 0x400:  # direction bit D
+        characteristic = (1 << r) - 1
+    else:
+        r = 7 - r
+        characteristic = 1 - (2 << r)
+    characteristic += (header >> (7 - r)) & ((1 << r) - 1)
+    p = n - 5 - r
+    frac = u & ((1 << p) - 1)
+    if s:
+        numer = (2 << p) - frac
+        exponent = -(characteristic + 1) - p
+    else:
+        numer = (1 << p) + frac
+        exponent = characteristic - p
+    shift = trailing_zero_count(numer)
+    return (-1 if s else 1), numer >> shift, exponent + shift
+
+
 def decode(bits: BitString) -> DyadicValue:
     """Exact value of a takum bit string of any length >= 1."""
-    s = bits.bit(0)
-    if bits.all_zero_from(1):
-        return DyadicValue.zero() if s == 0 else DyadicValue.nar()
-    d = bits.bit(1)
-    regime = bits.field(2, 3)
-    if d == 1:
-        r = regime
-        c = (1 << r) - 1 + bits.field(5, r)
-    else:
-        r = 7 - regime
-        c = -(1 << (r + 1)) + 1 + bits.field(5, r)
-    frac_start = 5 + r
-    p = max(0, bits.width - frac_start)
-    frac = bits.field(frac_start, p)
-
-    exponent = -(c + 1) if s else c
-    numer = ((1 << p) + frac) if s == 0 else ((2 << p) - frac)
-    return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - p)
+    return DyadicValue.from_triple(decode_uint(bits.uint, bits.width))
 
 
 def min_length(m: int) -> int:

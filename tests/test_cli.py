@@ -1,6 +1,6 @@
 import pytest
 
-from intrep import cli, takum
+from intrep import cli, posit, takum
 
 
 def run(capsys, argv):
@@ -299,6 +299,14 @@ def test_verify_reports_mutated_formula(capsys, monkeypatch):
     assert "FAIL" in out
     assert "n=5" in out
     assert "1 of 8 checks failed" in out
+
+
+def test_figure_reports_mutated_posit_formula(capsys, monkeypatch):
+    true_formula = posit.largest_consecutive
+    monkeypatch.setattr(posit, "largest_consecutive", lambda n: 2 * true_formula(n))
+    code, out, _ = run(capsys, ["figure", "--n-min", "5", "--n-max", "8"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["5,2,1", "6,3,1", "7,4,2", "8,5,3"]
 
 
 # ----------------------------------------------------------- usage errors

@@ -1,0 +1,152 @@
+"""The integer decode kernels against field-walking reference decoders.
+
+The reference decoders below read a pattern field by field through
+BitString's bit/field/run_length accessors, following the layouts in the
+posit, takum and minifloat module docstrings.  Both the kernels
+(decode_uint) and the BitString wrappers (decode) must agree with them on
+every pattern tested.
+"""
+
+import random
+
+import pytest
+
+from intrep import PRESETS, BitString, DyadicValue, FormatError, minifloat, posit, takum
+from intrep.minifloat import SpecialValues
+
+
+def reference_posit(bits: BitString) -> DyadicValue:
+    s = bits.bit(0)
+    if bits.all_zero_from(1):
+        return DyadicValue.zero() if s == 0 else DyadicValue.nar()
+    lead = bits.bit(1)
+    k = bits.run_length(1)
+    regime = k - 1 if lead == 1 else -k
+    exp_field = bits.field(2 + k, 2)
+    frac_start = 4 + k
+    p = max(0, bits.width - frac_start)
+    frac = bits.field(frac_start, p)
+
+    magnitude = 4 * regime + exp_field + s
+    exponent = -magnitude if s else magnitude
+    numer = ((1 << p) + frac) if s == 0 else ((2 << p) - frac)
+    return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - p)
+
+
+def reference_takum(bits: BitString) -> DyadicValue:
+    s = bits.bit(0)
+    if bits.all_zero_from(1):
+        return DyadicValue.zero() if s == 0 else DyadicValue.nar()
+    d = bits.bit(1)
+    regime = bits.field(2, 3)
+    if d == 1:
+        r = regime
+        c = (1 << r) - 1 + bits.field(5, r)
+    else:
+        r = 7 - regime
+        c = -(1 << (r + 1)) + 1 + bits.field(5, r)
+    frac_start = 5 + r
+    p = max(0, bits.width - frac_start)
+    frac = bits.field(frac_start, p)
+
+    exponent = -(c + 1) if s else c
+    numer = ((1 << p) + frac) if s == 0 else ((2 << p) - frac)
+    return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - p)
+
+
+def reference_minifloat(spec, bits: BitString) -> DyadicValue:
+    s = bits.bit(0)
+    exp_field = bits.field(1, spec.exponent_bits)
+    frac = bits.field(1 + spec.exponent_bits, spec.fraction_bits)
+    all_ones = (1 << spec.exponent_bits) - 1
+
+    if exp_field == all_ones:
+        if spec.special is SpecialValues.IEEE:
+            return DyadicValue.nar()
+        if spec.special is SpecialValues.E4M3 and frac == (1 << spec.fraction_bits) - 1:
+            return DyadicValue.nar()
+
+    if exp_field == 0:
+        if frac == 0:
+            return DyadicValue.zero()
+        numer = frac
+        exponent = spec.min_normal_exponent
+    else:
+        numer = (1 << spec.fraction_bits) + frac
+        exponent = exp_field - spec.bias
+    return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - spec.fraction_bits)
+
+
+def triple(value: DyadicValue):
+    """The decode_uint result a kernel must give for this value."""
+    return None if value.is_nar else (value.sign, value.significand, value.exponent2)
+
+
+FAMILIES = [
+    pytest.param(posit, reference_posit, id="posit"),
+    pytest.param(takum, reference_takum, id="takum"),
+]
+
+
+def assert_family_agrees(module, reference, u, n):
+    bits = BitString.from_uint(u, n)
+    expected = reference(bits)
+    assert module.decode_uint(u, n) == triple(expected), str(bits)
+    assert module.decode(bits) == expected, str(bits)
+
+
+@pytest.mark.parametrize("module,reference", FAMILIES)
+def test_every_pattern_up_to_16_bits(module, reference):
+    for n in range(1, 17):
+        for u in range(1 << n):
+            assert_family_agrees(module, reference, u, n)
+
+
+@pytest.mark.parametrize("module,reference", FAMILIES)
+def test_random_long_patterns(module, reference):
+    rng = random.Random(20241229)
+    for _ in range(20000):
+        n = rng.randint(17, 600)
+        assert_family_agrees(module, reference, rng.getrandbits(n), n)
+
+
+@pytest.mark.parametrize("module,reference", FAMILIES)
+@pytest.mark.parametrize("run", ["1" * 20000, "0" * 20000])
+@pytest.mark.parametrize("sign", ["0", "1"])
+@pytest.mark.parametrize("tail", ["", "0", "1", "01", "0110", "1011001"])
+def test_long_regime_runs(module, reference, run, sign, tail):
+    bits = BitString(sign + run + tail)
+    assert_family_agrees(module, reference, bits.uint, bits.width)
+
+
+@pytest.mark.parametrize("name", [p for p, s in PRESETS.items() if s.width <= 16])
+def test_every_minifloat_pattern(name):
+    spec = PRESETS[name]
+    for u in range(1 << spec.width):
+        bits = BitString.from_uint(u, spec.width)
+        expected = reference_minifloat(spec, bits)
+        assert minifloat.decode_uint(spec, u) == triple(expected), str(bits)
+        assert minifloat.decode(spec, bits) == expected, str(bits)
+
+
+@pytest.mark.parametrize("name", [p for p, s in PRESETS.items() if s.width > 16])
+def test_random_wide_minifloat_patterns(name):
+    spec = PRESETS[name]
+    rng = random.Random(name)
+    for _ in range(2000):
+        u = rng.getrandbits(spec.width)
+        expected = reference_minifloat(spec, BitString.from_uint(u, spec.width))
+        assert minifloat.decode_uint(spec, u) == triple(expected)
+
+
+@pytest.mark.parametrize("module", [posit, takum])
+@pytest.mark.parametrize("u,n", [(0, 0), (-1, 4), (16, 4)])
+def test_kernels_reject_patterns_that_do_not_fit(module, u, n):
+    with pytest.raises(FormatError):
+        module.decode_uint(u, n)
+
+
+@pytest.mark.parametrize("u", [-1, 16])
+def test_minifloat_kernel_rejects_patterns_that_do_not_fit(u):
+    with pytest.raises(FormatError):
+        minifloat.decode_uint(minifloat.MinifloatSpec(2, 1, 1), u)

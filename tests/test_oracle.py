@@ -28,6 +28,12 @@ def test_posit5_representable_set():
     assert 3 not in result
 
 
+def test_representable_set_membership():
+    result = oracle.representable_set(PositFormat(), 5, 100)
+    for m in range(-130, 131):
+        assert (m in result) == (m in POSIT5_INTEGERS), m
+
+
 def test_takum12_covers_small_integers():
     result = oracle.representable_set(TakumFormat(), 12, 10)
     assert result.integers == tuple(range(-10, 11))
@@ -52,6 +58,34 @@ def test_workers_match_serial():
     serial = oracle.representable_set(PositFormat(), 16, 50)
     parallel = oracle.representable_set(PositFormat(), 16, 50, workers=2)
     assert serial.integers == parallel.integers
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Records max_workers and maps in-process, so no process starts."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    capped = oracle.representable_set(PositFormat(), 16, 50, workers=10_000)
+    assert created == [3]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    serial = oracle.representable_set(PositFormat(), 16, 50, workers=10_000)
+    assert created == [3]
+    assert capped.integers == serial.integers
 
 
 def test_consecutive_report_posit8():
@@ -109,6 +143,12 @@ def test_min_length_table_validation():
         oracle.min_length_table(PRESETS["e4m3"], [1, 2])
     with pytest.raises(BudgetError):
         oracle.min_length_table(PositFormat(), [1], max_len=25)
+
+
+@pytest.mark.parametrize("targets", [[1.5], [True], [1, True]])
+def test_min_length_table_rejects_non_int_targets(targets):
+    with pytest.raises(FormatError):
+        oracle.min_length_table(PositFormat(), targets)
 
 
 def test_min_length_table_sweep():
