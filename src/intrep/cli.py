@@ -11,8 +11,8 @@ import sys
 from dataclasses import dataclass
 
 from . import formats, minifloat, oracle, posit, takum
-from .core import BitString, BudgetError, CapacityError, DomainError, FormatError
-from .formats import MinifloatSpec, PositFormat, TakumFormat
+from .core import DEFAULT_MAX_BITS, BitString, BudgetError, CapacityError, DomainError, FormatError
+from .formats import PositFormat, TakumFormat
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,20 +57,18 @@ def build_table() -> list[TableRow]:
         TableRow("e5m2", e5m2, e5m2 / _signed_count(8), "oracle"),
     ]
 
-    def closed_form(name: str, fmt: formats.FormatSpec, n: int | None = None) -> TableRow:
-        return TableRow(
-            name, formats.largest_consecutive(fmt, n), formats.signed_integer_ratio(fmt, n),
-            "closed_form",
-        )
+    def closed_form(fmt: formats.FormatSpec) -> TableRow:
+        value, ratio = formats.largest_consecutive(fmt), formats.signed_integer_ratio(fmt)
+        return TableRow(fmt.name, value, ratio, "closed_form")
 
     for n in (8, 16, 32, 64, 128):
         if n == 16:
-            rows.append(closed_form("float16", minifloat.PRESETS["float16"]))
-            rows.append(closed_form("bfloat16", minifloat.PRESETS["bfloat16"]))
+            rows.append(closed_form(minifloat.PRESETS["float16"]))
+            rows.append(closed_form(minifloat.PRESETS["bfloat16"]))
         elif n >= 32:
-            rows.append(closed_form(f"float{n}", minifloat.PRESETS[f"float{n}"]))
-        rows.append(closed_form(f"posit{n}", PositFormat(n)))
-        rows.append(closed_form(f"takum{n}", TakumFormat(n)))
+            rows.append(closed_form(minifloat.PRESETS[f"float{n}"]))
+        rows.append(closed_form(PositFormat(n)))
+        rows.append(closed_form(TakumFormat(n)))
     return rows
 
 
@@ -119,7 +117,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _family_format(args) -> PositFormat | TakumFormat:
     fmt = formats.parse_format(args.format)
-    if isinstance(fmt, MinifloatSpec):
+    if formats.variable_length_codec(fmt) is None:
         raise FormatError(f"{args.format}: this command supports posit/takum only")
     return fmt
 
@@ -133,16 +131,13 @@ def cmd_decode(args) -> int:
 
 def cmd_encode_int(args) -> int:
     fmt = _family_format(args)
-    max_bits = args.max_n if args.max_n is not None else (fmt.n or posit.DEFAULT_MAX_BITS)
-    encode = posit.encode_integer if isinstance(fmt, PositFormat) else takum.encode_integer
-    print(encode(args.value, max_bits))
+    max_bits = args.max_n if args.max_n is not None else (fmt.n or DEFAULT_MAX_BITS)
+    print(fmt.codec.encode_integer(args.value, max_bits))
     return EXIT_OK
 
 
 def cmd_min_bits(args) -> int:
-    fmt = _family_format(args)
-    length = posit.min_length if isinstance(fmt, PositFormat) else takum.min_length
-    print(length(args.value))
+    print(_family_format(args).codec.min_length(args.value))
     return EXIT_OK
 
 
@@ -175,22 +170,10 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
-def profile_rows(fmt: formats.FormatSpec) -> list[tuple[int, int]]:
-    """(exponent, non-fraction bits) over the format's exponent domain."""
-    if isinstance(fmt, PositFormat):
-        if fmt.n is None:
-            raise FormatError("posit precision profile needs a width, e.g. posit32")
-        return [(e, posit.non_fraction_bits(e)) for e in posit.exponent_range(fmt.n)]
-    if isinstance(fmt, TakumFormat):
-        return [(e, takum.non_fraction_bits(e)) for e in takum.exponent_range(fmt.n or 12)]
-    lo, hi = minifloat.exponent_domain(fmt)
-    return [(e, minifloat.non_fraction_bits(fmt, e)) for e in range(lo, hi + 1)]
-
-
 def cmd_precision_profile(args) -> int:
     fmt = formats.parse_format(args.format)
     lines = ["exponent,non_fraction_bits"]
-    lines += [f"{e},{b}" for e, b in profile_rows(fmt)]
+    lines += [f"{e},{b}" for e, b in fmt.precision_profile()]
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

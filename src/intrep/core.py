@@ -271,3 +271,35 @@ def integer_profile(m: int) -> IntegerProfile:
         raise DomainError("0 has no integer profile")
     a = abs(m)
     return IntegerProfile(a.bit_length(), trailing_zero_count(a))
+
+
+# Positive posit and takum encodings start "01...", so nothing meaningful is
+# shorter than 2 bits.
+_MIN_WIDTH = 2
+
+DEFAULT_MAX_BITS = 256
+
+
+def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> BitString:
+    """Shortest posit or takum bit string for the integer m: both encoders' frame.
+
+    "0" for m = 0, CapacityError when min_length(m) > max_bits.  head(v) is
+    the (value, width) of the bits before the fraction of a positive integer
+    with bit length v.  A result not min_length(m) wide raises ArithmeticError.
+    """
+    if m == 0:
+        return BitString("0")
+    need = min_length(m)
+    if need > max_bits:
+        raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")
+    prof = integer_profile(m)
+    value, width = head(prof.v)
+    frac = (abs(m) >> prof.w) & ((1 << prof.fraction_bits) - 1)
+    pattern = BitString.from_uint(
+        (value << prof.fraction_bits) | frac, width + prof.fraction_bits
+    ).truncate_trailing_zeros(_MIN_WIDTH)
+    if m < 0:
+        pattern = pattern.twos_complement()
+    if pattern.width != need:
+        raise ArithmeticError(f"{family} encoding of {m} has {pattern.width} bits, not {need}")
+    return pattern

@@ -2,14 +2,18 @@
 
 A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
 takum handles may carry a width or stand for the whole family (width None);
-minifloat widths are intrinsic to the spec.
+minifloat widths are intrinsic to the spec.  Every handle carries its
+family's operations (name, width, pattern_kernel, closed_form,
+precision_profile), so callers do not branch on the handle's type.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from types import ModuleType
+from typing import ClassVar, Union
 
 from . import minifloat, posit, takum
 from .core import BitString, DomainError, DyadicValue, FormatError
@@ -17,21 +21,63 @@ from .minifloat import PRESETS, MinifloatSpec
 
 
 @dataclass(frozen=True, slots=True)
-class PositFormat:
+class _TaperedFormat:
+    """A posit or takum handle: width n, or the whole family when n is None.
+
+    The family's codec module is a ClassVar, not a field, because handles are
+    pickled into pool workers and a module cannot be pickled.
+    """
+
     n: int | None = None
 
+    codec: ClassVar[ModuleType]
+    min_width: ClassVar[int]
+    # Width whose exponents a bare family handle profiles; None if it needs one.
+    profile_width: ClassVar[int | None] = None
+
     def __post_init__(self):
-        if self.n is not None and self.n < 3:
-            raise FormatError(f"posit width must be at least 3, got {self.n}")
+        if self.n is not None and self.n < self.min_width:
+            raise FormatError(f"{self.family} width must be at least {self.min_width}, got {self.n}")
+
+    @property
+    def family(self) -> str:
+        return self.codec.__name__.rpartition(".")[2]
+
+    @property
+    def name(self) -> str:
+        return f"{self.family}{self.n}" if self.n else self.family
+
+    @property
+    def width(self) -> int | None:
+        return self.n
+
+    def pattern_kernel(self, n: int):
+        """The codec's decode_uint at width n, as a function of the pattern alone."""
+        return partial(self.codec.decode_uint, n=n)
+
+    def closed_form(self, n: int) -> int:
+        """The codec's largest_consecutive at width n."""
+        return self.codec.largest_consecutive(n)
+
+    def precision_profile(self) -> list[tuple[int, int]]:
+        """(exponent, non-fraction bits) over the exponents reachable at the width."""
+        n = self.n or self.profile_width
+        if n is None:
+            raise FormatError(f"{self.name} precision profile needs a width, e.g. {self.name}32")
+        return [(e, self.codec.non_fraction_bits(e)) for e in self.codec.exponent_range(n)]
 
 
 @dataclass(frozen=True, slots=True)
-class TakumFormat:
-    n: int | None = None
+class PositFormat(_TaperedFormat):
+    codec = posit
+    min_width = 3
 
-    def __post_init__(self):
-        if self.n is not None and self.n < 5:
-            raise FormatError(f"takum width must be at least 5, got {self.n}")
+
+@dataclass(frozen=True, slots=True)
+class TakumFormat(_TaperedFormat):
+    codec = takum
+    min_width = 5
+    profile_width = 12  # the takum exponent range is the same at every width
 
 
 FormatSpec = Union[PositFormat, TakumFormat, MinifloatSpec]
@@ -53,33 +99,32 @@ def parse_format(text: str) -> FormatSpec:
     raise FormatError(f"unknown format {text!r} (known: {known})")
 
 
+def variable_length_codec(fmt: FormatSpec) -> ModuleType | None:
+    """The posit or takum codec module behind fmt.
+
+    None for a minifloat: its patterns have one fixed width, so it has no
+    min_length or encode_integer.
+    """
+    return None if isinstance(fmt, MinifloatSpec) else fmt.codec
+
+
 def format_name(fmt: FormatSpec) -> str:
-    if isinstance(fmt, PositFormat):
-        return f"posit{fmt.n}" if fmt.n else "posit"
-    if isinstance(fmt, TakumFormat):
-        return f"takum{fmt.n}" if fmt.n else "takum"
-    for name, spec in PRESETS.items():
-        if spec == fmt:
-            return name
-    s = fmt
-    return f"minifloat(e={s.exponent_bits},f={s.fraction_bits},bias={s.bias},{s.special.value})"
+    return fmt.name
 
 
 def format_width(fmt: FormatSpec) -> int | None:
-    if isinstance(fmt, MinifloatSpec):
-        return fmt.width
-    return fmt.n
+    return fmt.width
 
 
 def resolve_width(fmt: FormatSpec, n: int | None = None) -> int:
     """The concrete bit width to work at, from the handle and/or override."""
-    intrinsic = format_width(fmt)
+    intrinsic = fmt.width
     if n is None:
         if intrinsic is None:
-            raise FormatError(f"{format_name(fmt)} needs an explicit width")
+            raise FormatError(f"{fmt.name} needs an explicit width")
         return intrinsic
     if intrinsic is not None and intrinsic != n:
-        raise FormatError(f"width {n} conflicts with {format_name(fmt)}")
+        raise FormatError(f"width {n} conflicts with {fmt.name}")
     return n
 
 
@@ -89,33 +134,22 @@ def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:
     Minifloats require their exact width; posit/takum accept any length up
     to the handle's width (appended zeros never change the value).
     """
-    if isinstance(fmt, MinifloatSpec):
+    codec = variable_length_codec(fmt)
+    if codec is None:
         return minifloat.decode(fmt, bits)
     if fmt.n is not None and bits.width > fmt.n:
-        raise FormatError(f"{bits.width} bits do not fit {format_name(fmt)}")
-    if isinstance(fmt, PositFormat):
-        return posit.decode(bits)
-    return takum.decode(bits)
+        raise FormatError(f"{bits.width} bits do not fit {fmt.name}")
+    return codec.decode(bits)
 
 
 def largest_consecutive(fmt: FormatSpec, n: int | None = None) -> int:
     """Closed-form largest consecutive integer for the format at width n."""
-    if isinstance(fmt, MinifloatSpec):
-        if n is not None and n != fmt.width:
-            raise FormatError(f"width {n} conflicts with {format_name(fmt)}")
-        return minifloat.largest_consecutive(fmt)
-    width = resolve_width(fmt, n)
-    if isinstance(fmt, PositFormat):
-        return posit.largest_consecutive(width)
-    return takum.largest_consecutive(width)
+    return fmt.closed_form(resolve_width(fmt, n))
 
 
 def signed_integer_ratio(fmt: FormatSpec, n: int | None = None) -> float:
     """largest_consecutive over the signed-integer count 2^(n-1) - 1."""
-    if isinstance(fmt, MinifloatSpec):
-        width = fmt.width
-    else:
-        width = resolve_width(fmt, n)
+    width = resolve_width(fmt, n)
     if width < 2:
         raise DomainError(f"no signed integers in {width} bit(s)")
-    return largest_consecutive(fmt, n) / ((1 << (width - 1)) - 1)
+    return largest_consecutive(fmt, width) / ((1 << (width - 1)) - 1)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
-from .core import BitString, BudgetError, DyadicValue, FormatError, trailing_zero_count
-
-ENUMERATION_BIT_LIMIT = 24
+from .core import BitString, DomainError, DyadicValue, FormatError, trailing_zero_count
 
 
 class SpecialValues(enum.Enum):
@@ -31,7 +30,10 @@ class SpecialValues(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class MinifloatSpec:
-    """Shape of a minifloat format: exponent bits, fraction bits, bias, specials."""
+    """Shape of a minifloat format: exponent bits, fraction bits, bias, specials.
+
+    It is also the format's handle, with the members formats.py relies on.
+    """
 
     exponent_bits: int
     fraction_bits: int
@@ -59,6 +61,27 @@ class MinifloatSpec:
         elif self.special is SpecialValues.E4M3 and self.fraction_bits == 0:
             top -= 1  # with no fraction bits the lone NaN eats the top exponent
         return top - self.bias
+
+    @property
+    def name(self) -> str:
+        for name, spec in PRESETS.items():
+            if spec == self:
+                return name
+        s = self
+        return f"minifloat(e={s.exponent_bits},f={s.fraction_bits},bias={s.bias},{s.special.value})"
+
+    def pattern_kernel(self, n: int):
+        """decode_uint for this spec as a function of the pattern alone; n is its width."""
+        return partial(decode_uint, self)
+
+    def closed_form(self, n: int) -> int:
+        """largest_consecutive(self); n is its width."""
+        return largest_consecutive(self)
+
+    def precision_profile(self) -> list[tuple[int, int]]:
+        """(exponent, non-fraction bits) over the whole exponent domain."""
+        lo, hi = exponent_domain(self)
+        return [(e, non_fraction_bits(self, e)) for e in range(lo, hi + 1)]
 
 
 PRESETS: dict[str, MinifloatSpec] = {
@@ -114,30 +137,16 @@ def decode(spec: MinifloatSpec, bits: BitString) -> DyadicValue:
 def largest_consecutive(spec: MinifloatSpec) -> int:
     """Largest k such that every integer in [-k, k] is representable.
 
-    Closed form 2^(fraction_bits + 1) whenever that value is itself a finite
-    normal number and the normal range starts at or below exponent 0 (then
-    every smaller integer is representable and integers above it fall into
-    gaps of width >= 2); shapes where the precondition fails are settled by
-    enumeration.
+    Closed form 2^(fraction_bits + 1), valid whenever that value is itself a
+    finite normal number and the normal range starts at or below exponent 0
+    (then every smaller integer is representable and integers above it fall
+    into gaps of width >= 2).  Other shapes raise DomainError; the oracle
+    settles them by enumeration.
     """
     target_exponent = spec.fraction_bits + 1
-    if spec.min_normal_exponent <= 0 and spec.max_normal_exponent >= target_exponent:
-        return 1 << target_exponent
-    return _enumerate_largest_consecutive(spec)
-
-
-def _enumerate_largest_consecutive(spec: MinifloatSpec) -> int:
-    if spec.width > ENUMERATION_BIT_LIMIT:
-        raise BudgetError(f"cannot enumerate {spec.width}-bit patterns (limit 24)")
-    seen = set()
-    for pattern in range(1 << spec.width):
-        value = decode(spec, BitString.from_uint(pattern, spec.width))
-        if value.is_integer():
-            seen.add(value.as_integer())
-    k = 0
-    while k + 1 in seen:
-        k += 1
-    return k
+    if spec.min_normal_exponent > 0 or spec.max_normal_exponent < target_exponent:
+        raise DomainError(f"no closed form for {spec}: normal exponents miss 0..{target_exponent}")
+    return 1 << target_exponent
 
 
 def non_fraction_bits(spec: MinifloatSpec, exponent: int) -> int:

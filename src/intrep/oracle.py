@@ -13,11 +13,10 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from . import formats, minifloat, posit, takum
 from .core import BudgetError, FormatError
-from .formats import FormatSpec, MinifloatSpec, PositFormat, TakumFormat
+from .formats import FormatSpec, PositFormat, TakumFormat
 
 MAX_ENUM_BITS = 24
 
@@ -55,20 +54,8 @@ class ConsecutiveReport:
     agreement: bool | None  # oracle vs closed form; None when no closed form applies
 
 
-def _variable_length_kernel(fmt: FormatSpec):
-    """The family's decode_uint(u, n), chosen once per sweep."""
-    if isinstance(fmt, PositFormat):
-        return posit.decode_uint
-    if isinstance(fmt, TakumFormat):
-        return takum.decode_uint
-    raise FormatError(f"{formats.format_name(fmt)} has no variable-length encoding")
-
-
 def _scan_chunk(fmt: FormatSpec, n: int, lo: int, hi: int, window: int) -> set[int]:
-    if isinstance(fmt, MinifloatSpec):
-        decode = partial(minifloat.decode_uint, fmt)
-    else:
-        decode = partial(_variable_length_kernel(fmt), n=n)
+    decode = fmt.pattern_kernel(n)
     found = set()
     for pattern in range(lo, hi):
         value = decode(pattern)
@@ -136,7 +123,10 @@ def min_length_table(
     None were not representable within max_len bits.
     """
     _check_budget(max_len)
-    decode = _variable_length_kernel(fmt)
+    codec = formats.variable_length_codec(fmt)
+    if codec is None:
+        raise FormatError(f"{fmt.name} has no variable-length encoding")
+    decode = codec.decode_uint
     targets = list(targets)
     if any(isinstance(m, bool) or not isinstance(m, int) or m == 0 for m in targets):
         raise FormatError("targets must be nonzero integers")
@@ -172,48 +162,39 @@ class CheckResult:
     note: bool = False  # informational line, never counted as a failure
 
 
+def _check_consecutive(name: str, cases) -> CheckResult:
+    """Closed form against the oracle for each (label, handle) case."""
+    for label, fmt in cases:
+        report = largest_consecutive(fmt)
+        expected = formats.largest_consecutive(fmt)
+        if report.value != expected:
+            return CheckResult(name, False, f"{label}: closed form {expected}, oracle {report.value}")
+    return CheckResult(name, True, "exact agreement")
+
+
 def check_posit_consecutive(max_n: int = 16) -> CheckResult:
     name = f"posit largest-consecutive formula vs oracle, n=5..{max_n}"
-    for n in range(5, max_n + 1):
-        report = largest_consecutive(PositFormat(), n)
-        expected = posit.largest_consecutive(n)
-        if report.value != expected:
-            return CheckResult(name, False, f"n={n}: formula {expected}, oracle {report.value}")
-    return CheckResult(name, True, "exact agreement")
+    return _check_consecutive(name, ((f"n={n}", PositFormat(n)) for n in range(5, max_n + 1)))
 
 
 def check_takum_consecutive(max_n: int = 16) -> CheckResult:
     name = f"takum largest-consecutive formula vs oracle, n=5..{max_n}"
-    for n in range(5, max_n + 1):
-        report = largest_consecutive(TakumFormat(), n)
-        expected = takum.largest_consecutive(n)
-        if report.value != expected:
-            return CheckResult(name, False, f"n={n}: formula {expected}, oracle {report.value}")
-    return CheckResult(name, True, "exact agreement")
+    return _check_consecutive(name, ((f"n={n}", TakumFormat(n)) for n in range(5, max_n + 1)))
 
 
 def check_minifloat_consecutive(max_width: int = 16) -> CheckResult:
     names = [p for p, s in minifloat.PRESETS.items() if s.width <= min(max_width, MAX_ENUM_BITS)]
     name = f"minifloat largest-consecutive vs oracle ({', '.join(names)})"
-    for preset in names:
-        spec = minifloat.PRESETS[preset]
-        report = largest_consecutive(spec)
-        expected = minifloat.largest_consecutive(spec)
-        if report.value != expected:
-            return CheckResult(
-                name, False, f"{preset}: closed form {expected}, oracle {report.value}"
-            )
-    return CheckResult(name, True, "exact agreement")
+    return _check_consecutive(name, ((p, minifloat.PRESETS[p]) for p in names))
 
 
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
-    family = formats.format_name(fmt)
-    name = f"{family} min-length formula vs oracle, m=1..{max_m}"
+    name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
     if max_m > 65535:
         # Integers beyond 16 bits can need more than MAX_ENUM_BITS pattern bits.
         raise BudgetError(f"min-length verification capped at m <= 65535, got {max_m}")
-    formula = posit.min_length if isinstance(fmt, PositFormat) else takum.min_length
     table = min_length_table(fmt, range(1, max_m + 1))
+    formula = fmt.codec.min_length
     for m in range(1, max_m + 1):
         expected = formula(m)
         if table[m] != expected:
@@ -237,10 +218,9 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
 
 def check_round_trip(max_m: int = 4096) -> CheckResult:
     name = f"encode/decode round trip with minimal width, |m|<={max_m}"
-    for encode, decode, length, family in (
-        (posit.encode_integer, posit.decode, posit.min_length, "posit"),
-        (takum.encode_integer, takum.decode, takum.min_length, "takum"),
-    ):
+    for fmt in (PositFormat(), TakumFormat()):
+        codec, family = fmt.codec, fmt.name
+        encode, decode, length = codec.encode_integer, codec.decode, codec.min_length
         for a in range(1, max_m + 1):
             for m in (a, -a):
                 bits = encode(m)

@@ -20,19 +20,15 @@ the only decoder; decode(BitString) wraps it.
 from __future__ import annotations
 
 from .core import (
+    DEFAULT_MAX_BITS,
     BitString,
-    CapacityError,
     DomainError,
     DyadicValue,
     FormatError,
+    encode_shortest,
     integer_profile,
     trailing_zero_count,
 )
-
-# Positive encodings start "01...", so nothing meaningful is shorter than 2 bits.
-_MIN_WIDTH = 2
-
-DEFAULT_MAX_BITS = 256
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
@@ -100,29 +96,13 @@ def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
     Returns the width-1 string "0" for m = 0.  Raises CapacityError when the
     shortest representation would exceed max_bits.
     """
-    if m == 0:
-        return BitString("0")
-    need = min_length(m)
-    if need > max_bits:
-        raise CapacityError(f"{m} needs {need} posit bits, more than max_bits={max_bits}")
+    return encode_shortest(m, max_bits, "posit", min_length, _head)
 
-    prof = integer_profile(m)
-    v, w = prof.v, prof.w
-    a = abs(m)
+
+def _head(v: int) -> tuple[int, int]:
+    """0 | 1^k | 0 | exponent field of a positive integer with bit length v."""
     k = (v + 3) // 4
-    exp_field = (v + 3) % 4
-    frac = (a >> w) & ((1 << prof.fraction_bits) - 1)
-
-    # Assemble 0 | 1^k | 0 | exp | frac, then drop trailing zeros.
-    value = ((1 << k) - 1) << 1
-    value = (value << 2) | exp_field
-    value = (value << prof.fraction_bits) | frac
-    width = 4 + k + prof.fraction_bits
-    pattern = BitString.from_uint(value, width).truncate_trailing_zeros(_MIN_WIDTH)
-    if m < 0:
-        pattern = pattern.twos_complement()
-    assert pattern.width == need
-    return pattern
+    return (((1 << k) - 1) << 3) | (v + 3) % 4, 4 + k
 
 
 def largest_consecutive(n: int) -> int:

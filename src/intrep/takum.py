@@ -23,22 +23,15 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_MAX_BITS,
     BitString,
-    CapacityError,
     DomainError,
     DyadicValue,
     FormatError,
+    encode_shortest,
     integer_profile,
     trailing_zero_count,
 )
-
-_MIN_WIDTH = 2
-
-DEFAULT_MAX_BITS = 256
-
-# The characteristic reaches 254, so integers with more than 255 bits are out
-# of range no matter how many fraction bits are available.
-MAX_MAGNITUDE = 1 << 254
 
 MIN_EXPONENT = -255
 MAX_EXPONENT = 254
@@ -87,9 +80,11 @@ def decode(bits: BitString) -> DyadicValue:
 def min_length(m: int) -> int:
     """Fewest takum bits that represent the integer m exactly (m != 0)."""
     prof = integer_profile(m)
-    if abs(m) > MAX_MAGNITUDE:
-        raise DomainError(f"|m| exceeds the takum exponent range (2^254): {m}")
     v, w = prof.v, prof.w
+    # An integer of bit length v has exponent v - 1, and the characteristic
+    # reaches MAX_EXPONENT, so |m| < 2^255 is in range with enough fraction bits.
+    if v > MAX_EXPONENT + 1:
+        raise DomainError(f"|m| >= 2^{MAX_EXPONENT + 1} exceeds the takum exponent range: {m}")
     r = v.bit_length() - 1  # floor(log2 v)
     length = 4 + v - w + r
     if w == v - 1:
@@ -109,32 +104,16 @@ def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
     """Shortest takum bit string decoding exactly to the integer m.
 
     Returns the width-1 string "0" for m = 0.  Raises DomainError when
-    |m| > 2^254 and CapacityError when the shortest representation would
+    |m| >= 2^255 and CapacityError when the shortest representation would
     exceed max_bits.
     """
-    if m == 0:
-        return BitString("0")
-    need = min_length(m)
-    if need > max_bits:
-        raise CapacityError(f"{m} needs {need} takum bits, more than max_bits={max_bits}")
+    return encode_shortest(m, max_bits, "takum", min_length, _head)
 
-    prof = integer_profile(m)
-    v, w = prof.v, prof.w
-    a = abs(m)
+
+def _head(v: int) -> tuple[int, int]:
+    """0 | 1 | regime | characteristic of a positive integer with bit length v."""
     r = v.bit_length() - 1
-    characteristic = v - (1 << r)
-    frac = (a >> w) & ((1 << prof.fraction_bits) - 1)
-
-    # Assemble 0 | 1 | regime | characteristic | frac, then drop trailing zeros.
-    value = (1 << 3) | r
-    value = (value << r) | characteristic
-    value = (value << prof.fraction_bits) | frac
-    width = 5 + r + prof.fraction_bits
-    pattern = BitString.from_uint(value, width).truncate_trailing_zeros(_MIN_WIDTH)
-    if m < 0:
-        pattern = pattern.twos_complement()
-    assert pattern.width == need
-    return pattern
+    return ((8 | r) << r) | (v - (1 << r)), 5 + r
 
 
 def consecutive_exponent(n: int) -> int:

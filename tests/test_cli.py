@@ -82,6 +82,12 @@ def test_encode_int_rejects_minifloat(capsys):
         ("posit", "-16", "3"),
         ("takum", "9", "10"),
         ("takum", "10", "9"),
+        ("takum", str(1 << 254), "12"),
+        ("takum", str(-(1 << 254)), "12"),
+        ("takum", str((1 << 254) + 1), "266"),
+        ("takum", str(-(1 << 254) - 1), "266"),
+        ("takum", str((1 << 255) - 1), "266"),
+        ("takum", str(1 - (1 << 255)), "266"),
     ],
 )
 def test_min_bits(capsys, fmt, value, expected):
@@ -94,6 +100,22 @@ def test_min_bits_rejects_zero(capsys):
     code, _, err = run(capsys, ["min-bits", "--format", "posit", "--value", "0"])
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("value", [str(1 << 255), str(-(1 << 255))])
+def test_min_bits_takum_out_of_range(capsys, value):
+    code, out, err = run(capsys, ["min-bits", "--format", "takum", "--value", value])
+    assert code == 3
+    assert out == ""
+    assert "takum exponent range" in err
+
+
+@pytest.mark.parametrize("command", ["encode-int", "min-bits"])
+def test_variable_length_commands_reject_minifloat_text(capsys, command):
+    code, out, err = run(capsys, [command, "--format", "E4M3", "--value", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: E4M3: this command supports posit/takum only\n"
 
 
 # ------------------------------------------------------- max-consecutive

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import intrep
 from intrep import (
     PRESETS,
     BitString,
@@ -115,3 +119,20 @@ def test_signed_integer_ratio():
     assert formats.signed_integer_ratio(PRESETS["e4m3"]) == 16 / 127
     assert formats.signed_integer_ratio(TakumFormat(16)) == 512 / 32767
     assert formats.signed_integer_ratio(PRESETS["float64"]) == 2**53 / (2**63 - 1)
+
+
+def test_no_family_dispatch_outside_formats():
+    # Callers go through the handle's members; only formats.py may ask which
+    # family a handle belongs to.
+    families = {"PositFormat", "TakumFormat", "MinifloatSpec"}
+    found = []
+    for path in sorted(Path(intrep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+                continue
+            if len(node.args) == 2 and families & {
+                getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])
+            }:
+                found.append((path.name, node.lineno))
+    assert all(name == "formats.py" for name, _ in found), found
+    assert len(found) <= 2, found

@@ -4,6 +4,7 @@ from intrep import (
     PRESETS,
     BitString,
     BudgetError,
+    DomainError,
     DyadicValue,
     FormatError,
     MinifloatSpec,
@@ -111,30 +112,42 @@ def test_e4m3_exponent_reach():
 
 
 def test_largest_consecutive_fallback_matches_enumeration():
-    # min_normal_exponent = 1 > 0, so the closed form does not apply; the
-    # integer ladder tops out at the largest finite value 7.
+    # min_normal_exponent = 1 > 0, so the closed form does not apply; only the
+    # oracle answers: the integer ladder tops out at the largest finite value 7.
     tiny = MinifloatSpec(2, 2, 0)
     assert tiny.min_normal_exponent == 1
-    assert minifloat.largest_consecutive(tiny) == 7
+    with pytest.raises(DomainError):
+        minifloat.largest_consecutive(tiny)
     report = oracle.largest_consecutive(tiny)
     assert report.value == 7
-    assert report.agreement is True
+    assert report.agreement is None
 
 
 def test_largest_consecutive_fallback_budget():
     wide = MinifloatSpec(2, 25, 0)
-    with pytest.raises(BudgetError):
+    with pytest.raises(DomainError):
         minifloat.largest_consecutive(wide)
+    with pytest.raises(BudgetError):
+        oracle.largest_consecutive(wide)
 
 
 def test_closed_form_matches_enumeration_across_shapes():
+    applies = refused = 0
     for exponent_bits in range(1, 4):
         for fraction_bits in range(0, 5):
             for bias in range(-2, 9):
                 for special in SpecialValues:
                     spec = MinifloatSpec(exponent_bits, fraction_bits, bias, special)
-                    expected = minifloat._enumerate_largest_consecutive(spec)
-                    assert minifloat.largest_consecutive(spec) == expected, spec
+                    target = fraction_bits + 1
+                    if spec.min_normal_exponent <= 0 and spec.max_normal_exponent >= target:
+                        expected = oracle.largest_consecutive(spec).value
+                        assert minifloat.largest_consecutive(spec) == expected, spec
+                        applies += 1
+                    else:
+                        with pytest.raises(DomainError):
+                            minifloat.largest_consecutive(spec)
+                        refused += 1
+    assert applies and refused
 
 
 def test_non_fraction_bits():

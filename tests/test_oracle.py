@@ -7,6 +7,7 @@ from intrep import (
     MinifloatSpec,
     PositFormat,
     TakumFormat,
+    minifloat,
     oracle,
     posit,
     takum,
@@ -116,7 +117,7 @@ def test_consecutive_report_non_power_of_two():
     report = oracle.largest_consecutive(MinifloatSpec(2, 2, 0))
     assert report.value == 7
     assert report.exponent is None
-    assert report.agreement is True
+    assert report.agreement is None  # no closed form applies to this shape
 
 
 def test_largest_consecutive_budget():
@@ -175,17 +176,27 @@ def test_verify_all_small_budget_passes():
     assert "256 patterns gives 16" in notes[0].detail
 
 
-def test_check_min_length_catches_mutated_formula(monkeypatch):
-    true_formula = posit.min_length
-    monkeypatch.setattr(posit, "min_length", lambda m: true_formula(m) + (m == 7))
-    result = oracle.check_min_length(PositFormat(), 16)
+@pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
+def test_check_min_length_catches_mutated_formula(monkeypatch, fmt):
+    true_formula = fmt.codec.min_length
+    monkeypatch.setattr(fmt.codec, "min_length", lambda m: true_formula(m) + (m == 7))
+    result = oracle.check_min_length(fmt, 16)
     assert not result.passed
     assert "m=7" in result.detail
 
 
-def test_check_takum_consecutive_catches_mutated_formula(monkeypatch):
-    true_formula = takum.largest_consecutive
-    monkeypatch.setattr(takum, "largest_consecutive", lambda n: 2 * true_formula(n))
-    result = oracle.check_takum_consecutive(max_n=6)
+@pytest.mark.parametrize(
+    "module,check,budget,named",
+    [
+        (posit, oracle.check_posit_consecutive, {"max_n": 6}, "n=5"),
+        (takum, oracle.check_takum_consecutive, {"max_n": 6}, "n=5"),
+        (minifloat, oracle.check_minifloat_consecutive, {"max_width": 8}, "e4m3"),
+    ],
+    ids=["posit", "takum", "minifloat"],
+)
+def test_check_takum_consecutive_catches_mutated_formula(monkeypatch, module, check, budget, named):
+    true_formula = module.largest_consecutive
+    monkeypatch.setattr(module, "largest_consecutive", lambda n: 2 * true_formula(n))
+    result = check(**budget)
     assert not result.passed
-    assert "n=5" in result.detail
+    assert result.detail.startswith(named + ":")

@@ -99,14 +99,26 @@ def test_min_length_rejects_zero():
         takum.min_length(0)
 
 
-def test_magnitude_range():
-    top = 1 << 254
-    assert takum.min_length(top) == 12
-    assert takum.decode(takum.encode_integer(top)) == DyadicValue.from_int(top)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "magnitude,length", [(1 << 254, 12), ((1 << 254) + 1, 266), ((1 << 255) - 1, 266)]
+)
+def test_magnitude_range(magnitude, length, sign):
+    # Exponents reach 254, so every integer below 2^255 in magnitude is
+    # representable, given enough fraction bits.
+    m = sign * magnitude
+    assert takum.min_length(m) == length
+    bits = takum.encode_integer(m, max_bits=length)
+    assert bits.width == length
+    assert takum.decode(bits) == DyadicValue.from_int(m)
+
+
+@pytest.mark.parametrize("m", [1 << 255, -(1 << 255)])
+def test_magnitude_out_of_range(m):
     with pytest.raises(DomainError):
-        takum.min_length(top + 1)
+        takum.min_length(m)
     with pytest.raises(DomainError):
-        takum.encode_integer(1 << 255)
+        takum.encode_integer(m, max_bits=1000)
 
 
 def test_encode_capacity():

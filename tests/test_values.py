@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intrep import DomainError, DyadicValue, IntegerProfile, integer_profile
+from intrep import DomainError, DyadicValue, IntegerProfile, integer_profile, posit, takum
 
 
 def test_constructors_and_kinds():
@@ -85,3 +85,14 @@ def test_integer_profile_structure(odd_seed, w):
     assert prof.w == w
     assert prof.v == odd.bit_length() + w
     assert prof == integer_profile(-(odd << w))
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("codec", [posit, takum], ids=["posit", "takum"])
+def test_encoders_check_their_width_against_min_length(monkeypatch, codec, delta):
+    # The check is a raise, not an assert, so it also runs under python -O.
+    true_length = codec.min_length
+    monkeypatch.setattr(codec, "min_length", lambda m: true_length(m) + delta)
+    for m in (5, -12, (1 << 40) + 3):
+        with pytest.raises(ArithmeticError):
+            codec.encode_integer(m)
