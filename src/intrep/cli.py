@@ -19,13 +19,6 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_BUDGET = 3
 
-_E4M3_PUBLISHED = 32  # widely circulated value; enumeration gives 16 (3 fraction bits, not 4)
-
-_FOOTNOTE = (
-    "published tables commonly list 2^5 = 32 for e4m3, which presumes 4 fraction "
-    "bits; E4M3 has 3.  Exhaustive enumeration of all 256 bit patterns gives 16."
-)
-
 
 @dataclass(frozen=True, slots=True)
 class TableRow:
@@ -38,10 +31,6 @@ class TableRow:
     footnote: bool = False
 
 
-def _signed_count(width: int) -> int:
-    return (1 << (width - 1)) - 1
-
-
 def build_table() -> list[TableRow]:
     """Largest consecutive integers for the standard 8..128-bit formats.
 
@@ -51,10 +40,11 @@ def build_table() -> list[TableRow]:
     """
     e4m3 = oracle.largest_consecutive(minifloat.PRESETS["e4m3"]).value
     e5m2 = oracle.largest_consecutive(minifloat.PRESETS["e5m2"]).value
+    published, count = oracle.E4M3_PUBLISHED, formats.signed_integer_count(8)
     rows = [
-        TableRow("e4m3", _E4M3_PUBLISHED, _E4M3_PUBLISHED / _signed_count(8), "reference", True),
-        TableRow("e4m3 (computed)", e4m3, e4m3 / _signed_count(8), "oracle", True),
-        TableRow("e5m2", e5m2, e5m2 / _signed_count(8), "oracle"),
+        TableRow("e4m3", published, published / count, "reference", True),
+        TableRow("e4m3 (computed)", e4m3, e4m3 / count, "oracle", True),
+        TableRow("e5m2", e5m2, e5m2 / count, "oracle"),
     ]
 
     def closed_form(fmt: formats.FormatSpec) -> TableRow:
@@ -103,7 +93,11 @@ def _render_table(rows: list[TableRow], exact: bool) -> str:
     for line in body:
         lines.append("  ".join(line[i].ljust(widths[i]) for i in range(3)).rstrip())
     lines.append("")
-    lines.append(f"* {_FOOTNOTE}")
+    lines.append(
+        f"* published tables commonly list {render_magnitude(oracle.E4M3_PUBLISHED)} for e4m3, "
+        "which presumes 4 fraction bits; E4M3 has 3.  Exhaustive enumeration of all 256 bit "
+        "patterns gives 16."
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -155,8 +149,8 @@ def cmd_table(args) -> int:
 
 def figure_rows(n_min: int, n_max: int) -> list[tuple[int, int, int]]:
     """(n, posit exponent, takum exponent) of the largest consecutive integer."""
-    if not 5 <= n_min <= n_max <= 1024:
-        raise DomainError(f"need 5 <= n_min <= n_max <= 1024, got {n_min}..{n_max}")
+    if not takum.MIN_WIDTH <= n_min <= n_max <= 1024:
+        raise DomainError(f"need {takum.MIN_WIDTH} <= n_min <= n_max <= 1024, got {n_min}..{n_max}")
     return [
         (n, posit.largest_consecutive(n).bit_length() - 1, takum.consecutive_exponent(n))
         for n in range(n_min, n_max + 1)
@@ -228,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = add("figure", cmd_figure, "CSV of consecutive-integer exponents vs width")
-    p.add_argument("--n-min", type=int, default=5, help="first width (>= 5)")
+    p.add_argument(
+        "--n-min", type=int, default=takum.MIN_WIDTH, help="first width (>= %(default)s)"
+    )
     p.add_argument("--n-max", type=int, default=128, help="last width (<= 1024)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 

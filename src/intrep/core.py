@@ -273,6 +273,12 @@ def integer_profile(m: int) -> IntegerProfile:
     return IntegerProfile(a.bit_length(), trailing_zero_count(a))
 
 
+def check_width(n: int, floor: int, family: str) -> None:
+    """DomainError unless n reaches the family's width floor."""
+    if n < floor:
+        raise DomainError(f"{family} width must be at least {floor}, got {n}")
+
+
 # Positive posit and takum encodings start "01...", so nothing meaningful is
 # shorter than 2 bits.
 _MIN_WIDTH = 2

@@ -16,7 +16,7 @@ from types import ModuleType
 from typing import ClassVar, Union
 
 from . import minifloat, posit, takum
-from .core import BitString, DomainError, DyadicValue, FormatError
+from .core import BitString, DyadicValue, FormatError
 from .minifloat import PRESETS, MinifloatSpec
 
 
@@ -31,13 +31,13 @@ class _TaperedFormat:
     n: int | None = None
 
     codec: ClassVar[ModuleType]
-    min_width: ClassVar[int]
     # Width whose exponents a bare family handle profiles; None if it needs one.
     profile_width: ClassVar[int | None] = None
 
     def __post_init__(self):
-        if self.n is not None and self.n < self.min_width:
-            raise FormatError(f"{self.family} width must be at least {self.min_width}, got {self.n}")
+        floor = self.codec.MIN_WIDTH
+        if self.n is not None and self.n < floor:
+            raise FormatError(f"{self.family} width must be at least {floor}, got {self.n}")
 
     @property
     def family(self) -> str:
@@ -70,14 +70,12 @@ class _TaperedFormat:
 @dataclass(frozen=True, slots=True)
 class PositFormat(_TaperedFormat):
     codec = posit
-    min_width = 3
 
 
 @dataclass(frozen=True, slots=True)
 class TakumFormat(_TaperedFormat):
     codec = takum
-    min_width = 5
-    profile_width = 12  # the takum exponent range is the same at every width
+    profile_width = 12  # the first width that reaches the whole takum exponent range
 
 
 FormatSpec = Union[PositFormat, TakumFormat, MinifloatSpec]
@@ -108,14 +106,6 @@ def variable_length_codec(fmt: FormatSpec) -> ModuleType | None:
     return None if isinstance(fmt, MinifloatSpec) else fmt.codec
 
 
-def format_name(fmt: FormatSpec) -> str:
-    return fmt.name
-
-
-def format_width(fmt: FormatSpec) -> int | None:
-    return fmt.width
-
-
 def resolve_width(fmt: FormatSpec, n: int | None = None) -> int:
     """The concrete bit width to work at, from the handle and/or override."""
     intrinsic = fmt.width
@@ -123,7 +113,9 @@ def resolve_width(fmt: FormatSpec, n: int | None = None) -> int:
         if intrinsic is None:
             raise FormatError(f"{fmt.name} needs an explicit width")
         return intrinsic
-    if intrinsic is not None and intrinsic != n:
+    if intrinsic is None:
+        return type(fmt)(n).n  # a bare posit/takum handle: the width meets its floor
+    if intrinsic != n:
         raise FormatError(f"width {n} conflicts with {fmt.name}")
     return n
 
@@ -148,8 +140,11 @@ def largest_consecutive(fmt: FormatSpec, n: int | None = None) -> int:
 
 
 def signed_integer_ratio(fmt: FormatSpec, n: int | None = None) -> float:
-    """largest_consecutive over the signed-integer count 2^(n-1) - 1."""
+    """largest_consecutive over the signed-integer count at the width."""
     width = resolve_width(fmt, n)
-    if width < 2:
-        raise DomainError(f"no signed integers in {width} bit(s)")
-    return largest_consecutive(fmt, width) / ((1 << (width - 1)) - 1)
+    return largest_consecutive(fmt, width) / signed_integer_count(width)
+
+
+def signed_integer_count(width: int) -> int:
+    """Positive integers of width-bit two's complement: 2^(width-1) - 1."""
+    return (1 << (width - 1)) - 1

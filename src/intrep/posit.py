@@ -22,13 +22,15 @@ from __future__ import annotations
 from .core import (
     DEFAULT_MAX_BITS,
     BitString,
-    DomainError,
     DyadicValue,
     FormatError,
+    check_width,
     encode_shortest,
     integer_profile,
     trailing_zero_count,
 )
+
+MIN_WIDTH = 3
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
@@ -107,8 +109,7 @@ def _head(v: int) -> tuple[int, int]:
 
 def largest_consecutive(n: int) -> int:
     """Largest k such that every integer in [-k, k] fits in an n-bit posit."""
-    if n < 3:
-        raise DomainError(f"posit width must be at least 3, got {n}")
+    check_width(n, MIN_WIDTH, "posit")
     return 1 << (4 * (n - 3) // 5)
 
 
@@ -124,7 +125,6 @@ def non_fraction_bits(exponent: int) -> int:
 
 def exponent_range(n: int) -> range:
     """Coded exponents reachable by n-bit posits: [-(4n-8), 4n-8]."""
-    if n < 3:
-        raise DomainError(f"posit width must be at least 3, got {n}")
+    check_width(n, MIN_WIDTH, "posit")
     top = 4 * n - 8
     return range(-top, top + 1)

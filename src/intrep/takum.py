@@ -28,6 +28,7 @@ from .core import (
     DomainError,
     DyadicValue,
     FormatError,
+    check_width,
     encode_shortest,
     integer_profile,
     trailing_zero_count,
@@ -35,6 +36,7 @@ from .core import (
 
 MIN_EXPONENT = -255
 MAX_EXPONENT = 254
+MIN_WIDTH = 5
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
@@ -118,8 +120,7 @@ def _head(v: int) -> tuple[int, int]:
 
 def consecutive_exponent(n: int) -> int:
     """Largest v with v * 2^v < 2^(n-3), by exact big-integer search."""
-    if n < 5:
-        raise DomainError(f"takum width must be at least 5, got {n}")
+    check_width(n, MIN_WIDTH, "takum")
     bound = 1 << (n - 3)
     v = 1
     while (v + 1) << (v + 1) < bound:
@@ -172,8 +173,7 @@ def consecutive_exponent_analytic(n: int) -> int:
     9, 14, 23, 40, ...), so results within 1e-9 above an integer snap down to
     it; W0 is evaluated far more accurately than that.
     """
-    if n < 5:
-        raise DomainError(f"takum width must be at least 5, got {n}")
+    check_width(n, MIN_WIDTH, "takum")
     x = math.log(2.0) * math.pow(2.0, n - 3)
     if math.isinf(x):
         raise DomainError(f"2^(n-3) overflows double precision for n={n}")
@@ -196,7 +196,8 @@ def non_fraction_bits(exponent: int) -> int:
 
 
 def exponent_range(n: int = 12) -> range:
-    """Coded exponents of the takum format: [-255, 254] for any width."""
-    if n < 5:
-        raise DomainError(f"takum width must be at least 5, got {n}")
-    return range(MIN_EXPONENT, MAX_EXPONENT + 1)
+    """Coded exponents [-(c+1), c] of n-bit takums; c = 254 from n = 12 on."""
+    check_width(n, MIN_WIDTH, "takum")
+    # c is the characteristic of the largest pattern 0 1^(n-1), zero-extended to 12 bits.
+    c = MAX_EXPONENT + 1 - (1 << max(12 - n, 0))
+    return range(-(c + 1), c + 1)

@@ -323,6 +323,21 @@ def test_verify_reports_mutated_formula(capsys, monkeypatch):
     assert "1 of 8 checks failed" in out
 
 
+def test_verify_reports_wrong_min_length(capsys, monkeypatch):
+    # The encoder refuses a pattern that is not min_length(m) wide; verify
+    # reports that as a round-trip failure instead of crashing.
+    true_length = posit.min_length
+    monkeypatch.setattr(posit, "min_length", lambda m: true_length(m) + (abs(m) == 5))
+    code, out, _ = run(capsys, ["verify", "--max-n", "5", "--max-m", "16"])
+    assert code == 2
+    assert "2 of 8 checks failed" in out
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert any(
+        "round trip" in line and "posit encoding of 5 has 7 bits, not 8" in line
+        for line in failures
+    ), failures
+
+
 def test_figure_reports_mutated_posit_formula(capsys, monkeypatch):
     true_formula = posit.largest_consecutive
     monkeypatch.setattr(posit, "largest_consecutive", lambda n: 2 * true_formula(n))
@@ -332,6 +347,15 @@ def test_figure_reports_mutated_posit_formula(capsys, monkeypatch):
 
 
 # ----------------------------------------------------------- usage errors
+
+@pytest.mark.parametrize("family,n,floor", [("posit", 2, 3), ("takum", 4, 5)])
+def test_width_below_floor_is_a_usage_error_either_way(capsys, family, n, floor):
+    named = run(capsys, ["max-consecutive", "--format", f"{family}{n}"])
+    given = run(capsys, ["max-consecutive", "--format", family, "--n", str(n)])
+    assert given == named
+    assert named[0] == 1
+    assert named[2] == f"error: {family} width must be at least {floor}, got {n}\n"
+
 
 @pytest.mark.parametrize(
     "argv",

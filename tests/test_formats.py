@@ -13,6 +13,7 @@ from intrep import (
     PositFormat,
     TakumFormat,
     formats,
+    oracle,
     parse_format,
 )
 
@@ -57,19 +58,19 @@ def test_width_floors():
     ["posit", "posit8", "takum", "takum64", "e4m3", "e5m2", "float16", "bfloat16", "float64"],
 )
 def test_format_name_round_trip(name):
-    assert formats.format_name(parse_format(name)) == name
+    assert parse_format(name).name == name
 
 
 def test_format_name_custom_minifloat():
     spec = MinifloatSpec(3, 2, 3)
-    assert formats.format_name(spec) == "minifloat(e=3,f=2,bias=3,ieee)"
+    assert spec.name == "minifloat(e=3,f=2,bias=3,ieee)"
 
 
 def test_format_width():
-    assert formats.format_width(PositFormat()) is None
-    assert formats.format_width(PositFormat(8)) == 8
-    assert formats.format_width(PRESETS["e4m3"]) == 8
-    assert formats.format_width(PRESETS["float128"]) == 128
+    assert PositFormat().width is None
+    assert PositFormat(8).width == 8
+    assert PRESETS["e4m3"].width == 8
+    assert PRESETS["float128"].width == 128
 
 
 def test_resolve_width():
@@ -83,6 +84,34 @@ def test_resolve_width():
         formats.resolve_width(PositFormat())
     with pytest.raises(FormatError):
         formats.resolve_width(PRESETS["e4m3"], 9)
+
+
+@pytest.mark.parametrize("fmt,n", [(PositFormat(), 2), (TakumFormat(), 4)], ids=["posit", "takum"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        formats.resolve_width,
+        formats.largest_consecutive,
+        formats.signed_integer_ratio,
+        oracle.largest_consecutive,
+        lambda fmt, n: oracle.representable_set(fmt, n, window=10),
+    ],
+    ids=[
+        "resolve_width",
+        "formats.largest_consecutive",
+        "signed_integer_ratio",
+        "oracle.largest_consecutive",
+        "oracle.representable_set",
+    ],
+)
+def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
+    # A bare handle given a width refuses exactly what the handle built at
+    # that width refuses, with the same error type and text.
+    with pytest.raises(FormatError) as built:
+        type(fmt)(n)
+    with pytest.raises(FormatError) as given:
+        entry(fmt, n)
+    assert str(given.value) == str(built.value)
 
 
 def test_decode_dispatch():

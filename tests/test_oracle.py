@@ -105,12 +105,15 @@ def test_consecutive_report_e4m3():
 
 
 def test_consecutive_report_without_closed_form():
-    # Width 2 is below the posit formula's domain, so there is nothing to
-    # agree with; the enumeration alone settles it.
-    report = oracle.largest_consecutive(PositFormat(), 2)
+    # Width 2 is below the posit floor: the oracle refuses it as the handle
+    # does, rather than answering for a format the library will not build.
+    # Agreement None without a closed form: test_consecutive_report_non_power_of_two.
+    with pytest.raises(FormatError):
+        oracle.largest_consecutive(PositFormat(), 2)
+    report = oracle.largest_consecutive(PositFormat(), 3)
     assert report.value == 1
     assert report.exponent == 0
-    assert report.agreement is None
+    assert report.agreement is True
 
 
 def test_consecutive_report_non_power_of_two():

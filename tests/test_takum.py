@@ -206,6 +206,26 @@ def test_exponent_range():
     assert takum.exponent_range(64) == range(-255, 255)
 
 
+def _coded_exponent(triple):
+    # A value ((1 - 3S) + f) * 2^e with f in [0, 1) has coded exponent e:
+    # floor(log2 x) when x > 0, ceil(log2 |x|) - 1 when x < 0.
+    sign, significand, exponent2 = triple
+    if sign > 0:
+        return exponent2 + significand.bit_length() - 1
+    return exponent2 + (significand - 1).bit_length() - 1
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_exponent_range_matches_enumeration(n):
+    coded = {
+        _coded_exponent(t)
+        for u in range(1 << n)
+        if (t := takum.decode_uint(u, n)) is not None and t[1]
+    }
+    span = takum.exponent_range(n)
+    assert (span.start, span.stop - 1) == (min(coded), max(coded))
+
+
 @given(st.integers(-(2**200), 2**200).filter(lambda m: m != 0))
 def test_round_trip_at_min_length(m):
     bits = takum.encode_integer(m, max_bits=4096)
