@@ -1,8 +1,8 @@
 """Bit strings and exact binary values.
 
-Shared ground for the codec modules: an immutable MSB-first bit string with
-zero-extension ("ghost bit") semantics, an exact value type built on Python
-integers, and the bit-level profile of a nonzero integer.
+Shared ground for the codec modules: an immutable MSB-first bit string, an
+exact value type built on Python integers, the bit-level profile of a
+nonzero integer, and the encoders' shortest-pattern frame.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ def trailing_zero_count(x: int) -> int:
 class BitString:
     """Immutable bit string, most significant bit first, never empty.
 
-    Reads past the end yield zeros ("ghost bits"), so a string stands for
-    the whole equivalence class of its zero-extensions.  Text form is ASCII
-    '0'/'1'; parsing accepts an optional "0b" prefix and ignores spaces and
-    underscores.
+    A value: the bits as an unsigned integer (uint) and their count (width).
+    Text form is ASCII '0'/'1'; parsing accepts an optional "0b" prefix and
+    ignores spaces and underscores.
     """
 
     __slots__ = ("_value", "_width")
@@ -70,9 +69,6 @@ class BitString:
     def width(self) -> int:
         return self._width
 
-    def __len__(self) -> int:
-        return self._width
-
     def __eq__(self, other: object):
         if not isinstance(other, BitString):
             return NotImplemented
@@ -86,66 +82,6 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
-
-    def bit(self, i: int) -> int:
-        """Bit at MSB-first position i; zero past the end."""
-        if i < 0:
-            raise IndexError(i)
-        if i >= self._width:
-            return 0
-        return (self._value >> (self._width - 1 - i)) & 1
-
-    def field(self, start: int, count: int) -> int:
-        """Unsigned value of bits [start, start+count), ghost zeros past the end."""
-        if count <= 0:
-            return 0
-        explicit = min(self._width - start, count)
-        if explicit <= 0:
-            return 0
-        chunk = (self._value >> (self._width - start - explicit)) & ((1 << explicit) - 1)
-        return chunk << (count - explicit)
-
-    def run_length(self, start: int) -> int:
-        """Length of the run of identical bits beginning at explicit position start."""
-        if start >= self._width:
-            return 0
-        lead = self.bit(start)
-        n = 1
-        while start + n < self._width and self.bit(start + n) == lead:
-            n += 1
-        return n
-
-    def all_zero_from(self, start: int) -> bool:
-        """True if every explicit bit at position >= start is zero."""
-        if start >= self._width:
-            return True
-        return self._value & ((1 << (self._width - start)) - 1) == 0
-
-    def trailing_zeros(self) -> int:
-        if self._value == 0:
-            return self._width
-        return trailing_zero_count(self._value)
-
-    def zero_extend(self, extra: int) -> "BitString":
-        """Append extra zero bits at the least significant end."""
-        if extra < 0:
-            raise DomainError("cannot extend by a negative count")
-        if extra == 0:
-            return self
-        return BitString.from_uint(self._value << extra, self._width + extra)
-
-    def truncate_trailing_zeros(self, min_len: int = 1) -> "BitString":
-        """Shortest prefix, at least min_len wide, whose zero-extension equals self."""
-        if min_len < 1:
-            raise DomainError("min_len must be at least 1")
-        width = max(min_len, self._width - self.trailing_zeros())
-        if width >= self._width:
-            return self
-        return BitString.from_uint(self._value >> (self._width - width), width)
-
-    def twos_complement(self) -> "BitString":
-        """Two's complement at the same width (an involution)."""
-        return BitString.from_uint(-self._value & ((1 << self._width) - 1), self._width)
 
 
 class ValueKind(enum.Enum):
@@ -279,10 +215,6 @@ def check_width(n: int, floor: int, family: str) -> None:
         raise DomainError(f"{family} width must be at least {floor}, got {n}")
 
 
-# Positive posit and takum encodings start "01...", so nothing meaningful is
-# shorter than 2 bits.
-_MIN_WIDTH = 2
-
 DEFAULT_MAX_BITS = 256
 
 
@@ -301,11 +233,14 @@ def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> Bit
     prof = integer_profile(m)
     value, width = head(prof.v)
     frac = (abs(m) >> prof.w) & ((1 << prof.fraction_bits) - 1)
-    pattern = BitString.from_uint(
-        (value << prof.fraction_bits) | frac, width + prof.fraction_bits
-    ).truncate_trailing_zeros(_MIN_WIDTH)
+    u = (value << prof.fraction_bits) | frac
+    # Appended zeros never change a value, so the shortest pattern drops them all.
+    # A positive pattern starts "01", so at least two bits stay.
+    drop = trailing_zero_count(u)
+    u >>= drop
+    width += prof.fraction_bits - drop
     if m < 0:
-        pattern = pattern.twos_complement()
-    if pattern.width != need:
-        raise ArithmeticError(f"{family} encoding of {m} has {pattern.width} bits, not {need}")
-    return pattern
+        u = -u & ((1 << width) - 1)
+    if width != need:
+        raise ArithmeticError(f"{family} encoding of {m} has {width} bits, not {need}")
+    return BitString.from_uint(u, width)

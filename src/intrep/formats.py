@@ -60,7 +60,11 @@ class _TaperedFormat:
         return self.codec.largest_consecutive(n)
 
     def precision_profile(self) -> list[tuple[int, int]]:
-        """(exponent, non-fraction bits) over the exponents reachable at the width."""
+        """(exponent, non-fraction bits) for each coded exponent at the width.
+
+        The rows span the smallest to the largest coded exponent (the codec's
+        exponent_range), so some exponents in between have no pattern of the width.
+        """
         n = self.n or self.profile_width
         if n is None:
             raise FormatError(f"{self.name} precision profile needs a width, e.g. {self.name}32")

@@ -124,7 +124,13 @@ def non_fraction_bits(exponent: int) -> int:
 
 
 def exponent_range(n: int) -> range:
-    """Coded exponents reachable by n-bit posits: [-(4n-8), 4n-8]."""
+    """Smallest to largest coded exponent of n-bit posits: [-(4n-7), 4n-8].
+
+    The ends are 0 1^(n-1) = 2^(4n-8) and 1^n = -2^-(4n-8), whose coded
+    exponent is one lower because a negative value is (-2 + f) * 2^exponent.
+    Some exponents in between have no n-bit pattern: posit8 has none at 21,
+    22, -22 and -23.
+    """
     check_width(n, MIN_WIDTH, "posit")
     top = 4 * n - 8
-    return range(-top, top + 1)
+    return range(-top - 1, top + 1)

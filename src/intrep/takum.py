@@ -195,8 +195,12 @@ def non_fraction_bits(exponent: int) -> int:
     return 5 + r
 
 
-def exponent_range(n: int = 12) -> range:
-    """Coded exponents [-(c+1), c] of n-bit takums; c = 254 from n = 12 on."""
+def exponent_range(n: int) -> range:
+    """Smallest to largest coded exponent of n-bit takums: [-(c+1), c].
+
+    c = 254 from n = 12 on.  Below 12 bits, some exponents in between have no
+    n-bit pattern: takum8 reaches 156 of the 480 in [-240, 239].
+    """
     check_width(n, MIN_WIDTH, "takum")
     # c is the characteristic of the largest pattern 0 1^(n-1), zero-extended to 12 bits.
     c = MAX_EXPONENT + 1 - (1 << max(12 - n, 0))

@@ -1,14 +1,6 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from intrep import BitString, DomainError, FormatError
-
-
-@st.composite
-def bit_strings(draw, max_width=24):
-    width = draw(st.integers(1, max_width))
-    return BitString.from_uint(draw(st.integers(0, (1 << width) - 1)), width)
+from intrep import BitString, FormatError
 
 
 def test_parse_and_str():
@@ -17,7 +9,7 @@ def test_parse_and_str():
     assert str(BitString("01 01")) == "0101"
     assert str(BitString("01_01")) == "0101"
     assert BitString("0001").uint == 1
-    assert len(BitString("0001")) == 4
+    assert BitString("0001").width == 4
 
 
 @pytest.mark.parametrize("bad", ["", "0b", "012", "abc", "1.0", "0 b 1"])
@@ -41,80 +33,3 @@ def test_equality_includes_width():
     assert BitString("01") != BitString("001")
     assert BitString("01") != BitString("10")
     assert hash(BitString("01")) == hash(BitString.from_uint(1, 2))
-
-
-def test_bit_and_field_ghost_semantics():
-    b = BitString("0101")
-    assert [b.bit(i) for i in range(6)] == [0, 1, 0, 1, 0, 0]
-    assert b.field(0, 4) == 0b0101
-    assert b.field(1, 2) == 0b10
-    assert b.field(3, 2) == 0b10  # one explicit bit, one ghost zero
-    assert b.field(4, 3) == 0  # entirely ghost
-    assert b.field(0, 0) == 0
-
-
-def test_run_length():
-    assert BitString("0111001").run_length(1) == 3
-    assert BitString("0001").run_length(0) == 3
-    assert BitString("0111").run_length(1) == 3  # run to the end
-    assert BitString("1").run_length(0) == 1
-    assert BitString("1").run_length(1) == 0
-
-
-def test_all_zero_from():
-    assert BitString("1000").all_zero_from(1)
-    assert not BitString("1001").all_zero_from(1)
-    assert BitString("1").all_zero_from(1)
-
-
-def test_truncate_trailing_zeros_examples():
-    assert str(BitString("011000").truncate_trailing_zeros(2)) == "011"
-    assert str(BitString("0101").truncate_trailing_zeros(2)) == "0101"
-    assert str(BitString("0000").truncate_trailing_zeros(1)) == "0"
-    assert str(BitString("0100").truncate_trailing_zeros(3)) == "010"
-    with pytest.raises(DomainError):
-        BitString("01").truncate_trailing_zeros(0)
-
-
-def test_twos_complement_examples():
-    assert str(BitString("0100").twos_complement()) == "1100"
-    assert str(BitString("0000").twos_complement()) == "0000"
-    assert str(BitString("1000").twos_complement()) == "1000"
-
-
-def test_zero_extend():
-    assert str(BitString("01").zero_extend(3)) == "01000"
-    assert BitString("01").zero_extend(0) == BitString("01")
-    with pytest.raises(DomainError):
-        BitString("01").zero_extend(-1)
-
-
-@given(bit_strings())
-def test_truncation_inverts_zero_extension(b):
-    t = b.truncate_trailing_zeros()
-    assert t.zero_extend(b.width - t.width) == b
-    if t.width > 1:
-        assert t.bit(t.width - 1) == 1  # minimal: no further truncation possible
-
-
-@given(bit_strings(), st.integers(0, 8))
-def test_zero_extension_then_truncation(b, extra):
-    extended = b.zero_extend(extra)
-    assert extended.truncate_trailing_zeros() == b.truncate_trailing_zeros()
-
-
-@given(bit_strings())
-def test_twos_complement_involution(b):
-    assert b.twos_complement().twos_complement() == b
-
-
-@given(bit_strings())
-def test_twos_complement_commutes_with_truncation(b):
-    # Negation preserves the trailing-zero count, and the remaining top bits
-    # are the two's complement of the original top bits.
-    t = b.trailing_zeros()
-    c = b.twos_complement()
-    assert c.trailing_zeros() == t
-    if t < b.width:
-        top = BitString.from_uint(b.uint >> t, b.width - t)
-        assert c.uint >> t == top.twos_complement().uint

@@ -273,8 +273,8 @@ def test_precision_profile_posit32(capsys):
     code, out, _ = run(capsys, ["precision-profile", "--format", "posit32"])
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 1 + 241
-    assert lines[1] == "-120,34"
+    assert len(lines) == 1 + 242
+    assert lines[1] == "-121,35"
     assert "0,5" in lines
     assert lines[-1] == "120,35"
 

@@ -1,10 +1,10 @@
-"""The integer decode kernels against field-walking reference decoders.
+"""The integer decode kernels against text-reading reference decoders.
 
-The reference decoders below read a pattern field by field through
-BitString's bit/field/run_length accessors, following the layouts in the
-posit, takum and minifloat module docstrings.  Both the kernels
-(decode_uint) and the BitString wrappers (decode) must agree with them on
-every pattern tested.
+The reference decoders below read a pattern's text (format(u, f"0{n}b"))
+field by field, following the layouts in the posit, takum and minifloat
+module docstrings; a field that runs past the end is completed with ghost
+zeros by ljust.  Both the kernels (decode_uint) and the BitString wrappers
+(decode) must agree with them on every pattern tested.
 """
 
 import random
@@ -15,17 +15,23 @@ from intrep import PRESETS, BitString, DyadicValue, FormatError, minifloat, posi
 from intrep.minifloat import SpecialValues
 
 
-def reference_posit(bits: BitString) -> DyadicValue:
-    s = bits.bit(0)
-    if bits.all_zero_from(1):
+def field(text: str, start: int, count: int) -> int:
+    """Unsigned value of text[start:start+count], ghost zeros past the end."""
+    return int(text[start : start + count].ljust(count, "0") or "0", 2)
+
+
+def reference_posit(u: int, n: int) -> DyadicValue:
+    text = format(u, f"0{n}b")
+    s, body = int(text[0]), text[1:]
+    if "1" not in body:
         return DyadicValue.zero() if s == 0 else DyadicValue.nar()
-    lead = bits.bit(1)
-    k = bits.run_length(1)
-    regime = k - 1 if lead == 1 else -k
-    exp_field = bits.field(2 + k, 2)
-    frac_start = 4 + k
-    p = max(0, bits.width - frac_start)
-    frac = bits.field(frac_start, p)
+    lead = body[0]
+    k = len(body) - len(body.lstrip(lead))
+    regime = k - 1 if lead == "1" else -k
+    exp_field = field(text, 2 + k, 2)
+    frac_text = text[4 + k :]
+    p = len(frac_text)
+    frac = field(frac_text, 0, p)
 
     magnitude = 4 * regime + exp_field + s
     exponent = -magnitude if s else magnitude
@@ -33,31 +39,33 @@ def reference_posit(bits: BitString) -> DyadicValue:
     return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - p)
 
 
-def reference_takum(bits: BitString) -> DyadicValue:
-    s = bits.bit(0)
-    if bits.all_zero_from(1):
+def reference_takum(u: int, n: int) -> DyadicValue:
+    text = format(u, f"0{n}b")
+    s = int(text[0])
+    if "1" not in text[1:]:
         return DyadicValue.zero() if s == 0 else DyadicValue.nar()
-    d = bits.bit(1)
-    regime = bits.field(2, 3)
+    d = int(text[1])
+    regime = field(text, 2, 3)
     if d == 1:
         r = regime
-        c = (1 << r) - 1 + bits.field(5, r)
+        c = (1 << r) - 1 + field(text, 5, r)
     else:
         r = 7 - regime
-        c = -(1 << (r + 1)) + 1 + bits.field(5, r)
-    frac_start = 5 + r
-    p = max(0, bits.width - frac_start)
-    frac = bits.field(frac_start, p)
+        c = -(1 << (r + 1)) + 1 + field(text, 5, r)
+    frac_text = text[5 + r :]
+    p = len(frac_text)
+    frac = field(frac_text, 0, p)
 
     exponent = -(c + 1) if s else c
     numer = ((1 << p) + frac) if s == 0 else ((2 << p) - frac)
     return DyadicValue.from_mantissa(-1 if s else 1, numer, exponent - p)
 
 
-def reference_minifloat(spec, bits: BitString) -> DyadicValue:
-    s = bits.bit(0)
-    exp_field = bits.field(1, spec.exponent_bits)
-    frac = bits.field(1 + spec.exponent_bits, spec.fraction_bits)
+def reference_minifloat(spec, u: int) -> DyadicValue:
+    text = format(u, f"0{spec.width}b")
+    s = int(text[0])
+    exp_field = field(text, 1, spec.exponent_bits)
+    frac = field(text, 1 + spec.exponent_bits, spec.fraction_bits)
     all_ones = (1 << spec.exponent_bits) - 1
 
     if exp_field == all_ones:
@@ -90,7 +98,7 @@ FAMILIES = [
 
 def assert_family_agrees(module, reference, u, n):
     bits = BitString.from_uint(u, n)
-    expected = reference(bits)
+    expected = reference(u, n)
     assert module.decode_uint(u, n) == triple(expected), str(bits)
     assert module.decode(bits) == expected, str(bits)
 
@@ -124,7 +132,7 @@ def test_every_minifloat_pattern(name):
     spec = PRESETS[name]
     for u in range(1 << spec.width):
         bits = BitString.from_uint(u, spec.width)
-        expected = reference_minifloat(spec, bits)
+        expected = reference_minifloat(spec, u)
         assert minifloat.decode_uint(spec, u) == triple(expected), str(bits)
         assert minifloat.decode(spec, bits) == expected, str(bits)
 
@@ -135,7 +143,7 @@ def test_random_wide_minifloat_patterns(name):
     rng = random.Random(name)
     for _ in range(2000):
         u = rng.getrandbits(spec.width)
-        expected = reference_minifloat(spec, BitString.from_uint(u, spec.width))
+        expected = reference_minifloat(spec, u)
         assert minifloat.decode_uint(spec, u) == triple(expected)
 
 

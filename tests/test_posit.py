@@ -126,7 +126,7 @@ def test_non_fraction_bits():
 
 
 def test_exponent_range():
-    assert posit.exponent_range(8) == range(-24, 25)
+    assert posit.exponent_range(8) == range(-25, 25)
 
 
 @given(st.integers(-(2**64), 2**64).filter(lambda m: m != 0))
@@ -139,17 +139,17 @@ def test_round_trip_at_min_length(m):
 @given(st.integers(1, 2**24), st.integers(0, 12))
 def test_decode_ignores_appended_zeros(pattern_seed, extra):
     width = max(2, pattern_seed.bit_length())
-    bits = BitString.from_uint(pattern_seed % (1 << width), width)
-    assert posit.decode(bits.zero_extend(extra)) == posit.decode(bits)
+    u = pattern_seed % (1 << width)
+    extended = BitString.from_uint(u << extra, width + extra)
+    assert posit.decode(extended) == posit.decode(BitString.from_uint(u, width))
 
 
 @given(st.integers(1, 2**16 - 1))
 def test_negation_closure(pattern):
     width = 16
-    bits = BitString.from_uint(pattern, width)
-    v = posit.decode(bits)
+    v = posit.decode(BitString.from_uint(pattern, width))
     if v.is_finite:
-        assert posit.decode(bits.twos_complement()) == -v
+        assert posit.decode(BitString.from_uint(-pattern & ((1 << width) - 1), width)) == -v
 
 
 def test_min_length_matches_oracle_small():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intrep import BitString, CapacityError, DomainError, DyadicValue, oracle, takum
+from intrep import BitString, CapacityError, DomainError, DyadicValue, oracle, posit, takum
 from intrep.formats import TakumFormat
 
 
@@ -202,7 +202,7 @@ def test_non_fraction_bits():
 
 
 def test_exponent_range():
-    assert takum.exponent_range() == range(-255, 255)
+    assert takum.exponent_range(12) == range(-255, 255)
     assert takum.exponent_range(64) == range(-255, 255)
 
 
@@ -215,14 +215,21 @@ def _coded_exponent(triple):
     return exponent2 + (significand - 1).bit_length() - 1
 
 
-@pytest.mark.parametrize("n", range(5, 17))
-def test_exponent_range_matches_enumeration(n):
+@pytest.mark.parametrize(
+    "codec,n",
+    [
+        pytest.param(codec, n, id=f"{codec.__name__.rpartition('.')[2]}{n}")
+        for codec in (takum, posit)
+        for n in range(codec.MIN_WIDTH, 17)
+    ],
+)
+def test_exponent_range_matches_enumeration(codec, n):
     coded = {
         _coded_exponent(t)
         for u in range(1 << n)
-        if (t := takum.decode_uint(u, n)) is not None and t[1]
+        if (t := codec.decode_uint(u, n)) is not None and t[1]
     }
-    span = takum.exponent_range(n)
+    span = codec.exponent_range(n)
     assert (span.start, span.stop - 1) == (min(coded), max(coded))
 
 
@@ -236,16 +243,17 @@ def test_round_trip_at_min_length(m):
 @given(st.integers(1, 2**24), st.integers(0, 12))
 def test_decode_ignores_appended_zeros(pattern_seed, extra):
     width = max(2, pattern_seed.bit_length())
-    bits = BitString.from_uint(pattern_seed % (1 << width), width)
-    assert takum.decode(bits.zero_extend(extra)) == takum.decode(bits)
+    u = pattern_seed % (1 << width)
+    extended = BitString.from_uint(u << extra, width + extra)
+    assert takum.decode(extended) == takum.decode(BitString.from_uint(u, width))
 
 
 @given(st.integers(1, 2**16 - 1))
 def test_negation_closure(pattern):
-    bits = BitString.from_uint(pattern, 16)
-    v = takum.decode(bits)
+    width = 16
+    v = takum.decode(BitString.from_uint(pattern, width))
     if v.is_finite:
-        assert takum.decode(bits.twos_complement()) == -v
+        assert takum.decode(BitString.from_uint(-pattern & ((1 << width) - 1), width)) == -v
 
 
 @given(st.integers(1, 2**14 - 1), st.integers(2, 14))
