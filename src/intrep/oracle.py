@@ -4,6 +4,11 @@ Everything here works by decoding complete pattern spaces — no shortcuts
 shared with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are enumerated as plain integers through each
 family's decode_uint kernel.  Enumeration is capped at 24-bit widths.
+
+Only patterns that can decide an answer are decoded: the negation check
+decodes each pattern once, with its two's complement, and the min-length
+sweep stops at the pattern that resolves its last target, since every
+shorter width is already fully scanned by then.
 """
 
 from __future__ import annotations
@@ -58,8 +63,7 @@ class ConsecutiveReport:
 def _scan_chunk(fmt: FormatSpec, n: int, lo: int, hi: int, window: int) -> set[int]:
     decode = fmt.pattern_kernel(n)
     found = set()
-    for pattern in range(lo, hi):
-        value = decode(pattern)
+    for value in map(decode, range(lo, hi)):
         if value is not None and value[2] >= 0:
             m = value[0] * (value[1] << value[2])
             if -window <= m <= window:
@@ -97,13 +101,18 @@ def representable_set(
 def largest_consecutive(
     fmt: FormatSpec, n: int | None = None, workers: int | None = None
 ) -> ConsecutiveReport:
-    """Largest consecutive integer by full enumeration, checked against the closed form."""
+    """Largest consecutive integer by full enumeration, checked against the closed form.
+
+    The value is the largest k with every integer in [-k, k] representable:
+    the walk stops at the first k + 1 for which either k + 1 or -(k + 1) has
+    no pattern.
+    """
     width = formats.resolve_width(fmt, n)
     _check_budget(width)
     # k is bounded by the pattern count, so a window of 2^width loses nothing.
     found = _integers_at_width(fmt, width, 1 << width, workers)
     k = 0
-    while k + 1 in found:
+    while k + 1 in found and -(k + 1) in found:
         k += 1
     try:
         closed = formats.largest_consecutive(fmt, width)
@@ -120,8 +129,10 @@ def min_length_table(
     """Minimal representation lengths for many integers in one sweep.
 
     Scans widths in ascending order; at width L only patterns ending in 1 are
-    new (everything else is a shorter pattern zero-extended).  Entries left
-    None were not representable within max_len bits.
+    new (everything else is a shorter pattern zero-extended).  The sweep stops
+    at the pattern that resolves the last target: every shorter width has
+    been fully scanned by then, so no length can change.  Entries left None
+    were not representable within max_len bits.
     """
     _check_budget(max_len)
     codec = formats.variable_length_codec(fmt)
@@ -143,6 +154,8 @@ def min_length_table(
                 if m in remaining:
                     lengths[m] = width
                     remaining.discard(m)
+                    if not remaining:
+                        break
     return lengths
 
 
@@ -206,16 +219,30 @@ def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
 
 
 def check_negation_closure(max_n: int = 14) -> CheckResult:
+    """Every finite nonzero pattern's two's complement decodes to its negative.
+
+    Patterns pair up as p and -p mod 2^n with p in [0, 2^(n-1)], so each is
+    decoded once; 0 and 2^(n-1), zero and NaR, pair with themselves and pass
+    only if they are not finite and nonzero.  A pair passes when both values
+    are finite, nonzero and negatives of each other, or when neither is
+    finite and nonzero.  A failure names the first finite nonzero pattern, in
+    ascending order, whose negation is wrong.
+    """
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
     for decode, family in ((posit.decode_uint, "posit"), (takum.decode_uint, "takum")):
         for n in range(takum.MIN_WIDTH, max_n + 1):
             mask = (1 << n) - 1
-            for pattern in range(1 << n):
-                value = decode(pattern, n)
-                if value is None or not value[1]:
-                    continue
-                if decode(-pattern & mask, n) != (-value[0], value[1], value[2]):
-                    return CheckResult(name, False, f"{family} pattern {pattern:0{n}b} at n={n}")
+            failed = None
+            for pattern in range((1 << (n - 1)) + 1):
+                value, negated = decode(pattern, n), decode(-pattern & mask, n)
+                if value is not None and value[1]:
+                    if negated != (-value[0], value[1], value[2]):
+                        failed = pattern
+                        break
+                elif negated is not None and negated[1]:
+                    failed = -pattern & mask  # p ascends, so this ends at the smallest
+            if failed is not None:
+                return CheckResult(name, False, f"{family} pattern {failed:0{n}b} at n={n}")
     return CheckResult(name, True, "negation holds for every finite pattern")
 
 

@@ -114,6 +114,14 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
     assert str(given.value) == str(built.value)
 
 
+@pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
+def test_pattern_kernel_is_decode_uint(fmt):
+    for n in range(1, 13):
+        kernel = fmt.pattern_kernel(n)
+        for u in range(1 << n):
+            assert kernel(u) == fmt.codec.decode_uint(u, n), (u, n)
+
+
 def test_decode_dispatch():
     assert formats.decode(PositFormat(8), BitString("011")) == DyadicValue.from_int(16)
     assert formats.decode(TakumFormat(12), BitString("0101")) == DyadicValue.from_int(8)

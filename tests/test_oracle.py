@@ -123,6 +123,17 @@ def test_consecutive_report_non_power_of_two():
     assert report.agreement is None  # no closed form applies to this shape
 
 
+def test_largest_consecutive_needs_both_signs(monkeypatch):
+    # 10101110 is the only posit8 pattern for -5; with it NaR, [-5, 5] has a gap.
+    true_decode = posit.decode_uint
+    monkeypatch.setattr(
+        posit, "decode_uint", lambda u, n: None if (u, n) == (0b10101110, 8) else true_decode(u, n)
+    )
+    report = oracle.largest_consecutive(PositFormat(), 8)
+    assert report.value == 4
+    assert report.agreement is False
+
+
 def test_largest_consecutive_budget():
     with pytest.raises(BudgetError):
         oracle.largest_consecutive(PositFormat(), 25)
@@ -158,6 +169,19 @@ def test_min_length_table_rejects_non_int_targets(targets):
 def test_min_length_table_sweep():
     table = oracle.min_length_table(TakumFormat(), [1, 8, 9, 10])
     assert table == {1: 2, 8: 4, 9: 10, 10: 9}
+
+
+def test_min_length_table_stops_at_last_target(monkeypatch):
+    calls = []
+    true_decode = posit.decode_uint
+
+    def counting(u, n):
+        calls.append((u, n))
+        return true_decode(u, n)
+
+    monkeypatch.setattr(posit, "decode_uint", counting)
+    assert oracle.min_length_table(PositFormat(), [1]) == {1: 2}
+    assert calls == [(0b01, 2)]  # 01 is 1: the sweep ends before 11
 
 
 def test_verify_all_validation():
@@ -203,3 +227,27 @@ def test_check_takum_consecutive_catches_mutated_formula(monkeypatch, module, ch
     result = check(**budget)
     assert not result.passed
     assert result.detail.startswith(named + ":")
+
+
+@pytest.mark.parametrize(
+    "module,pattern,value,named",
+    [
+        # 111011 is -(000101): corrupting it breaks 000101's negation.
+        (posit, 0b111011, (-1, 3, -8), "posit pattern 000101"),
+        # 000101 is NaR while 111011 stays finite, so 111011's negation fails.
+        (takum, 0b000101, None, "takum pattern 111011"),
+        # Zero's and NaR's patterns are their own two's complements, so
+        # neither may be finite and nonzero.
+        (takum, 0b000000, (1, 1, 0), "takum pattern 000000"),
+        (posit, 0b100000, (1, 1, 0), "posit pattern 100000"),
+    ],
+    ids=["negative-half", "positive-half-nar", "zero", "nar"],
+)
+def test_check_negation_closure_catches_mutated_kernel(monkeypatch, module, pattern, value, named):
+    true_decode = module.decode_uint
+    monkeypatch.setattr(
+        module, "decode_uint", lambda u, n: value if (u, n) == (pattern, 6) else true_decode(u, n)
+    )
+    result = oracle.check_negation_closure(6)
+    assert not result.passed
+    assert result.detail == named + " at n=6"
