@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 
-from . import formats, minifloat, oracle, posit, takum
+from . import core, formats, minifloat, oracle, posit, takum
 from .core import DEFAULT_MAX_BITS, BitString, BudgetError, CapacityError, DomainError, FormatError
 from .formats import PositFormat, TakumFormat
 
@@ -63,15 +64,17 @@ def build_table() -> list[TableRow]:
 
 
 def render_magnitude(value: int, exact: bool = False) -> str:
-    """Render counts like 2^11 = 2048 or 2^24 (~ 1.7e+07)."""
+    """Render counts like 2^11 = 2048 or 2^24 (~ 1.7e+07); DomainError past the digit limit."""
     power = f"2^{value.bit_length() - 1}" if value > 0 and value & (value - 1) == 0 else None
     if exact or value < 10**5:
-        return f"{power} = {value}" if power else str(value)
-    try:
-        approx = format(value, ".1e")
-    except OverflowError:
-        digits = str(value)
-        approx = f"{digits[0]}.{digits[1]}e+{len(digits) - 1}"
+        text = core.decimal_text(value)
+        return f"{power} = {text}" if power else text
+    # The top 100 bits scaled in 30 digits round correctly at any size.
+    shift = max(value.bit_length() - 100, 0)
+    ctx = Context(prec=30)
+    scaled = ctx.multiply(Decimal(value >> shift), ctx.power(2, shift))
+    mantissa, _, exponent = format(scaled, ".1e").partition("e")
+    approx = f"{mantissa}e{int(exponent):+03d}"  # float style: e+07, e+308
     return f"{power} (~ {approx})" if power else f"~ {approx}"
 
 
@@ -93,10 +96,11 @@ def _render_table(rows: list[TableRow], exact: bool) -> str:
     for line in body:
         lines.append("  ".join(line[i].ljust(widths[i]) for i in range(3)).rstrip())
     lines.append("")
+    computed = next(row.value for row in rows if row.name == "e4m3 (computed)")
     lines.append(
         f"* published tables commonly list {render_magnitude(oracle.E4M3_PUBLISHED)} for e4m3, "
-        "which presumes 4 fraction bits; E4M3 has 3.  Exhaustive enumeration of all 256 bit "
-        "patterns gives 16."
+        "which presumes 4 fraction bits; E4M3 has 3.  Exhaustive enumeration of all "
+        f"{1 << minifloat.PRESETS['e4m3'].width} bit patterns gives {computed}."
     )
     return "\n".join(lines) + "\n"
 
@@ -109,35 +113,25 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _family_format(args) -> PositFormat | TakumFormat:
-    fmt = formats.parse_format(args.format)
-    if formats.variable_length_codec(fmt) is None:
-        raise FormatError(f"{args.format}: this command supports posit/takum only")
-    return fmt
-
-
 def cmd_decode(args) -> int:
-    fmt = formats.parse_format(args.format)
-    value = formats.decode(fmt, BitString(args.bits))
-    print(value)
+    print(formats.decode(formats.parse_format(args.format), BitString(args.bits)))
     return EXIT_OK
 
 
 def cmd_encode_int(args) -> int:
-    fmt = _family_format(args)
-    max_bits = args.max_n if args.max_n is not None else (fmt.n or DEFAULT_MAX_BITS)
+    fmt = formats.parse_format(args.format)
+    max_bits = args.max_n if args.max_n is not None else (fmt.width or DEFAULT_MAX_BITS)
     print(fmt.codec.encode_integer(args.value, max_bits))
     return EXIT_OK
 
 
 def cmd_min_bits(args) -> int:
-    print(_family_format(args).codec.min_length(args.value))
+    print(formats.parse_format(args.format).codec.min_length(args.value))
     return EXIT_OK
 
 
 def cmd_max_consecutive(args) -> int:
-    fmt = formats.parse_format(args.format)
-    value = formats.largest_consecutive(fmt, args.n)
+    value = formats.largest_consecutive(formats.parse_format(args.format), args.n)
     print(render_magnitude(value, args.exact))
     return EXIT_OK
 
@@ -234,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, "run every formula-vs-oracle suite")
     p.add_argument("--max-n", type=int, default=16, help="largest enumerated width (<= 24)")
-    p.add_argument("--max-m", type=int, default=4096, help="largest integer for length checks")
+    cap = oracle.MAX_LENGTH_M
+    p.add_argument("--max-m", type=int, default=4096, help=f"largest m in length checks (<= {cap})")
 
     return parser
 

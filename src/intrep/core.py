@@ -28,6 +28,14 @@ class BudgetError(ValueError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
+def decimal_text(m: int) -> str:
+    """str(m), or DomainError past the interpreter's limit on int-to-str digits."""
+    try:
+        return str(m)
+    except ValueError as exc:
+        raise DomainError(f"exact decimal of a {m.bit_length()}-bit integer: {exc}") from None
+
+
 def trailing_zero_count(x: int) -> int:
     """Number of trailing zero bits of a positive integer."""
     return (x & -x).bit_length() - 1
@@ -185,7 +193,7 @@ class DyadicValue:
         if self.exponent2 >= 0 and self.significand.bit_length() + self.exponent2 <= 128:
             return str(self.as_integer())
         sign = "-" if self.sign < 0 else ""
-        return f"{sign}{self.significand}*2^{self.exponent2}"
+        return f"{sign}{decimal_text(self.significand)}*2^{self.exponent2}"
 
 
 @dataclass(frozen=True, slots=True)

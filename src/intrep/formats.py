@@ -3,7 +3,7 @@
 A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
 takum handles may carry a width or stand for the whole family (width None);
 minifloat widths are intrinsic to the spec.  Every handle carries its
-family's operations (name, width, pattern_kernel, closed_form,
+family's operations (name, width, codec, pattern_kernel, closed_form,
 precision_profile), so callers do not branch on the handle's type.
 """
 
@@ -109,15 +109,6 @@ def parse_format(text: str) -> FormatSpec:
     raise FormatError(f"unknown format {text!r} (known: {known})")
 
 
-def variable_length_codec(fmt: FormatSpec) -> ModuleType | None:
-    """The posit or takum codec module behind fmt.
-
-    None for a minifloat: its patterns have one fixed width, so it has no
-    min_length or encode_integer.
-    """
-    return None if isinstance(fmt, MinifloatSpec) else fmt.codec
-
-
 def resolve_width(fmt: FormatSpec, n: int | None = None) -> int:
     """The concrete bit width to work at, from the handle and/or override."""
     intrinsic = fmt.width
@@ -138,12 +129,11 @@ def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:
     Minifloats require their exact width; posit/takum accept any length up
     to the handle's width (appended zeros never change the value).
     """
-    codec = variable_length_codec(fmt)
-    if codec is None:
+    if isinstance(fmt, MinifloatSpec):
         return minifloat.decode(fmt, bits)
     if fmt.n is not None and bits.width > fmt.n:
         raise FormatError(f"{bits.width} bits do not fit {fmt.name}")
-    return codec.decode(bits)
+    return fmt.codec.decode(bits)
 
 
 def largest_consecutive(fmt: FormatSpec, n: int | None = None) -> int:

@@ -70,6 +70,11 @@ class MinifloatSpec:
         s = self
         return f"minifloat(e={s.exponent_bits},f={s.fraction_bits},bias={s.bias},{s.special.value})"
 
+    @property
+    def codec(self):
+        """A posit or takum handle's variable-length codec module; a minifloat has none."""
+        raise FormatError(f"{self.name} has no variable-length encoding")
+
     def pattern_kernel(self, n: int):
         """decode_uint for this spec as a function of the pattern alone; n is its width."""
         return partial(decode_uint, self)

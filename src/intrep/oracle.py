@@ -3,12 +3,9 @@
 Everything here works by decoding complete pattern spaces — no shortcuts
 shared with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are enumerated as plain integers through each
-family's decode_uint kernel.  Enumeration is capped at 24-bit widths.
-
-Only patterns that can decide an answer are decoded: the negation check
-decodes each pattern once, with its two's complement, and the min-length
-sweep stops at the pattern that resolves its last target, since every
-shorter width is already fully scanned by then.
+family's decode_uint kernel.  Enumeration is capped at 24-bit widths, and
+the negation and min-length checks skip only patterns that cannot change an
+answer.
 """
 
 from __future__ import annotations
@@ -19,11 +16,12 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import formats, minifloat, posit, takum
+from . import formats, minifloat, takum
 from .core import BudgetError, DomainError, FormatError
 from .formats import FormatSpec, PositFormat, TakumFormat
 
 MAX_ENUM_BITS = 24
+MAX_LENGTH_M = 65535  # larger integers can need more than MAX_ENUM_BITS pattern bits
 E4M3_PUBLISHED = 32  # the widely quoted e4m3 largest consecutive integer
 
 
@@ -135,10 +133,7 @@ def min_length_table(
     were not representable within max_len bits.
     """
     _check_budget(max_len)
-    codec = formats.variable_length_codec(fmt)
-    if codec is None:
-        raise FormatError(f"{fmt.name} has no variable-length encoding")
-    decode = codec.decode_uint
+    decode = fmt.codec.decode_uint
     targets = list(targets)
     if any(isinstance(m, bool) or not isinstance(m, int) or m == 0 for m in targets):
         raise FormatError("targets must be nonzero integers")
@@ -204,11 +199,14 @@ def check_minifloat_consecutive(max_width: int = 16) -> CheckResult:
     return _check_consecutive(name, ((p, minifloat.PRESETS[p]) for p in names))
 
 
+def _check_length_budget(max_m: int) -> None:
+    if max_m > MAX_LENGTH_M:
+        raise BudgetError(f"min-length verification capped at m <= {MAX_LENGTH_M}, got {max_m}")
+
+
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
     name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
-    if max_m > 65535:
-        # Integers beyond 16 bits can need more than MAX_ENUM_BITS pattern bits.
-        raise BudgetError(f"min-length verification capped at m <= 65535, got {max_m}")
+    _check_length_budget(max_m)
     table = min_length_table(fmt, range(1, max_m + 1))
     formula = fmt.codec.min_length
     for m in range(1, max_m + 1):
@@ -229,7 +227,8 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
     ascending order, whose negation is wrong.
     """
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
-    for decode, family in ((posit.decode_uint, "posit"), (takum.decode_uint, "takum")):
+    for fmt in (PositFormat(), TakumFormat()):
+        decode = fmt.codec.decode_uint
         for n in range(takum.MIN_WIDTH, max_n + 1):
             mask = (1 << n) - 1
             failed = None
@@ -242,7 +241,7 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
                 elif negated is not None and negated[1]:
                     failed = -pattern & mask  # p ascends, so this ends at the smallest
             if failed is not None:
-                return CheckResult(name, False, f"{family} pattern {failed:0{n}b} at n={n}")
+                return CheckResult(name, False, f"{fmt.family} pattern {failed:0{n}b} at n={n}")
     return CheckResult(name, True, "negation holds for every finite pattern")
 
 
@@ -283,7 +282,7 @@ def known_discrepancies() -> list[CheckResult]:
         CheckResult(
             "e4m3 largest-consecutive vs commonly published value",
             True,
-            f"enumeration of all 256 patterns gives {report.value}; the widely "
+            f"enumeration of all {1 << report.n} patterns gives {report.value}; the widely "
             f"quoted {E4M3_PUBLISHED} would need 4 fraction bits, but E4M3 has 3 "
             f"(known discrepancy, not a failure)",
             note=True,
@@ -299,6 +298,7 @@ def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
         raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
     if max_m < 1:
         raise FormatError(f"max_m must be positive, got {max_m}")
+    _check_length_budget(max_m)
     return [
         check_posit_consecutive(max_n),
         check_takum_consecutive(max_n),

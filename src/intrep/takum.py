@@ -37,6 +37,7 @@ from .core import (
 MIN_EXPONENT = -255
 MAX_EXPONENT = 254
 MIN_WIDTH = 5
+LAMBERT_W0_ITERATIONS = 100  # Halley steps before lambert_w0 gives up
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
@@ -143,7 +144,7 @@ class LambertW0Result:
     residual: float
 
 
-def lambert_w0(x: float, max_iterations: int = 100) -> LambertW0Result:
+def lambert_w0(x: float) -> LambertW0Result:
     """Principal branch W0 on [0, inf), by Halley iteration.
 
     Converges when |w * e^w - x| <= 1e-12 * max(1, x).  Seeded with
@@ -155,7 +156,7 @@ def lambert_w0(x: float, max_iterations: int = 100) -> LambertW0Result:
         return LambertW0Result(x, 0.0, 0.0)
     tolerance = 1e-12 * max(1.0, x)
     w = math.log(x) - math.log(math.log(x)) if x > math.e else x
-    for _ in range(max_iterations):
+    for _ in range(LAMBERT_W0_ITERATIONS):
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= tolerance:

@@ -1,6 +1,13 @@
+import dataclasses
+import random
+import shlex
+import sys
+from decimal import Decimal
+from pathlib import Path
+
 import pytest
 
-from intrep import cli, posit, takum
+from intrep import FormatError, cli, formats, oracle, posit, takum
 
 
 def run(capsys, argv):
@@ -115,7 +122,23 @@ def test_variable_length_commands_reject_minifloat_text(capsys, command):
     code, out, err = run(capsys, [command, "--format", "E4M3", "--value", "3"])
     assert code == 1
     assert out == ""
-    assert err == "error: E4M3: this command supports posit/takum only\n"
+    assert err == "error: e4m3 has no variable-length encoding\n"
+
+
+@pytest.mark.parametrize("preset", ["e4m3", "E4M3", "bfloat16", "float32"])
+def test_minifloat_variable_length_refusal_is_one_text(capsys, preset):
+    spec = formats.parse_format(preset)
+    text = f"{spec.name} has no variable-length encoding"
+    for command in ("encode-int", "min-bits"):
+        assert run(capsys, [command, "--format", preset, "--value", "3"]) == (1, "", f"error: {text}\n")
+    for refused in (
+        lambda: spec.codec,
+        lambda: oracle.min_length_table(spec, [3]),
+        lambda: oracle.min_length(spec, 3),
+    ):
+        with pytest.raises(FormatError) as info:
+            refused()
+        assert str(info.value) == text
 
 
 # ------------------------------------------------------- max-consecutive
@@ -142,6 +165,43 @@ def test_max_consecutive_minifloat(capsys):
     code, out, _ = run(capsys, ["max-consecutive", "--format", "e4m3"])
     assert code == 0
     assert out == "2^4 = 16\n"
+
+
+def test_max_consecutive_beyond_the_digit_limit(capsys):
+    code, out, err = run(capsys, ["max-consecutive", "--format", "posit", "--n", "20000"])
+    assert (code, out, err) == (0, "2^15997 (~ 3.8e+4815)\n", "")
+
+
+def test_approximations_are_correctly_rounded():
+    assert cli.render_magnitude(2**1024) == "2^1024 (~ 1.8e+308)"
+    for k in range(17, 5001):  # 2^17 is the first power of two rendered as ~
+        # Below e+10 a float pads the exponent to two digits and Decimal does not.
+        expected = format(2.0**k if k < 34 else Decimal(2) ** k, ".1e")
+        assert cli.render_magnitude(2**k) == f"2^{k} (~ {expected})", k
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default 4300-digit limit on int-to-str conversion."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length to str")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+def test_exact_decimals_past_the_digit_limit_are_refused(capsys, digit_limit):
+    code, out, err = run(
+        capsys, ["max-consecutive", "--format", "posit", "--n", "20000", "--exact"]
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: exact decimal of a 15998-bit integer: ")
+    rng = random.Random(16001)
+    bits = "0" + "".join(rng.choice("01") for _ in range(15999)) + "1"
+    code, out, err = run(capsys, ["decode", "--format", "posit", "--bits", bits])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: exact decimal of a ") and err.count("\n") == 1
 
 
 def test_max_consecutive_needs_width(capsys):
@@ -204,6 +264,15 @@ def test_table_layout_and_values(capsys):
     footnote = lines[-1]
     assert footnote.startswith("* ")
     assert "32" in footnote and "16" in footnote
+
+
+def test_table_footnote_reads_the_computed_row():
+    rows = [
+        dataclasses.replace(row, value=17) if row.name == "e4m3 (computed)" else row
+        for row in cli.build_table()
+    ]
+    footnote = cli._render_table(rows, exact=False).splitlines()[-1]
+    assert footnote.endswith("Exhaustive enumeration of all 256 bit patterns gives 17.")
 
 
 def test_table_exact(capsys):
@@ -307,6 +376,15 @@ def test_verify_small_budget(capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+def test_verify_refuses_max_m_before_any_check(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "largest_consecutive", lambda *args, **kw: calls.append(args))
+    code, out, err = run(capsys, ["verify", "--max-n", "24", "--max-m", "70000"])
+    assert (code, out, calls) == (3, "", [])
+    assert err == "error: min-length verification capped at m <= 65535, got 70000\n"
+    assert "(<= 65535)" in run(capsys, ["verify", "--help"])[1]
+
+
 def test_verify_budget_cap(capsys):
     code, _, err = run(capsys, ["verify", "--max-n", "25"])
     assert code == 3
@@ -378,3 +456,33 @@ def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "decode" in out
+
+
+# ---------------------------------------------------------------- README
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, output) of each `$ intrep ...` example in README.md's code blocks."""
+    examples, fenced, output = [], False, None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced, output = not fenced, None
+        elif fenced and line.startswith("$ intrep "):
+            output = []
+            examples.append((line.removeprefix("$ intrep "), output))
+        elif output is not None:
+            output.append(line + "\n")
+    return [(command, "".join(output)) for command, output in examples]
+
+
+# The README abbreviates verify's output with "...".
+README_EXAMPLES = [example for example in readme_examples() if example[0] != "verify"]
+
+
+def test_readme_examples_cover_every_command():
+    commands = [command.split()[0] for command, _ in README_EXAMPLES]
+    assert commands == ["decode", "encode-int", "min-bits", "max-consecutive", "table", "figure"]
+
+
+@pytest.mark.parametrize("command,output", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_is_the_real_output(capsys, command, output):
+    assert run(capsys, shlex.split(command)) == (0, output, "")

@@ -172,4 +172,4 @@ def test_no_family_dispatch_outside_formats():
             }:
                 found.append((path.name, node.lineno))
     assert all(name == "formats.py" for name, _ in found), found
-    assert len(found) <= 2, found
+    assert len(found) <= 1, found

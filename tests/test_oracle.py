@@ -61,6 +61,13 @@ def test_workers_match_serial():
     assert serial.integers == parallel.integers
 
 
+def test_workers_match_serial_for_a_minifloat():
+    # A minifloat handle, codec property and all, pickles into pool workers.
+    serial = oracle.representable_set(PRESETS["float16"], window=50)
+    parallel = oracle.representable_set(PRESETS["float16"], window=50, workers=2)
+    assert serial.integers == parallel.integers
+
+
 def test_workers_capped_at_cpu_count(monkeypatch):
     created = []
 
@@ -193,6 +200,14 @@ def test_verify_all_validation():
         oracle.verify_all(max_m=0)
     with pytest.raises(BudgetError):
         oracle.check_min_length(PositFormat(), 65536)
+
+
+def test_verify_all_checks_every_budget_before_any_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "largest_consecutive", lambda *args, **kw: calls.append(args))
+    with pytest.raises(BudgetError):
+        oracle.verify_all(max_n=24, max_m=65536)
+    assert calls == []
 
 
 def test_verify_all_small_budget_passes():
