@@ -120,8 +120,12 @@ def cmd_decode(args) -> int:
 
 def cmd_encode_int(args) -> int:
     fmt = formats.parse_format(args.format)
-    max_bits = args.max_n if args.max_n is not None else (fmt.width or DEFAULT_MAX_BITS)
-    print(fmt.codec.encode_integer(args.value, max_bits))
+    codec = fmt.codec  # a minifloat is refused before its width is compared
+    if fmt.width is not None:
+        max_bits = formats.resolve_width(fmt, args.max_n)
+    else:
+        max_bits = args.max_n if args.max_n is not None else DEFAULT_MAX_BITS
+    print(codec.encode_integer(args.value, max_bits))
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
 takum handles may carry a width or stand for the whole family (width None);
 minifloat widths are intrinsic to the spec.  Every handle carries its
-family's operations (name, width, codec, pattern_kernel, closed_form,
-precision_profile), so callers do not branch on the handle's type.
+family's operations (name, width, codec, pattern_kernel, integer_patterns,
+closed_form, precision_profile), so callers do not branch on the handle's
+type.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ class _TaperedFormat:
             return decode_uint(u, n)
 
         return decode
+
+    def integer_patterns(self, n: int) -> range:
+        """The n-bit patterns from the pattern of 1 (01 0...0) to that of -1 (11 0...0).
+
+        Patterns are ordered like two's-complement integers, so every pattern
+        outside this range is zero, NaR, or lies strictly between -1 and 1.
+        Holds from n = 2, where the range is 01, 10 (NaR) and 11.
+        """
+        return range(1 << (n - 2), (3 << (n - 2)) + 1)
 
     def closed_form(self, n: int) -> int:
         """The codec's largest_consecutive at width n."""

@@ -79,6 +79,10 @@ class MinifloatSpec:
         """decode_uint for this spec as a function of the pattern alone; n is its width."""
         return partial(decode_uint, self)
 
+    def integer_patterns(self, n: int) -> range:
+        """Every pattern of width n: with bias <= 0 even subnormals are integers."""
+        return range(1 << n)
+
     def closed_form(self, n: int) -> int:
         """largest_consecutive(self); n is its width."""
         return largest_consecutive(self)

@@ -1,11 +1,12 @@
 """Exhaustive brute-force verification of the closed-form results.
 
-Everything here works by decoding complete pattern spaces — no shortcuts
-shared with the formulas under test — so agreement between the two routes is
+Everything here works by decoding pattern spaces — no shortcuts shared
+with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are enumerated as plain integers through each
 family's decode_uint kernel.  Enumeration is capped at 24-bit widths, and
-the negation and min-length checks skip only patterns that cannot change an
-answer.
+skips only patterns that cannot change an answer: a nonzero integer comes
+only from the handle's integer_patterns(n) (for posit and takum, the
+patterns from 1 to -1), and zero only from pattern 0.
 """
 
 from __future__ import annotations
@@ -70,15 +71,19 @@ def _scan_chunk(fmt: FormatSpec, n: int, lo: int, hi: int, window: int) -> set[i
 
 
 def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
-    total = 1 << n
+    patterns = fmt.integer_patterns(n)
+    start, stop = max(patterns.start, 1), patterns.stop
     workers = min(workers or 1, os.cpu_count() or 1)
-    if workers <= 1 or total < (1 << 16):
-        return _scan_chunk(fmt, n, 0, total, window)
-    step = -(-total // workers)
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_scan_chunk, *zip(*((fmt, n, lo, hi, window) for lo, hi in bounds)))
-        return set().union(*parts)
+    if workers <= 1 or n < 16:
+        found = _scan_chunk(fmt, n, start, stop, window)
+    else:
+        step = -(-(stop - start) // workers)
+        bounds = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_scan_chunk, *zip(*((fmt, n, lo, hi, window) for lo, hi in bounds)))
+            found = set().union(*parts)
+    found |= _scan_chunk(fmt, n, 0, 1, window)  # pattern 0, zero
+    return found
 
 
 def representable_set(
@@ -127,38 +132,49 @@ def min_length_table(
     """Minimal representation lengths for many integers in one sweep.
 
     Scans widths in ascending order; at width L only patterns ending in 1 are
-    new (everything else is a shorter pattern zero-extended).  The sweep stops
-    at the pattern that resolves the last target: every shorter width has
-    been fully scanned by then, so no length can change.  Entries left None
-    were not representable within max_len bits.
+    new (everything else is a shorter pattern zero-extended), and only those
+    in fmt.integer_patterns(L) can be a nonzero integer.  The sign bit splits
+    that range: patterns below it are positive and are scanned only while a
+    positive target remains, patterns from it on are negative and are
+    scanned only while a negative target remains.  The sweep stops at the
+    pattern that resolves the last target: every shorter width has been
+    scanned by then, so no length can change.  Entries left None were not
+    representable within max_len bits.
     """
     _check_budget(max_len)
     decode = fmt.codec.decode_uint
     targets = list(targets)
     if any(isinstance(m, bool) or not isinstance(m, int) or m == 0 for m in targets):
         raise FormatError("targets must be nonzero integers")
-    remaining = set(targets)
-    lengths: dict[int, int | None] = {m: None for m in remaining}
+    positive = {m for m in targets if m > 0}
+    negative = {m for m in targets if m < 0}
+    lengths: dict[int, int | None] = dict.fromkeys(targets)
     for width in range(2, max_len + 1):
-        if not remaining:
+        if not positive and not negative:
             break
-        for odd in range(1, 1 << width, 2):
-            value = decode(odd, width)
-            if value is not None and value[2] >= 0:
-                m = value[0] * (value[1] << value[2])
-                if m in remaining:
-                    lengths[m] = width
-                    remaining.discard(m)
-                    if not remaining:
-                        break
+        patterns, sign_bit = fmt.integer_patterns(width), 1 << (width - 1)
+        halves = ((positive, patterns.start, sign_bit), (negative, sign_bit, patterns.stop))
+        for remaining, lo, hi in halves:
+            if not remaining:
+                continue
+            for odd in range(lo | 1, hi, 2):
+                value = decode(odd, width)
+                if value is not None and value[2] >= 0:
+                    m = value[0] * (value[1] << value[2])
+                    if m in remaining:
+                        lengths[m] = width
+                        remaining.discard(m)
+                        if not remaining:
+                            break
     return lengths
 
 
 def min_length(fmt: FormatSpec, m: int, max_len: int = MAX_ENUM_BITS) -> int | None:
     """Minimal bits representing m exactly, or None if max_len does not suffice."""
-    if m == 0:
-        return 1
-    return min_length_table(fmt, [m], max_len)[m]
+    if m != 0:
+        return min_length_table(fmt, [m], max_len)[m]
+    min_length_table(fmt, [], max_len)  # the handle and budget checks every other m gets
+    return 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +215,13 @@ def check_minifloat_consecutive(max_width: int = 16) -> CheckResult:
     return _check_consecutive(name, ((p, minifloat.PRESETS[p]) for p in names))
 
 
+def _check_max_m(max_m: int) -> None:
+    if max_m < 1:
+        raise FormatError(f"max_m must be positive, got {max_m}")
+
+
 def _check_length_budget(max_m: int) -> None:
+    _check_max_m(max_m)
     if max_m > MAX_LENGTH_M:
         raise BudgetError(f"min-length verification capped at m <= {MAX_LENGTH_M}, got {max_m}")
 
@@ -247,6 +269,7 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
 
 def check_round_trip(max_m: int = 4096) -> CheckResult:
     name = f"encode/decode round trip with minimal width, |m|<={max_m}"
+    _check_max_m(max_m)
     for fmt in (PositFormat(), TakumFormat()):
         encode, decode = fmt.codec.encode_integer, fmt.codec.decode
         for a in range(1, max_m + 1):
@@ -296,8 +319,6 @@ def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
         raise BudgetError(f"max_n {max_n} exceeds the {MAX_ENUM_BITS}-bit enumeration budget")
     if max_n < takum.MIN_WIDTH:
         raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
-    if max_m < 1:
-        raise FormatError(f"max_m must be positive, got {max_m}")
     _check_length_budget(max_m)
     return [
         check_posit_consecutive(max_n),

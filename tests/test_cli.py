@@ -74,6 +74,19 @@ def test_encode_int_uses_format_width_as_budget(capsys):
     assert "error:" in err
 
 
+def test_encode_int_refuses_a_budget_that_conflicts_with_the_width(capsys):
+    argv = ["encode-int", "--format", "posit8", "--value", "1000000", "--max-n", "300"]
+    assert run(capsys, argv) == (1, "", "error: width 300 conflicts with posit8\n")
+    argv = ["encode-int", "--format", "posit8", "--value", "3", "--max-n", "8"]
+    assert run(capsys, argv) == (0, "010011\n", "")
+
+
+def test_encode_int_budget_for_a_bare_family(capsys):
+    # Without a width in the name, --max-n is the budget, even below the width floor.
+    argv = ["encode-int", "--format", "posit", "--max-n", "2", "--value", "1"]
+    assert run(capsys, argv) == (0, "01\n", "")
+
+
 def test_encode_int_rejects_minifloat(capsys):
     code, _, err = run(capsys, ["encode-int", "--format", "e4m3", "--value", "3"])
     assert code == 1
@@ -135,6 +148,7 @@ def test_minifloat_variable_length_refusal_is_one_text(capsys, preset):
         lambda: spec.codec,
         lambda: oracle.min_length_table(spec, [3]),
         lambda: oracle.min_length(spec, 3),
+        lambda: oracle.min_length(spec, 0),
     ):
         with pytest.raises(FormatError) as info:
             refused()

@@ -154,6 +154,11 @@ def test_min_length_examples():
     assert oracle.min_length(PositFormat(), 0) == 1
 
 
+def test_min_length_of_zero_checks_the_budget():
+    with pytest.raises(BudgetError):
+        oracle.min_length(PositFormat(), 0, max_len=25)
+
+
 def test_min_length_not_found_is_none():
     assert oracle.min_length(PositFormat(), 3, max_len=5) is None
 
@@ -200,6 +205,17 @@ def test_verify_all_validation():
         oracle.verify_all(max_m=0)
     with pytest.raises(BudgetError):
         oracle.check_min_length(PositFormat(), 65536)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda m: oracle.check_min_length(PositFormat(), m), oracle.check_round_trip],
+    ids=["min_length", "round_trip"],
+)
+@pytest.mark.parametrize("max_m", [0, -1])
+def test_length_checks_refuse_an_empty_range(check, max_m):
+    with pytest.raises(FormatError, match=f"max_m must be positive, got {max_m}"):
+        check(max_m)
 
 
 def test_verify_all_checks_every_budget_before_any_check(monkeypatch):
