@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = add("verify", cmd_verify, "run every formula-vs-oracle suite")
-    p.add_argument("--max-n", type=int, default=16, help="largest enumerated width (<= 24)")
+    p.add_argument("--max-n", type=int, default=16, help="largest posit/takum width swept (<= 24)")
     cap = oracle.MAX_LENGTH_M
     p.add_argument("--max-m", type=int, default=4096, help=f"largest m in length checks (<= {cap})")
 

@@ -11,7 +11,6 @@ patterns from 1 to -1), and zero only from pattern 0.
 
 from __future__ import annotations
 
-import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +22,7 @@ from .formats import FormatSpec, PositFormat, TakumFormat
 
 MAX_ENUM_BITS = 24
 MAX_LENGTH_M = 65535  # larger integers can need more than MAX_ENUM_BITS pattern bits
+MAX_ANALYTIC_N = 64  # widest takum whose Lambert-W exponent is checked
 E4M3_PUBLISHED = 32  # the widely quoted e4m3 largest consecutive integer
 
 
@@ -187,30 +187,41 @@ class CheckResult:
     note: bool = False  # informational line, never counted as a failure
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n > MAX_ENUM_BITS:
+        raise BudgetError(f"max_n {max_n} exceeds the {MAX_ENUM_BITS}-bit enumeration budget")
+    if max_n < takum.MIN_WIDTH:
+        raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
+
+
 def _check_consecutive(name: str, cases) -> CheckResult:
     """Closed form against the oracle for each (label, handle) case."""
     for label, fmt in cases:
         report = largest_consecutive(fmt)
-        expected = formats.largest_consecutive(fmt)
-        if report.value != expected:
+        if not report.agreement:
+            expected = formats.largest_consecutive(fmt)
             return CheckResult(name, False, f"{label}: closed form {expected}, oracle {report.value}")
     return CheckResult(name, True, "exact agreement")
 
 
+def _check_tapered_consecutive(handle: type[PositFormat | TakumFormat], max_n: int) -> CheckResult:
+    _check_max_n(max_n)
+    widths = range(takum.MIN_WIDTH, max_n + 1)
+    name = f"{handle().family} largest-consecutive formula vs oracle, n={widths[0]}..{max_n}"
+    return _check_consecutive(name, ((f"n={n}", handle(n)) for n in widths))
+
+
 def check_posit_consecutive(max_n: int = 16) -> CheckResult:
-    name = f"posit largest-consecutive formula vs oracle, n={takum.MIN_WIDTH}..{max_n}"
-    cases = ((f"n={n}", PositFormat(n)) for n in range(takum.MIN_WIDTH, max_n + 1))
-    return _check_consecutive(name, cases)
+    return _check_tapered_consecutive(PositFormat, max_n)
 
 
 def check_takum_consecutive(max_n: int = 16) -> CheckResult:
-    name = f"takum largest-consecutive formula vs oracle, n={takum.MIN_WIDTH}..{max_n}"
-    cases = ((f"n={n}", TakumFormat(n)) for n in range(takum.MIN_WIDTH, max_n + 1))
-    return _check_consecutive(name, cases)
+    return _check_tapered_consecutive(TakumFormat, max_n)
 
 
-def check_minifloat_consecutive(max_width: int = 16) -> CheckResult:
-    names = [p for p, s in minifloat.PRESETS.items() if s.width <= min(max_width, MAX_ENUM_BITS)]
+def check_minifloat_consecutive() -> CheckResult:
+    """Every preset that the enumeration budget admits, whatever the verify max_n."""
+    names = [p for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS]
     name = f"minifloat largest-consecutive vs oracle ({', '.join(names)})"
     return _check_consecutive(name, ((p, minifloat.PRESETS[p]) for p in names))
 
@@ -248,6 +259,7 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
     finite and nonzero.  A failure names the first finite nonzero pattern, in
     ascending order, whose negation is wrong.
     """
+    _check_max_n(max_n)
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
     for fmt in (PositFormat(), TakumFormat()):
         decode = fmt.codec.decode_uint
@@ -284,17 +296,18 @@ def check_round_trip(max_m: int = 4096) -> CheckResult:
     return CheckResult(name, True, "round trips at the predicted minimal width")
 
 
-def check_analytic_consecutive(max_n: int = 64) -> CheckResult:
-    name = f"takum consecutive exponent, exact search vs Lambert-W, n={takum.MIN_WIDTH}..{max_n}"
-    for n in range(takum.MIN_WIDTH, max_n + 1):
+def check_analytic_consecutive() -> CheckResult:
+    """lambert_w0 converges only within its residual bound, so agreement covers that too."""
+    widths = range(takum.MIN_WIDTH, MAX_ANALYTIC_N + 1)
+    name = f"takum consecutive exponent, exact search vs Lambert-W, n={widths[0]}..{widths[-1]}"
+    for n in widths:
         exact = takum.consecutive_exponent(n)
-        analytic = takum.consecutive_exponent_analytic(n)
+        try:
+            analytic = takum.consecutive_exponent_analytic(n)
+        except ArithmeticError as exc:  # lambert_w0 did not converge
+            return CheckResult(name, False, f"n={n}: {exc}")
         if exact != analytic:
             return CheckResult(name, False, f"n={n}: exact {exact}, analytic {analytic}")
-        x = math.log(2.0) * math.pow(2.0, n - 3)
-        result = takum.lambert_w0(x)
-        if result.residual > 1e-12 * max(1.0, x):
-            return CheckResult(name, False, f"n={n}: residual {result.residual} too large")
     return CheckResult(name, True, "exact agreement, residuals within tolerance")
 
 
@@ -315,15 +328,12 @@ def known_discrepancies() -> list[CheckResult]:
 
 def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
     """Every formula-vs-oracle suite at the given budgets."""
-    if max_n > MAX_ENUM_BITS:
-        raise BudgetError(f"max_n {max_n} exceeds the {MAX_ENUM_BITS}-bit enumeration budget")
-    if max_n < takum.MIN_WIDTH:
-        raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
+    _check_max_n(max_n)
     _check_length_budget(max_m)
     return [
         check_posit_consecutive(max_n),
         check_takum_consecutive(max_n),
-        check_minifloat_consecutive(max_n),
+        check_minifloat_consecutive(),
         check_min_length(PositFormat(), max_m),
         check_min_length(TakumFormat(), max_m),
         check_negation_closure(min(max_n, 14)),

@@ -20,7 +20,6 @@ the only decoder; decode(BitString) wraps it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_MAX_BITS,
@@ -135,32 +134,23 @@ def largest_consecutive(n: int) -> int:
     return 1 << consecutive_exponent(n)
 
 
-@dataclass(frozen=True, slots=True)
-class LambertW0Result:
-    """One evaluation of the principal Lambert W branch: w * e^w = x."""
+def lambert_w0(x: float) -> float:
+    """Principal branch W0 on [0, inf), by Halley iteration: the w with w * e^w = x.
 
-    x: float
-    w: float
-    residual: float
-
-
-def lambert_w0(x: float) -> LambertW0Result:
-    """Principal branch W0 on [0, inf), by Halley iteration.
-
-    Converges when |w * e^w - x| <= 1e-12 * max(1, x).  Seeded with
-    log(x) - log(log(x)) for x > e and with x itself below that.
+    Returns w once |w * e^w - x| <= 1e-12 * max(1, x), else raises ArithmeticError.
+    Seeded with log(x) - log(log(x)) for x > e and with x itself below that.
     """
     if x < 0 or math.isnan(x):
         raise DomainError(f"lambert_w0 needs x >= 0, got {x}")
     if x == 0.0:
-        return LambertW0Result(x, 0.0, 0.0)
+        return 0.0
     tolerance = 1e-12 * max(1.0, x)
     w = math.log(x) - math.log(math.log(x)) if x > math.e else x
     for _ in range(LAMBERT_W0_ITERATIONS):
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= tolerance:
-            return LambertW0Result(x, w, abs(f))
+            return w
         # Halley's method for f(w) = w e^w - x.
         w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
     raise ArithmeticError(f"lambert_w0 did not converge for x={x}")
@@ -178,7 +168,7 @@ def consecutive_exponent_analytic(n: int) -> int:
     x = math.log(2.0) * math.pow(2.0, n - 3)
     if math.isinf(x):
         raise DomainError(f"2^(n-3) overflows double precision for n={n}")
-    t = lambert_w0(x).w / math.log(2.0) - 1.0
+    t = lambert_w0(x) / math.log(2.0) - 1.0
     return math.ceil(t - 1e-9)
 
 

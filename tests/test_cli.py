@@ -388,6 +388,19 @@ def test_verify_small_budget(capsys):
     assert sum(line.startswith("PASS") for line in lines) == 8
     assert sum(line.startswith("NOTE") for line in lines) == 1
     assert not any(line.startswith("FAIL") for line in lines)
+    # The minifloat presets do not follow --max-n, so none drops out below 16.
+    minifloat_line = "PASS  minifloat largest-consecutive vs oracle (float16, bfloat16, e4m3, e5m2)"
+    assert minifloat_line + ": exact agreement" in lines
+
+
+def test_verify_reports_a_lambert_w0_that_does_not_converge(capsys, monkeypatch):
+    monkeypatch.setattr(takum, "LAMBERT_W0_ITERATIONS", 0)
+    code, out, err = run(capsys, ["verify", "--max-n", "5", "--max-m", "4"])
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1] == "1 of 8 checks failed"
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failures) == 1
+    assert "Lambert-W, n=5..64: n=5: lambert_w0 did not converge" in failures[0]
 
 
 def test_verify_refuses_max_m_before_any_check(capsys, monkeypatch):
@@ -500,3 +513,13 @@ def test_readme_examples_cover_every_command():
 @pytest.mark.parametrize("command,output", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
 def test_readme_example_is_the_real_output(capsys, command, output):
     assert run(capsys, shlex.split(command)) == (0, output, "")
+
+
+def test_readme_verify_example_lines_are_real_output_lines_in_order(capsys):
+    [output] = [output for command, output in readme_examples() if command == "verify"]
+    code, out, err = run(capsys, ["verify"])
+    assert (code, err) == (0, "")
+    real = iter(out.splitlines())
+    for line in output.splitlines():
+        if line != "...":
+            assert line in real, line  # consumes real up to the match, so order counts

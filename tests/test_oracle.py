@@ -226,6 +226,32 @@ def test_verify_all_checks_every_budget_before_any_check(monkeypatch):
     assert calls == []
 
 
+WIDTH_SWEEPS = [
+    oracle.check_posit_consecutive,
+    oracle.check_takum_consecutive,
+    oracle.check_negation_closure,
+]
+
+
+@pytest.mark.parametrize("check", WIDTH_SWEEPS, ids=["posit", "takum", "negation"])
+def test_width_sweeps_refuse_an_empty_range(check):
+    with pytest.raises(FormatError, match="^max_n must be at least 5, got 4$"):
+        check(4)
+
+
+@pytest.mark.parametrize("check", WIDTH_SWEEPS, ids=["posit", "takum", "negation"])
+def test_width_sweeps_refuse_an_over_budget_range_before_any_decode(monkeypatch, check):
+    def refuse(*args):
+        # Raising, not recording: the first call ends what would be a 2^25-pattern sweep.
+        raise AssertionError(f"enumeration started: {args}")
+
+    monkeypatch.setattr(oracle, "largest_consecutive", refuse)
+    for module in (posit, takum):
+        monkeypatch.setattr(module, "decode_uint", refuse)
+    with pytest.raises(BudgetError, match="^max_n 25 exceeds the 24-bit enumeration budget$"):
+        check(25)
+
+
 def test_verify_all_small_budget_passes():
     results = oracle.verify_all(max_n=8, max_m=64)
     assert all(r.passed for r in results)
@@ -248,7 +274,7 @@ def test_check_min_length_catches_mutated_formula(monkeypatch, fmt):
     [
         (posit, oracle.check_posit_consecutive, {"max_n": 6}, "n=5"),
         (takum, oracle.check_takum_consecutive, {"max_n": 6}, "n=5"),
-        (minifloat, oracle.check_minifloat_consecutive, {"max_width": 8}, "e4m3"),
+        (minifloat, oracle.check_minifloat_consecutive, {}, "float16"),
     ],
     ids=["posit", "takum", "minifloat"],
 )
