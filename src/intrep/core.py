@@ -229,15 +229,16 @@ DEFAULT_MAX_BITS = 256
 def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> BitString:
     """Shortest posit or takum bit string for the integer m: both encoders' frame.
 
-    "0" for m = 0, CapacityError when min_length(m) > max_bits.  head(v) is
-    the (value, width) of the bits before the fraction of a positive integer
-    with bit length v.  A result not min_length(m) wide raises ArithmeticError.
+    "0" for m = 0, CapacityError when the shortest pattern (1 bit for m = 0,
+    min_length(m) otherwise) exceeds max_bits.  head(v) is the (value, width)
+    of the bits before the fraction of a positive integer with bit length v.
+    A result not min_length(m) wide raises ArithmeticError.
     """
-    if m == 0:
-        return BitString("0")
-    need = min_length(m)
+    need = min_length(m) if m else 1
     if need > max_bits:
         raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")
+    if m == 0:
+        return BitString("0")
     prof = integer_profile(m)
     value, width = head(prof.v)
     frac = (abs(m) >> prof.w) & ((1 << prof.fraction_bits) - 1)

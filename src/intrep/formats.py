@@ -64,14 +64,18 @@ class _TaperedFormat:
 
         return decode
 
-    def integer_patterns(self, n: int) -> range:
-        """The n-bit patterns from the pattern of 1 (01 0...0) to that of -1 (11 0...0).
+    def integer_patterns(self, n: int) -> tuple[range, range]:
+        """The positive and the negative n-bit patterns that can be a nonzero integer.
 
-        Patterns are ordered like two's-complement integers, so every pattern
-        outside this range is zero, NaR, or lies strictly between -1 and 1.
-        Holds from n = 2, where the range is 01, 10 (NaR) and 11.
+        Patterns are ordered like two's-complement integers, so the positive
+        integers lie from the pattern of 1 (01 0...0) up to the sign bit and
+        the negative ones from just past NaR (10 0...0) up to the pattern of
+        -1 (11 0...0); every other pattern is zero, NaR, or lies strictly
+        between -1 and 1.  The two ranges have equal length.  Holds from
+        n = 2, where they are 01 and 11.
         """
-        return range(1 << (n - 2), (3 << (n - 2)) + 1)
+        half = 1 << (n - 1)
+        return range(half >> 1, half), range(half + 1, half + (half >> 1) + 1)
 
     def closed_form(self, n: int) -> int:
         """The codec's largest_consecutive at width n."""

@@ -79,9 +79,19 @@ class MinifloatSpec:
         """decode_uint for this spec as a function of the pattern alone; n is its width."""
         return partial(decode_uint, self)
 
-    def integer_patterns(self, n: int) -> range:
-        """Every pattern of width n: with bias <= 0 even subnormals are integers."""
-        return range(1 << n)
+    def integer_patterns(self, n: int) -> tuple[range, range]:
+        """The positive and the negative patterns that can be a nonzero integer; n is the width.
+
+        Each half starts at the magnitude bias << fraction_bits, exponent
+        field bias and fraction 0, which is 1.0 if finite: every smaller
+        magnitude has a smaller exponent field and lies in (0, 1).  With
+        bias <= 0, where even subnormals can be integers, each half keeps
+        every nonzero magnitude; with bias >= 2^exponent_bits no value
+        reaches 1, and both halves are empty.
+        """
+        half = 1 << (n - 1)
+        one = min(max(self.bias << self.fraction_bits, 1), half)
+        return range(one, half), range(half + one, 1 << n)
 
     def closed_form(self, n: int) -> int:
         """largest_consecutive(self); n is its width."""

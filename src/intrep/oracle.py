@@ -5,8 +5,11 @@ with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are enumerated as plain integers through each
 family's decode_uint kernel.  Enumeration is capped at 24-bit widths, and
 skips only patterns that cannot change an answer: a nonzero integer comes
-only from the handle's integer_patterns(n) (for posit and takum, the
-patterns from 1 to -1), and zero only from pattern 0.
+only from the two halves of the handle's integer_patterns(n) (for posit and
+takum, the patterns from 1 up to the sign bit and from past NaR to -1), and
+zero only from pattern 0.  Posit and takum values do not change under
+appended zeros, so an even n-bit pattern repeats the value of an
+(n-1)-bit one: a walk over widths decodes only the odd patterns of each.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from . import formats, minifloat, takum
 from .core import BudgetError, DomainError, FormatError
@@ -59,10 +63,14 @@ class ConsecutiveReport:
     agreement: bool | None  # oracle vs closed form; None when no closed form applies
 
 
-def _scan_chunk(fmt: FormatSpec, n: int, lo: int, hi: int, window: int) -> set[int]:
+def _add_integers(found: set[int], fmt: FormatSpec, n: int, parts, window: int) -> set[int]:
+    """Add to found the integers in [-window, window] that the n-bit patterns of parts decode to.
+
+    The parts are scanned in one loop into one set: a set per part, united
+    afterwards, would hold every integer twice at the peak.
+    """
     decode = fmt.pattern_kernel(n)
-    found = set()
-    for value in map(decode, range(lo, hi)):
+    for value in map(decode, chain.from_iterable(parts)):
         if value is not None and value[2] >= 0:
             m = value[0] * (value[1] << value[2])
             if -window <= m <= window:
@@ -70,20 +78,26 @@ def _scan_chunk(fmt: FormatSpec, n: int, lo: int, hi: int, window: int) -> set[i
     return found
 
 
+def _scan_chunk(fmt: FormatSpec, n: int, parts: tuple[range, ...], window: int) -> set[int]:
+    return _add_integers(set(), fmt, n, parts, window)
+
+
 def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
-    patterns = fmt.integer_patterns(n)
-    start, stop = max(patterns.start, 1), patterns.stop
+    positive, negative = fmt.integer_patterns(n)
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers <= 1 or n < 16:
-        found = _scan_chunk(fmt, n, start, stop, window)
-    else:
-        step = -(-(stop - start) // workers)
-        bounds = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_scan_chunk, *zip(*((fmt, n, lo, hi, window) for lo, hi in bounds)))
-            found = set().union(*parts)
-    found |= _scan_chunk(fmt, n, 0, 1, window)  # pattern 0, zero
-    return found
+        return _scan_chunk(fmt, n, (range(1), positive, negative), window)  # pattern 0 is zero
+    # Task i scans the i-th slice of each half; the halves have equal length.
+    step = -(-len(positive) // workers)
+    slices = [(positive[i : i + step], negative[i : i + step]) for i in range(0, len(positive), step)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        found = set().union(*pool.map(_scan_chunk, repeat(fmt), repeat(n), slices, repeat(window)))
+    return _add_integers(found, fmt, n, (range(1),), window)
+
+
+def _odd_patterns(fmt: FormatSpec, n: int) -> list[range]:
+    """The odd patterns of each half of integer_patterns(n)."""
+    return [range(half.start | 1, half.stop, 2) for half in fmt.integer_patterns(n)]
 
 
 def representable_set(
@@ -104,11 +118,12 @@ def representable_set(
 def largest_consecutive(
     fmt: FormatSpec, n: int | None = None, workers: int | None = None
 ) -> ConsecutiveReport:
-    """Largest consecutive integer by full enumeration, checked against the closed form.
+    """Largest consecutive integer from the width-n patterns, checked against the closed form.
 
-    The value is the largest k with every integer in [-k, k] representable:
-    the walk stops at the first k + 1 for which either k + 1 or -(k + 1) has
-    no pattern.
+    Decodes pattern 0 and both halves of integer_patterns(n).  The value is
+    the largest k with every integer in [-k, k] representable: the walk
+    stops at the first k + 1 for which either k + 1 or -(k + 1) has no
+    pattern.
     """
     width = formats.resolve_width(fmt, n)
     _check_budget(width)
@@ -133,10 +148,9 @@ def min_length_table(
 
     Scans widths in ascending order; at width L only patterns ending in 1 are
     new (everything else is a shorter pattern zero-extended), and only those
-    in fmt.integer_patterns(L) can be a nonzero integer.  The sign bit splits
-    that range: patterns below it are positive and are scanned only while a
-    positive target remains, patterns from it on are negative and are
-    scanned only while a negative target remains.  The sweep stops at the
+    in fmt.integer_patterns(L) can be a nonzero integer.  Its positive half
+    is scanned only while a positive target remains, its negative half only
+    while a negative target remains.  The sweep stops at the
     pattern that resolves the last target: every shorter width has been
     scanned by then, so no length can change.  Entries left None were not
     representable within max_len bits.
@@ -152,12 +166,10 @@ def min_length_table(
     for width in range(2, max_len + 1):
         if not positive and not negative:
             break
-        patterns, sign_bit = fmt.integer_patterns(width), 1 << (width - 1)
-        halves = ((positive, patterns.start, sign_bit), (negative, sign_bit, patterns.stop))
-        for remaining, lo, hi in halves:
+        for remaining, odd_patterns in zip((positive, negative), _odd_patterns(fmt, width)):
             if not remaining:
                 continue
-            for odd in range(lo | 1, hi, 2):
+            for odd in odd_patterns:
                 value = decode(odd, width)
                 if value is not None and value[2] >= 0:
                     m = value[0] * (value[1] << value[2])
@@ -194,21 +206,33 @@ def _check_max_n(max_n: int) -> None:
         raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
 
 
-def _check_consecutive(name: str, cases) -> CheckResult:
-    """Closed form against the oracle for each (label, handle) case."""
-    for label, fmt in cases:
-        report = largest_consecutive(fmt)
-        if not report.agreement:
-            expected = formats.largest_consecutive(fmt)
-            return CheckResult(name, False, f"{label}: closed form {expected}, oracle {report.value}")
-    return CheckResult(name, True, "exact agreement")
+def _consecutive_walk(fmt: PositFormat | TakumFormat, max_n: int):
+    """(n, largest consecutive integer at width n) for n = 2..max_n, in one pass.
+
+    Every n-bit pattern is pattern 0 or an odd pattern of some width up to
+    n zero-extended, so the integers of width n are those of width n - 1
+    and those of the odd n-bit patterns: each width decodes only its odd
+    patterns, into one set that keeps every integer within 2^max_n, and k
+    never decreases.  That window loses nothing, as k is below 2^(n-1).
+    """
+    window = 1 << max_n
+    found = _scan_chunk(fmt, max_n, (range(1),), window)  # pattern 0, zero
+    k = 0
+    for n in range(2, max_n + 1):
+        _add_integers(found, fmt, n, _odd_patterns(fmt, n), window)
+        while k + 1 in found and -(k + 1) in found:
+            k += 1
+        yield n, k
 
 
 def _check_tapered_consecutive(handle: type[PositFormat | TakumFormat], max_n: int) -> CheckResult:
     _check_max_n(max_n)
-    widths = range(takum.MIN_WIDTH, max_n + 1)
-    name = f"{handle().family} largest-consecutive formula vs oracle, n={widths[0]}..{max_n}"
-    return _check_consecutive(name, ((f"n={n}", handle(n)) for n in widths))
+    fmt = handle()
+    name = f"{fmt.family} largest-consecutive formula vs oracle, n={takum.MIN_WIDTH}..{max_n}"
+    for n, k in _consecutive_walk(fmt, max_n):
+        if n >= takum.MIN_WIDTH and k != (closed := fmt.closed_form(n)):
+            return CheckResult(name, False, f"n={n}: closed form {closed}, oracle {k}")
+    return CheckResult(name, True, "exact agreement")
 
 
 def check_posit_consecutive(max_n: int = 16) -> CheckResult:
@@ -223,7 +247,12 @@ def check_minifloat_consecutive() -> CheckResult:
     """Every preset that the enumeration budget admits, whatever the verify max_n."""
     names = [p for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS]
     name = f"minifloat largest-consecutive vs oracle ({', '.join(names)})"
-    return _check_consecutive(name, ((p, minifloat.PRESETS[p]) for p in names))
+    for preset in names:
+        report = largest_consecutive(minifloat.PRESETS[preset])
+        if not report.agreement:
+            expected = formats.largest_consecutive(report.format)
+            return CheckResult(name, False, f"{preset}: closed form {expected}, oracle {report.value}")
+    return CheckResult(name, True, "exact agreement")
 
 
 def _check_max_m(max_m: int) -> None:
@@ -254,19 +283,26 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
 
     Patterns pair up as p and -p mod 2^n with p in [0, 2^(n-1)], so each is
     decoded once; 0 and 2^(n-1), zero and NaR, pair with themselves and pass
-    only if they are not finite and nonzero.  A pair passes when both values
-    are finite, nonzero and negatives of each other, or when neither is
-    finite and nonzero.  A failure names the first finite nonzero pattern, in
-    ascending order, whose negation is wrong.
+    only if they are not finite and nonzero.  Past the first width, p runs
+    over 0, the odd patterns and 2^(n-1) only: an even pair 2q, -2q mod 2^n
+    is the (n-1)-bit pair q, -q mod 2^(n-1) zero-extended, checked one width
+    before.  A pair passes when both values are finite, nonzero and
+    negatives of each other, or when neither is finite and nonzero.  A
+    failure names the first finite nonzero pattern, in ascending order,
+    whose negation is wrong.
     """
     _check_max_n(max_n)
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
     for fmt in (PositFormat(), TakumFormat()):
         decode = fmt.codec.decode_uint
         for n in range(takum.MIN_WIDTH, max_n + 1):
-            mask = (1 << n) - 1
+            mask, half = (1 << n) - 1, 1 << (n - 1)
+            if n == takum.MIN_WIDTH:
+                patterns = range(half + 1)
+            else:
+                patterns = chain((0,), range(1, half, 2), (half,))
             failed = None
-            for pattern in range((1 << (n - 1)) + 1):
+            for pattern in patterns:
                 value, negated = decode(pattern, n), decode(-pattern & mask, n)
                 if value is not None and value[1]:
                     if negated != (-value[0], value[1], value[2]):

@@ -68,6 +68,13 @@ def test_encode_int_respects_width_budget(capsys):
     assert out == "010011\n"
 
 
+@pytest.mark.parametrize("fmt", ["posit", "takum"])
+def test_encode_int_of_zero_respects_the_budget(capsys, fmt):
+    argv = ["encode-int", "--format", fmt, "--value", "0", "--max-n"]
+    assert run(capsys, [*argv, "0"]) == (3, "", f"error: 0 needs 1 {fmt} bits, more than max_bits=0\n")
+    assert run(capsys, [*argv, "1"]) == (0, "0\n", "")
+
+
 def test_encode_int_uses_format_width_as_budget(capsys):
     code, _, err = run(capsys, ["encode-int", "--format", "posit8", "--value", "100000"])
     assert code == 3

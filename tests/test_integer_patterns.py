@@ -1,18 +1,22 @@
-"""The oracle's integer-bearing pattern range, and the full enumeration it skips.
+"""The oracle's integer-bearing pattern halves, and the full enumeration it skips.
 
 Posit and takum patterns are ordered like two's-complement integers, so a
-nonzero integer can only come from the patterns between that of 1 (01 0...0)
-and that of -1 (11 0...0); the handle's integer_patterns(n) names that range
-and the oracle scans nothing else.  The reference loops below skip nothing:
-every pattern for representable sets, every odd pattern for minimal
-lengths.  The oracle must give their results exactly.
+positive integer can only come from the patterns from that of 1 (01 0...0)
+up to the sign bit, and a negative one from those past NaR (10 0...0) up to
+that of -1 (11 0...0); the handle's integer_patterns(n) names the two halves
+and the oracle scans nothing else.  Values do not change under appended
+zeros, so the oracle's walks over widths decode only odd patterns.  The
+reference loops below skip nothing: every pattern for representable sets,
+every odd pattern for minimal lengths.  The oracle must give their results
+exactly.
 """
 
 import random
 
 import pytest
 
-from intrep import PositFormat, TakumFormat, cli, oracle, posit, takum
+from intrep import PositFormat, TakumFormat, cli, minifloat, oracle, posit, takum
+from intrep.minifloat import MinifloatSpec, SpecialValues
 
 FAMILIES = [PositFormat(), TakumFormat()]
 IDS = ["posit", "takum"]
@@ -58,17 +62,19 @@ def reference_min_length_table(fmt, targets, max_len: int) -> dict[int, int | No
 
 
 def check_pattern(fmt, u: int, n: int) -> None:
-    """A nonzero integer lies in integer_patterns(n), on the side of the sign bit its sign says."""
+    """A nonzero integer lies in the half of integer_patterns(n) that its sign names."""
     m = nonzero_integer(fmt.codec.decode_uint(u, n))
     if m is not None:
-        assert u in fmt.integer_patterns(n), (u, n, m)
-        assert (m > 0) == (u < 1 << (n - 1)), (u, n, m)
+        assert u in fmt.integer_patterns(n)[m < 0], (u, n, m)
 
 
 def check_ends(fmt, n: int) -> None:
-    patterns = fmt.integer_patterns(n)
-    assert fmt.codec.decode_uint(patterns.start, n) == (1, 1, 0)
-    assert fmt.codec.decode_uint(patterns[-1], n) == (-1, 1, 0)
+    """The halves run from 1 up to the sign bit and from past NaR to -1."""
+    positive, negative = fmt.integer_patterns(n)
+    assert fmt.codec.decode_uint(positive.start, n) == (1, 1, 0)
+    assert fmt.codec.decode_uint(negative[-1], n) == (-1, 1, 0)
+    assert positive.stop == 1 << (n - 1) == negative.start - 1
+    assert positive.stop - positive.start == negative.stop - negative.start
 
 
 @pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
@@ -90,9 +96,55 @@ def test_random_long_integer_patterns_are_in_the_range(fmt):
         u = rng.getrandbits(n) >> zeros << zeros
         check_pattern(fmt, u, n)
         check_ends(fmt, n)
-        patterns = fmt.integer_patterns(n)
-        for edge in (patterns.start - 1, patterns.stop):
-            check_pattern(fmt, edge, n)
+        for half in fmt.integer_patterns(n):
+            for edge in (half.start - 1, half.stop):
+                check_pattern(fmt, edge, n)
+
+
+@pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
+def test_even_patterns_repeat_the_value_one_width_down(fmt):
+    # The width walk, the negation check and min_length_table skip even patterns on this.
+    decode = fmt.codec.decode_uint
+    for n in range(3, 17):
+        for u in range(0, 1 << n, 2):
+            assert decode(u, n) == decode(u >> 1, n - 1), (u, n)
+    rng = random.Random(2025)
+    for _ in range(20000):
+        n = rng.randint(17, 600)
+        u = rng.getrandbits(n) & ~1
+        assert decode(u, n) == decode(u >> 1, n - 1), (u, n)
+
+
+MINIFLOAT_SHAPES = [
+    MinifloatSpec(e, f, bias, special)
+    for e in range(1, 6)
+    for f in range(7)
+    for bias in range(-3, (1 << e) + 3)
+    for special in SpecialValues
+]
+
+
+def test_minifloat_integers_lie_in_the_half_of_their_sign():
+    assert len(MINIFLOAT_SHAPES) == 1932
+    for spec in MINIFLOAT_SHAPES:
+        positive, negative = spec.integer_patterns(spec.width)
+        assert len(positive) == len(negative), spec
+        for u, value in enumerate(map(spec.pattern_kernel(spec.width), range(1 << spec.width))):
+            m = nonzero_integer(value)
+            if m is not None:
+                assert u in (negative if m < 0 else positive), (spec, u, m)
+
+
+@pytest.mark.parametrize(
+    "preset,decoded",
+    [("float16", 34816), ("bfloat16", 33024), ("e4m3", 144), ("e5m2", 136)],
+)
+def test_minifloat_integer_patterns_skip_the_patterns_below_one(preset, decoded):
+    spec = minifloat.PRESETS[preset]
+    positive, negative = spec.integer_patterns(spec.width)
+    assert len(positive) + len(negative) == decoded
+    assert minifloat.decode_uint(spec, positive.start) == (1, 1, 0)
+    assert minifloat.decode_uint(spec, negative.start) == (-1, 1, 0)
 
 
 @pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
@@ -145,15 +197,23 @@ def test_verify_fails_when_the_range_drops_an_end(capsys, monkeypatch, cls, end)
     true_range = cls.integer_patterns
 
     def truncated(self, n):
-        # Width 2 keeps its range: there 01 is the only odd pattern of 1, and
-        # without it the min-length sweep for m = 1 runs on through 24 bits.
-        r = true_range(self, n)
+        # From width 3 on the ends of each half are even, and the walk decodes
+        # only odd patterns, so the positive half loses its lowest odd pattern
+        # and the negative half its highest.  Width 2 keeps its halves: there
+        # 01 is the only odd pattern of 1, and without it the min-length sweep
+        # for m = 1 runs on through 24 bits.
+        positive, negative = true_range(self, n)
         if n == 2:
-            return r
-        return range(r.start + 1, r.stop) if end == "1" else range(r.start, r.stop - 1)
+            return positive, negative
+        if end == "1":
+            return range(positive.start + 2, positive.stop), negative
+        return positive, range(negative.start, negative.stop - 2)
 
     monkeypatch.setattr(cls, "integer_patterns", truncated)
-    code = cli.main(["verify", "--max-n", "8", "--max-m", "16"])
+    # Dropping the low end removes the only odd pattern of 2 (at width 5), so
+    # with m = 2 in the length checks the min-length sweep would run on
+    # through 24 bits.
+    code = cli.main(["verify", "--max-n", "8", "--max-m", "1"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_VERIFICATION
     family = cls().family
@@ -178,3 +238,85 @@ def test_min_length_table_kernel_calls(monkeypatch, module, fmt, calls):
     monkeypatch.setattr(module, "decode_uint", counting)
     oracle.min_length_table(fmt, range(1, 4097))
     assert count == calls
+
+
+@pytest.mark.parametrize("cls", [PositFormat, TakumFormat], ids=IDS)
+def test_the_width_walk_matches_the_single_width_route(cls):
+    walk = dict(oracle._consecutive_walk(cls(), 16))
+    assert list(walk) == list(range(2, 17))
+    for n in range(cls.codec.MIN_WIDTH, 17):
+        assert walk[n] == oracle.largest_consecutive(cls(n)).value, n
+
+
+@pytest.mark.parametrize(
+    "cls,check,m",
+    [
+        (PositFormat, oracle.check_posit_consecutive, 4),  # hidden at width 4, needed from 6
+        (PositFormat, oracle.check_posit_consecutive, -3),
+        (TakumFormat, oracle.check_takum_consecutive, 8),
+        (TakumFormat, oracle.check_takum_consecutive, -5),
+    ],
+    ids=["posit-4", "posit--3", "takum-8", "takum--5"],
+)
+def test_a_hidden_odd_pattern_fails_the_first_width_that_needs_it(monkeypatch, cls, check, m):
+    # The walk never decodes the even patterns that repeat the hidden one at
+    # wider widths, so m stays missing from its shortest width on.
+    codec = cls.codec
+    hidden = codec.encode_integer(m)
+    needs = next(n for n in range(takum.MIN_WIDTH, 17) if codec.largest_consecutive(n) >= abs(m))
+    true_decode = codec.decode_uint
+    monkeypatch.setattr(
+        codec,
+        "decode_uint",
+        lambda u, n: None if (u, n) == (hidden.uint, hidden.width) else true_decode(u, n),
+    )
+    result = check(16)
+    assert not result.passed
+    closed = codec.largest_consecutive(needs)
+    assert result.detail == f"n={needs}: closed form {closed}, oracle {abs(m) - 1}"
+
+
+# Kernel calls of each suite in verify_all() at the default budgets.  A full
+# enumeration of every width would be 65544, 65544, 131584 and 65512 calls
+# for the first three suites and the negation closure.
+VERIFY_KERNEL_CALLS = {
+    "check_posit_consecutive": 32769,
+    "check_takum_consecutive": 32769,
+    "check_minifloat_consecutive": 68124,
+    "check_min_length": 61440 + 95232,
+    "check_negation_closure": 32844,
+    "check_round_trip": 16384,
+    "check_analytic_consecutive": 0,
+    "known_discrepancies": 145,
+}
+
+
+def test_verify_all_kernel_calls(monkeypatch):
+    total = 0
+
+    def counting(true_decode):
+        def decode(*args):
+            nonlocal total
+            total += 1
+            return true_decode(*args)
+
+        return decode
+
+    for module in (posit, takum, minifloat):
+        monkeypatch.setattr(module, "decode_uint", counting(module.decode_uint))
+    calls = dict.fromkeys(VERIFY_KERNEL_CALLS, 0)
+
+    def measured(name, check):
+        def run(*args):
+            before = total
+            result = check(*args)
+            calls[name] += total - before
+            return result
+
+        return run
+
+    for name in VERIFY_KERNEL_CALLS:
+        monkeypatch.setattr(oracle, name, measured(name, getattr(oracle, name)))
+    oracle.verify_all()
+    assert calls == VERIFY_KERNEL_CALLS
+    assert total == 339707

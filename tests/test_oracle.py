@@ -96,6 +96,35 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert capped.integers == serial.integers
 
 
+def test_each_pool_task_scans_one_slice_of_each_half(monkeypatch):
+    tasks = []
+
+    class InlinePool:
+        """Records the tasks and maps in-process, so no process starts."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks.extend(zip(*iterables))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    pooled = oracle.representable_set(PositFormat(), 16, 50, workers=4)
+    assert pooled.integers == oracle.representable_set(PositFormat(), 16, 50).integers
+    positive, negative = PositFormat().integer_patterns(16)
+    step = len(positive) // 4
+    slices = [(positive[i : i + step], negative[i : i + step]) for i in range(0, len(positive), step)]
+    assert [parts for _, _, parts, _ in tasks] == slices
+
+
 def test_consecutive_report_posit8():
     report = oracle.largest_consecutive(PositFormat(), 8)
     assert report.n == 8

@@ -70,6 +70,12 @@ def test_encode_zero_is_single_bit():
     assert str(posit.encode_integer(0)) == "0"
 
 
+def test_encode_zero_respects_the_budget():
+    assert str(posit.encode_integer(0, 1)) == "0"
+    with pytest.raises(CapacityError, match="needs 1 posit bits, more than max_bits=0"):
+        posit.encode_integer(0, 0)
+
+
 MIN_LENGTH_CASES = [(1, 2), (2, 5), (3, 6), (4, 4), (8, 5), (16, 3), (5, 7), (6, 6), (7, 7)]
 
 

@@ -72,6 +72,12 @@ def test_encode_zero_is_single_bit():
     assert str(takum.encode_integer(0)) == "0"
 
 
+def test_encode_zero_respects_the_budget():
+    assert str(takum.encode_integer(0, 1)) == "0"
+    with pytest.raises(CapacityError, match="needs 1 takum bits, more than max_bits=0"):
+        takum.encode_integer(0, 0)
+
+
 MIN_LENGTH_CASES = [
     (1, 2),
     (2, 5),
