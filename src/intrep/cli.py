@@ -49,7 +49,8 @@ def build_table() -> list[TableRow]:
     ]
 
     def closed_form(fmt: formats.FormatSpec) -> TableRow:
-        value, ratio = formats.largest_consecutive(fmt), formats.signed_integer_ratio(fmt)
+        value = formats.largest_consecutive(fmt)
+        ratio = value / formats.signed_integer_count(fmt.width)
         return TableRow(fmt.name, value, ratio, "closed_form")
 
     for n in (8, 16, 32, 64, 128):
@@ -145,12 +146,17 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def figure_rows(n_min: int, n_max: int) -> list[tuple[int, int, int]]:
+def _exponent(k: int) -> int | str:
+    """log2(k) for a power of two; "e-" for 2^e - 1, the takum cap from n = 266."""
+    return k.bit_length() - 1 if k & (k - 1) == 0 else f"{k.bit_length()}-"
+
+
+def figure_rows(n_min: int, n_max: int) -> list[tuple[int, int | str, int | str]]:
     """(n, posit exponent, takum exponent) of the largest consecutive integer."""
     if not takum.MIN_WIDTH <= n_min <= n_max <= 1024:
-        raise DomainError(f"need {takum.MIN_WIDTH} <= n_min <= n_max <= 1024, got {n_min}..{n_max}")
+        raise FormatError(f"need {takum.MIN_WIDTH} <= n_min <= n_max <= 1024, got {n_min}..{n_max}")
     return [
-        (n, posit.largest_consecutive(n).bit_length() - 1, takum.consecutive_exponent(n))
+        (n, _exponent(posit.largest_consecutive(n)), _exponent(takum.largest_consecutive(n)))
         for n in range(n_min, n_max + 1)
     ]
 
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("min-bits", cmd_min_bits, "minimal representation length of an integer")
     p.add_argument("--format", required=True, help="posit or takum")
-    p.add_argument("--value", required=True, type=int, help="nonzero integer")
+    p.add_argument("--value", required=True, type=int, help="integer")
 
     p = add("max-consecutive", cmd_max_consecutive, "largest consecutive representable integer")
     p.add_argument("--format", required=True, help="posit[N], takum[N], or a minifloat preset")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -141,12 +140,6 @@ class DyadicValue:
             return cls.zero()
         return cls(ValueKind.FINITE, sign, significand, exponent2)
 
-    @classmethod
-    def from_int(cls, m: int) -> "DyadicValue":
-        if m == 0:
-            return cls.zero()
-        return cls.from_mantissa(1 if m > 0 else -1, abs(m), 0)
-
     @property
     def is_zero(self) -> bool:
         return self.kind is ValueKind.ZERO
@@ -170,18 +163,6 @@ class DyadicValue:
         if self.is_zero:
             return 0
         return self.sign * (self.significand << self.exponent2)
-
-    def as_fraction(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if self.is_nar:
-            raise DomainError("NaR has no numeric value")
-        return Fraction(self.sign * self.significand) * Fraction(2) ** self.exponent2
-
-    def __neg__(self) -> "DyadicValue":
-        if not self.is_finite:
-            return self
-        return DyadicValue(ValueKind.FINITE, -self.sign, self.significand, self.exponent2)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -229,12 +210,12 @@ DEFAULT_MAX_BITS = 256
 def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> BitString:
     """Shortest posit or takum bit string for the integer m: both encoders' frame.
 
-    "0" for m = 0, CapacityError when the shortest pattern (1 bit for m = 0,
-    min_length(m) otherwise) exceeds max_bits.  head(v) is the (value, width)
-    of the bits before the fraction of a positive integer with bit length v.
-    A result not min_length(m) wide raises ArithmeticError.
+    "0" for m = 0, CapacityError when the shortest pattern, min_length(m)
+    bits, exceeds max_bits.  head(v) is the (value, width) of the bits before
+    the fraction of a positive integer with bit length v.  A result not
+    min_length(m) wide raises ArithmeticError.
     """
-    need = min_length(m) if m else 1
+    need = min_length(m)
     if need > max_bits:
         raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")
     if m == 0:

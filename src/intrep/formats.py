@@ -155,12 +155,6 @@ def largest_consecutive(fmt: FormatSpec, n: int | None = None) -> int:
     return fmt.closed_form(resolve_width(fmt, n))
 
 
-def signed_integer_ratio(fmt: FormatSpec, n: int | None = None) -> float:
-    """largest_consecutive over the signed-integer count at the width."""
-    width = resolve_width(fmt, n)
-    return largest_consecutive(fmt, width) / signed_integer_count(width)
-
-
 def signed_integer_count(width: int) -> int:
     """Positive integers of width-bit two's complement: 2^(width-1) - 1."""
     return (1 << (width - 1)) - 1

@@ -37,6 +37,13 @@ def _check_budget(n: int) -> None:
         raise BudgetError(f"enumeration of {n}-bit patterns exceeds the {MAX_ENUM_BITS}-bit budget")
 
 
+def _enumeration_width(fmt: FormatSpec, n: int | None) -> int:
+    """The width to enumerate fmt at (formats.resolve_width), within the budget."""
+    width = formats.resolve_width(fmt, n)
+    _check_budget(width)
+    return width
+
+
 @dataclass(frozen=True, slots=True)
 class RepresentableSet:
     """All integers within the window that some n-bit pattern decodes to."""
@@ -109,8 +116,7 @@ def representable_set(
     """Exact set of representable integers in [-window, window] at width n."""
     if window is None or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
-    width = formats.resolve_width(fmt, n)
-    _check_budget(width)
+    width = _enumeration_width(fmt, n)
     found = _integers_at_width(fmt, width, window, workers)
     return RepresentableSet(fmt, width, window, tuple(sorted(found)))
 
@@ -125,8 +131,7 @@ def largest_consecutive(
     stops at the first k + 1 for which either k + 1 or -(k + 1) has no
     pattern.
     """
-    width = formats.resolve_width(fmt, n)
-    _check_budget(width)
+    width = _enumeration_width(fmt, n)
     # k is bounded by the pattern count, so a window of 2^width loses nothing.
     found = _integers_at_width(fmt, width, 1 << width, workers)
     k = 0

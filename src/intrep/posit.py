@@ -79,7 +79,9 @@ def decode(bits: BitString) -> DyadicValue:
 
 
 def min_length(m: int) -> int:
-    """Fewest posit bits that represent the integer m exactly (m != 0)."""
+    """Fewest posit bits that represent the integer m exactly: 1 for m = 0, the pattern "0"."""
+    if m == 0:
+        return 1
     prof = integer_profile(m)
     v, w = prof.v, prof.w
     length = (5 * (v + 3)) // 4 - w

@@ -80,7 +80,9 @@ def decode(bits: BitString) -> DyadicValue:
 
 
 def min_length(m: int) -> int:
-    """Fewest takum bits that represent the integer m exactly (m != 0)."""
+    """Fewest takum bits that represent the integer m exactly: 1 for m = 0, the pattern "0"."""
+    if m == 0:
+        return 1
     prof = integer_profile(m)
     v, w = prof.v, prof.w
     # An integer of bit length v has exponent v - 1, and the characteristic
@@ -119,7 +121,11 @@ def _head(v: int) -> tuple[int, int]:
 
 
 def consecutive_exponent(n: int) -> int:
-    """Largest v with v * 2^v < 2^(n-3), by exact big-integer search."""
+    """Largest v with v * 2^v < 2^(n-3), by exact big-integer search.
+
+    The paper's formula.  From n = 266 on, v reaches 255, past the takum
+    exponent range, so largest_consecutive is no longer 2^v there.
+    """
     check_width(n, MIN_WIDTH, "takum")
     bound = 1 << (n - 3)
     v = 1
@@ -130,8 +136,12 @@ def consecutive_exponent(n: int) -> int:
 
 
 def largest_consecutive(n: int) -> int:
-    """Largest k such that every integer in [-k, k] fits in an n-bit takum."""
-    return 1 << consecutive_exponent(n)
+    """Largest k such that every integer in [-k, k] fits in an n-bit takum.
+
+    2^consecutive_exponent(n), capped at 2^255 - 1: every integer below 2^255
+    in magnitude fits in 266 bits, and 2^255 fits in none.
+    """
+    return min(1 << consecutive_exponent(n), (1 << (MAX_EXPONENT + 1)) - 1)
 
 
 def lambert_w0(x: float) -> float:

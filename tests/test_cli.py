@@ -105,6 +105,8 @@ def test_encode_int_rejects_minifloat(capsys):
 @pytest.mark.parametrize(
     "fmt,value,expected",
     [
+        ("posit", "0", "1"),  # zero is the 1-bit pattern "0"
+        ("takum", "0", "1"),
         ("posit", "1", "2"),
         ("posit", "-16", "3"),
         ("takum", "9", "10"),
@@ -123,12 +125,6 @@ def test_min_bits(capsys, fmt, value, expected):
     assert out == expected + "\n"
 
 
-def test_min_bits_rejects_zero(capsys):
-    code, _, err = run(capsys, ["min-bits", "--format", "posit", "--value", "0"])
-    assert code == 3
-    assert "error:" in err
-
-
 @pytest.mark.parametrize("value", [str(1 << 255), str(-(1 << 255))])
 def test_min_bits_takum_out_of_range(capsys, value):
     code, out, err = run(capsys, ["min-bits", "--format", "takum", "--value", value])
@@ -137,9 +133,10 @@ def test_min_bits_takum_out_of_range(capsys, value):
     assert "takum exponent range" in err
 
 
+@pytest.mark.parametrize("value", ["3", "0"])
 @pytest.mark.parametrize("command", ["encode-int", "min-bits"])
-def test_variable_length_commands_reject_minifloat_text(capsys, command):
-    code, out, err = run(capsys, [command, "--format", "E4M3", "--value", "3"])
+def test_variable_length_commands_reject_minifloat_text(capsys, command, value):
+    code, out, err = run(capsys, [command, "--format", "E4M3", "--value", value])
     assert code == 1
     assert out == ""
     assert err == "error: e4m3 has no variable-length encoding\n"
@@ -180,6 +177,12 @@ def test_max_consecutive_exact_flag(capsys):
     code, out, _ = run(capsys, ["max-consecutive", "--format", "posit32", "--exact"])
     assert code == 0
     assert out == "2^23 = 8388608\n"
+
+
+def test_max_consecutive_takum_cap(capsys):
+    # 2^255 - 1 is not a power of two, so it prints without one.
+    code, out, _ = run(capsys, ["max-consecutive", "--format", "takum", "--n", "266"])
+    assert (code, out) == (0, "~ 5.8e+76\n")
 
 
 def test_max_consecutive_minifloat(capsys):
@@ -287,6 +290,14 @@ def test_table_layout_and_values(capsys):
     assert "32" in footnote and "16" in footnote
 
 
+def test_table_ratios():
+    rows = {row.name: row for row in cli.build_table()}
+    assert rows["posit8"].ratio == 16 / 127
+    assert rows["e4m3 (computed)"].ratio == 16 / 127
+    assert rows["takum16"].ratio == 512 / 32767
+    assert rows["float64"].ratio == 2**53 / (2**63 - 1)
+
+
 def test_table_footnote_reads_the_computed_row():
     rows = [
         dataclasses.replace(row, value=17) if row.name == "e4m3 (computed)" else row
@@ -331,11 +342,20 @@ def test_figure_csv(capsys):
 
 
 def test_figure_range_validation(capsys):
+    # A width range outside 5..1024, or an empty one, is a usage error.
     code, _, err = run(capsys, ["figure", "--n-min", "4", "--n-max", "10"])
-    assert code == 3
-    assert "error:" in err
+    assert code == 1
+    assert err == "error: need 5 <= n_min <= n_max <= 1024, got 4..10\n"
     code, _, err = run(capsys, ["figure", "--n-min", "10", "--n-max", "5"])
-    assert code == 3
+    assert code == 1
+    assert err == "error: need 5 <= n_min <= n_max <= 1024, got 10..5\n"
+
+
+def test_figure_marks_the_takum_cap(capsys):
+    # From n = 266 the takum run stops at 2^255 - 1, printed as "255-".
+    code, out, _ = run(capsys, ["figure", "--n-min", "264", "--n-max", "267"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["264,208,253", "265,209,254", "266,210,255-", "267,211,255-"]
 
 
 def test_figure_out_file(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import intrep
 from intrep import (
     PRESETS,
     BitString,
+    DomainError,
     DyadicValue,
     FormatError,
     MinifloatSpec,
@@ -92,14 +95,12 @@ def test_resolve_width():
     [
         formats.resolve_width,
         formats.largest_consecutive,
-        formats.signed_integer_ratio,
         oracle.largest_consecutive,
         lambda fmt, n: oracle.representable_set(fmt, n, window=10),
     ],
     ids=[
         "resolve_width",
         "formats.largest_consecutive",
-        "signed_integer_ratio",
         "oracle.largest_consecutive",
         "oracle.representable_set",
     ],
@@ -123,9 +124,10 @@ def test_pattern_kernel_is_decode_uint(fmt):
 
 
 def test_decode_dispatch():
-    assert formats.decode(PositFormat(8), BitString("011")) == DyadicValue.from_int(16)
-    assert formats.decode(TakumFormat(12), BitString("0101")) == DyadicValue.from_int(8)
-    assert formats.decode(PRESETS["e4m3"], BitString("01111110")) == DyadicValue.from_int(448)
+    assert formats.decode(PositFormat(8), BitString("011")) == DyadicValue.from_mantissa(1, 16, 0)
+    assert formats.decode(TakumFormat(12), BitString("0101")) == DyadicValue.from_mantissa(1, 8, 0)
+    e4m3_448 = formats.decode(PRESETS["e4m3"], BitString("01111110"))
+    assert e4m3_448 == DyadicValue.from_mantissa(1, 448, 0)
     # A family handle without a width decodes any length.
     assert formats.decode(PositFormat(), BitString("0" * 60 + "1")).is_finite
 
@@ -151,11 +153,18 @@ def test_largest_consecutive_dispatch():
         formats.largest_consecutive(PositFormat())
 
 
-def test_signed_integer_ratio():
-    assert formats.signed_integer_ratio(PositFormat(8)) == 16 / 127
-    assert formats.signed_integer_ratio(PRESETS["e4m3"]) == 16 / 127
-    assert formats.signed_integer_ratio(TakumFormat(16)) == 512 / 32767
-    assert formats.signed_integer_ratio(PRESETS["float64"]) == 2**53 / (2**63 - 1)
+@pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
+def test_largest_consecutive_is_the_last_fitting_integer(fmt):
+    # k = largest_consecutive(n) fits in n bits and k + 1 needs more, at every
+    # width the figure sweeps; past the takum exponent range, 2^255 fits nowhere.
+    codec = fmt.codec
+    for n in range(5, 1025):
+        k = codec.largest_consecutive(n)
+        assert codec.min_length(k) <= n, n
+        try:
+            assert codec.min_length(k + 1) > n, n
+        except DomainError:
+            assert fmt == TakumFormat() and k + 1 == 1 << 255, n
 
 
 def test_no_family_dispatch_outside_formats():
@@ -173,3 +182,23 @@ def test_no_family_dispatch_outside_formats():
                 found.append((path.name, node.lineno))
     assert all(name == "formats.py" for name, _ in found), found
     assert len(found) <= 1, found
+
+
+def test_every_definition_has_a_reader():
+    # Each function and class in the package is named somewhere besides its
+    # definition: in the package, the README, or the benchmark harness.
+    # Names only the tests read are surface nobody needs.
+    repo = Path(__file__).parents[1]
+    sources = sorted(Path(intrep.__file__).parent.glob("*.py"))
+    harness = [p for p in (repo / "perfbench").iterdir() if p.is_file()]
+    readers = [*sources, repo / "README.md", *(p for p in harness if not p.name.startswith("test_"))]
+    words = Counter(word for path in readers for word in re.findall(r"\w+", path.read_text()))
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = {
+        node.name
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, definitions) and not node.name.startswith("__")
+    }
+    unread = sorted(name for name in names if words[name] < 2)
+    assert unread == []

@@ -79,6 +79,7 @@ def test_encode_zero_respects_the_budget():
 
 
 MIN_LENGTH_CASES = [
+    (0, 1),  # the 1-bit pattern "0"
     (1, 2),
     (2, 5),
     (3, 7),
@@ -100,11 +101,6 @@ def test_min_length(m, length):
     assert takum.min_length(-m) == length
 
 
-def test_min_length_rejects_zero():
-    with pytest.raises(DomainError):
-        takum.min_length(0)
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize(
     "magnitude,length", [(1 << 254, 12), ((1 << 254) + 1, 266), ((1 << 255) - 1, 266)]
@@ -116,7 +112,7 @@ def test_magnitude_range(magnitude, length, sign):
     assert takum.min_length(m) == length
     bits = takum.encode_integer(m, max_bits=length)
     assert bits.width == length
-    assert takum.decode(bits) == DyadicValue.from_int(m)
+    assert takum.decode(bits) == DyadicValue.from_mantissa(1 if m > 0 else -1, abs(m), 0)
 
 
 @pytest.mark.parametrize("m", [1 << 255, -(1 << 255)])
@@ -152,6 +148,15 @@ def test_largest_consecutive(n, expected):
 def test_largest_consecutive_domain():
     with pytest.raises(DomainError):
         takum.largest_consecutive(4)
+
+
+def test_largest_consecutive_stops_at_the_exponent_cap():
+    # The closed form 2^consecutive_exponent(n) reaches 2^255 at n = 266, but
+    # 2^255 has no takum; every smaller integer fits in 266 bits.
+    assert takum.largest_consecutive(265) == 2**254
+    assert takum.consecutive_exponent(266) == 255
+    assert takum.largest_consecutive(266) == 2**255 - 1
+    assert takum.largest_consecutive(1024) == 2**255 - 1
 
 
 def test_consecutive_exponent_sandwich():
@@ -242,7 +247,7 @@ def test_exponent_range_matches_enumeration(codec, n):
 def test_round_trip_at_min_length(m):
     bits = takum.encode_integer(m, max_bits=4096)
     assert bits.width == takum.min_length(m)
-    assert takum.decode(bits) == DyadicValue.from_int(m)
+    assert takum.decode(bits) == DyadicValue.from_mantissa(1 if m > 0 else -1, abs(m), 0)
 
 
 @given(st.integers(1, 2**24), st.integers(0, 12))
@@ -258,7 +263,8 @@ def test_negation_closure(pattern):
     width = 16
     v = takum.decode(BitString.from_uint(pattern, width))
     if v.is_finite:
-        assert takum.decode(BitString.from_uint(-pattern & ((1 << width) - 1), width)) == -v
+        negated = DyadicValue.from_mantissa(-v.sign, v.significand, v.exponent2)
+        assert takum.decode(BitString.from_uint(-pattern & ((1 << width) - 1), width)) == negated
 
 
 @given(st.integers(1, 2**14 - 1), st.integers(2, 14))

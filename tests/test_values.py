@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +7,7 @@ from intrep import DomainError, DyadicValue, IntegerProfile, integer_profile, po
 
 def test_constructors_and_kinds():
     zero, nar = DyadicValue.zero(), DyadicValue.nar()
-    one = DyadicValue.from_int(1)
+    one = DyadicValue.from_mantissa(1, 1, 0)
     assert zero.is_zero and not zero.is_finite
     assert nar.is_nar and not nar.is_finite
     assert one.is_finite and one.sign == 1 and one.significand == 1 and one.exponent2 == 0
@@ -18,8 +16,8 @@ def test_constructors_and_kinds():
 def test_canonical_odd_significand():
     v = DyadicValue.from_mantissa(1, 12, -1)  # 12 * 2^-1 = 3 * 2^1
     assert (v.significand, v.exponent2) == (3, 1)
-    assert v == DyadicValue.from_int(6)
-    assert DyadicValue.from_mantissa(-1, 8, -3) == DyadicValue.from_int(-1)
+    assert v == DyadicValue.from_mantissa(1, 6, 0)
+    assert DyadicValue.from_mantissa(-1, 8, -3) == DyadicValue.from_mantissa(-1, 1, 0)
 
 
 def test_from_mantissa_rejects_bad_args():
@@ -32,7 +30,7 @@ def test_from_mantissa_rejects_bad_args():
 def test_is_integer_and_as_integer():
     assert DyadicValue.zero().is_integer()
     assert DyadicValue.zero().as_integer() == 0
-    assert DyadicValue.from_int(-48).as_integer() == -48
+    assert DyadicValue.from_mantissa(-1, 48, 0).as_integer() == -48
     half = DyadicValue.from_mantissa(1, 1, -1)
     assert not half.is_integer()
     with pytest.raises(DomainError):
@@ -40,33 +38,20 @@ def test_is_integer_and_as_integer():
     assert not DyadicValue.nar().is_integer()
 
 
-def test_as_fraction():
-    assert DyadicValue.from_mantissa(-1, 7, -2).as_fraction() == Fraction(-7, 4)
-    assert DyadicValue.zero().as_fraction() == 0
-    with pytest.raises(DomainError):
-        DyadicValue.nar().as_fraction()
-
-
-def test_negation():
-    assert -DyadicValue.from_int(5) == DyadicValue.from_int(-5)
-    assert -DyadicValue.zero() == DyadicValue.zero()
-    assert -DyadicValue.nar() == DyadicValue.nar()
-
-
 def test_rendering():
     assert str(DyadicValue.zero()) == "0"
     assert str(DyadicValue.nar()) == "NaR"
-    assert str(DyadicValue.from_int(448)) == "448"
-    assert str(DyadicValue.from_int(-448)) == "-448"
+    assert str(DyadicValue.from_mantissa(1, 448, 0)) == "448"
+    assert str(DyadicValue.from_mantissa(-1, 448, 0)) == "-448"
     assert str(DyadicValue.from_mantissa(1, 7, -2)) == "7*2^-2"
     assert str(DyadicValue.from_mantissa(1, 1, 100)) == str(2**100)
     assert str(DyadicValue.from_mantissa(1, 1, 200)) == "1*2^200"
     assert str(DyadicValue.from_mantissa(-1, 3, 150)) == "-3*2^150"
 
 
-@given(st.integers(-(2**80), 2**80))
-def test_from_int_round_trips(m):
-    assert DyadicValue.from_int(m).as_integer() == m
+@given(st.sampled_from([1, -1]), st.integers(1, 2**80))
+def test_from_mantissa_round_trips(sign, magnitude):
+    assert DyadicValue.from_mantissa(sign, magnitude, 0).as_integer() == sign * magnitude
 
 
 def test_integer_profile_examples():
