@@ -14,7 +14,6 @@ from .core import (
     DomainError,
     DyadicValue,
     FormatError,
-    IntegerProfile,
     ValueKind,
     integer_profile,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "DyadicValue",
     "FormatError",
     "FormatSpec",
-    "IntegerProfile",
     "MinifloatSpec",
     "PRESETS",
     "PositFormat",

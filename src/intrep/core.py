@@ -177,25 +177,12 @@ class DyadicValue:
         return f"{sign}{decimal_text(self.significand)}*2^{self.exponent2}"
 
 
-@dataclass(frozen=True, slots=True)
-class IntegerProfile:
-    """Bit shape of a nonzero integer: v bits up to the leading 1, w trailing zeros."""
-
-    v: int
-    w: int
-
-    @property
-    def fraction_bits(self) -> int:
-        """Explicit significand bits below the leading 1: v - w - 1."""
-        return self.v - self.w - 1
-
-
-def integer_profile(m: int) -> IntegerProfile:
-    """Profile of a nonzero integer; the sign is ignored."""
+def integer_profile(m: int) -> tuple[int, int]:
+    """(v, w) of a nonzero integer, sign ignored: v bits up to the leading 1, w trailing zeros."""
     if m == 0:
         raise DomainError("0 has no integer profile")
     a = abs(m)
-    return IntegerProfile(a.bit_length(), trailing_zero_count(a))
+    return a.bit_length(), trailing_zero_count(a)
 
 
 def check_width(n: int, floor: int, family: str) -> None:
@@ -220,15 +207,16 @@ def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> Bit
         raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")
     if m == 0:
         return BitString("0")
-    prof = integer_profile(m)
-    value, width = head(prof.v)
-    frac = (abs(m) >> prof.w) & ((1 << prof.fraction_bits) - 1)
-    u = (value << prof.fraction_bits) | frac
+    v, w = integer_profile(m)
+    fraction_bits = v - w - 1  # explicit significand bits below the leading 1
+    value, width = head(v)
+    frac = (abs(m) >> w) & ((1 << fraction_bits) - 1)
+    u = (value << fraction_bits) | frac
     # Appended zeros never change a value, so the shortest pattern drops them all.
     # A positive pattern starts "01", so at least two bits stay.
     drop = trailing_zero_count(u)
     u >>= drop
-    width += prof.fraction_bits - drop
+    width += fraction_bits - drop
     if m < 0:
         u = -u & ((1 << width) - 1)
     if width != need:

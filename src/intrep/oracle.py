@@ -15,7 +15,6 @@ appended zeros, so an even n-bit pattern repeats the value of an
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -45,20 +44,6 @@ def _enumeration_width(fmt: FormatSpec, n: int | None) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class RepresentableSet:
-    """All integers within the window that some n-bit pattern decodes to."""
-
-    format: FormatSpec
-    n: int
-    window: int
-    integers: tuple[int, ...]
-
-    def __contains__(self, m: int) -> bool:
-        i = bisect_left(self.integers, m)
-        return i < len(self.integers) and self.integers[i] == m
-
-
-@dataclass(frozen=True, slots=True)
 class ConsecutiveReport:
     """Largest k with every integer in [-k, k] representable at width n."""
 
@@ -70,36 +55,39 @@ class ConsecutiveReport:
     agreement: bool | None  # oracle vs closed form; None when no closed form applies
 
 
-def _add_integers(found: set[int], fmt: FormatSpec, n: int, parts, window: int) -> set[int]:
-    """Add to found the integers in [-window, window] that the n-bit patterns of parts decode to.
+def _integers(decode, patterns):
+    """The integer of each decoded triple that is one, pattern by pattern."""
+    for value in map(decode, patterns):
+        if value is not None and value[2] >= 0:
+            yield value[0] * (value[1] << value[2])
+
+
+def _add_integers(
+    fmt: FormatSpec, n: int, parts, window: int, found: set[int] | None = None
+) -> set[int]:
+    """Add the integers in [-window, window] of the n-bit patterns of parts to found, or a new set.
 
     The parts are scanned in one loop into one set: a set per part, united
     afterwards, would hold every integer twice at the peak.
     """
-    decode = fmt.pattern_kernel(n)
-    for value in map(decode, chain.from_iterable(parts)):
-        if value is not None and value[2] >= 0:
-            m = value[0] * (value[1] << value[2])
-            if -window <= m <= window:
-                found.add(m)
+    found = set() if found is None else found
+    for m in _integers(fmt.pattern_kernel(n), chain.from_iterable(parts)):
+        if -window <= m <= window:
+            found.add(m)
     return found
-
-
-def _scan_chunk(fmt: FormatSpec, n: int, parts: tuple[range, ...], window: int) -> set[int]:
-    return _add_integers(set(), fmt, n, parts, window)
 
 
 def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
     positive, negative = fmt.integer_patterns(n)
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers <= 1 or n < 16:
-        return _scan_chunk(fmt, n, (range(1), positive, negative), window)  # pattern 0 is zero
+        return _add_integers(fmt, n, (range(1), positive, negative), window)  # pattern 0 is zero
     # Task i scans the i-th slice of each half; the halves have equal length.
     step = -(-len(positive) // workers)
     slices = [(positive[i : i + step], negative[i : i + step]) for i in range(0, len(positive), step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        found = set().union(*pool.map(_scan_chunk, repeat(fmt), repeat(n), slices, repeat(window)))
-    return _add_integers(found, fmt, n, (range(1),), window)
+        found = set().union(*pool.map(_add_integers, repeat(fmt), repeat(n), slices, repeat(window)))
+    return _add_integers(fmt, n, (range(1),), window, found)
 
 
 def _odd_patterns(fmt: FormatSpec, n: int) -> list[range]:
@@ -107,18 +95,25 @@ def _odd_patterns(fmt: FormatSpec, n: int) -> list[range]:
     return [range(half.start | 1, half.stop, 2) for half in fmt.integer_patterns(n)]
 
 
+def _consecutive_run(found: set[int], k: int) -> int:
+    """The largest k' >= k with every integer in [-k', k'] in found, given [-k, k] is."""
+    while k + 1 in found and -(k + 1) in found:
+        k += 1
+    return k
+
+
 def representable_set(
     fmt: FormatSpec,
     n: int | None = None,
     window: int | None = None,
     workers: int | None = None,
-) -> RepresentableSet:
-    """Exact set of representable integers in [-window, window] at width n."""
+) -> tuple[int, ...]:
+    """The representable integers in [-window, window] at width n, ascending."""
     if window is None or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
     width = _enumeration_width(fmt, n)
     found = _integers_at_width(fmt, width, window, workers)
-    return RepresentableSet(fmt, width, window, tuple(sorted(found)))
+    return tuple(sorted(found))
 
 
 def largest_consecutive(
@@ -134,11 +129,9 @@ def largest_consecutive(
     width = _enumeration_width(fmt, n)
     # k is bounded by the pattern count, so a window of 2^width loses nothing.
     found = _integers_at_width(fmt, width, 1 << width, workers)
-    k = 0
-    while k + 1 in found and -(k + 1) in found:
-        k += 1
+    k = _consecutive_run(found, 0)
     try:
-        closed = formats.largest_consecutive(fmt, width)
+        closed = fmt.closed_form(width)
     except DomainError:  # the format's shape has no closed form
         closed = None
     exponent = k.bit_length() - 1 if k > 0 and k & (k - 1) == 0 else None
@@ -161,7 +154,7 @@ def min_length_table(
     representable within max_len bits.
     """
     _check_budget(max_len)
-    decode = fmt.codec.decode_uint
+    fmt.codec  # refuses a minifloat, which has no variable-length encoding
     targets = list(targets)
     if any(isinstance(m, bool) or not isinstance(m, int) or m == 0 for m in targets):
         raise FormatError("targets must be nonzero integers")
@@ -174,15 +167,12 @@ def min_length_table(
         for remaining, odd_patterns in zip((positive, negative), _odd_patterns(fmt, width)):
             if not remaining:
                 continue
-            for odd in odd_patterns:
-                value = decode(odd, width)
-                if value is not None and value[2] >= 0:
-                    m = value[0] * (value[1] << value[2])
-                    if m in remaining:
-                        lengths[m] = width
-                        remaining.discard(m)
-                        if not remaining:
-                            break
+            for m in _integers(fmt.pattern_kernel(width), odd_patterns):
+                if m in remaining:
+                    lengths[m] = width
+                    remaining.discard(m)
+                    if not remaining:
+                        break
     return lengths
 
 
@@ -221,23 +211,29 @@ def _consecutive_walk(fmt: PositFormat | TakumFormat, max_n: int):
     never decreases.  That window loses nothing, as k is below 2^(n-1).
     """
     window = 1 << max_n
-    found = _scan_chunk(fmt, max_n, (range(1),), window)  # pattern 0, zero
+    found = _add_integers(fmt, max_n, (range(1),), window)  # pattern 0, zero
     k = 0
     for n in range(2, max_n + 1):
-        _add_integers(found, fmt, n, _odd_patterns(fmt, n), window)
-        while k + 1 in found and -(k + 1) in found:
-            k += 1
+        _add_integers(fmt, n, _odd_patterns(fmt, n), window, found)
+        k = _consecutive_run(found, k)
         yield n, k
+
+
+def _check_consecutive(name: str, answers) -> CheckResult:
+    """Fails at the first (label, oracle k, closed form) of answers that disagree."""
+    for label, k, closed in answers:
+        if k != closed:
+            return CheckResult(name, False, f"{label}: closed form {closed}, oracle {k}")
+    return CheckResult(name, True, "exact agreement")
 
 
 def _check_tapered_consecutive(handle: type[PositFormat | TakumFormat], max_n: int) -> CheckResult:
     _check_max_n(max_n)
     fmt = handle()
     name = f"{fmt.family} largest-consecutive formula vs oracle, n={takum.MIN_WIDTH}..{max_n}"
-    for n, k in _consecutive_walk(fmt, max_n):
-        if n >= takum.MIN_WIDTH and k != (closed := fmt.closed_form(n)):
-            return CheckResult(name, False, f"n={n}: closed form {closed}, oracle {k}")
-    return CheckResult(name, True, "exact agreement")
+    walk = _consecutive_walk(fmt, max_n)
+    answers = ((f"n={n}", k, fmt.closed_form(n)) for n, k in walk if n >= takum.MIN_WIDTH)
+    return _check_consecutive(name, answers)
 
 
 def check_posit_consecutive(max_n: int = 16) -> CheckResult:
@@ -250,14 +246,10 @@ def check_takum_consecutive(max_n: int = 16) -> CheckResult:
 
 def check_minifloat_consecutive() -> CheckResult:
     """Every preset that the enumeration budget admits, whatever the verify max_n."""
-    names = [p for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS]
-    name = f"minifloat largest-consecutive vs oracle ({', '.join(names)})"
-    for preset in names:
-        report = largest_consecutive(minifloat.PRESETS[preset])
-        if not report.agreement:
-            expected = formats.largest_consecutive(report.format)
-            return CheckResult(name, False, f"{preset}: closed form {expected}, oracle {report.value}")
-    return CheckResult(name, True, "exact agreement")
+    specs = {p: s for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS}
+    name = f"minifloat largest-consecutive vs oracle ({', '.join(specs)})"
+    answers = ((p, largest_consecutive(s).value, s.closed_form(s.width)) for p, s in specs.items())
+    return _check_consecutive(name, answers)
 
 
 def _check_max_m(max_m: int) -> None:
@@ -272,12 +264,12 @@ def _check_length_budget(max_m: int) -> None:
 
 
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
+    """The sweep ends at the longest formula length: an m still missing there disagrees anyway."""
     name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
     _check_length_budget(max_m)
-    table = min_length_table(fmt, range(1, max_m + 1))
-    formula = fmt.codec.min_length
-    for m in range(1, max_m + 1):
-        expected = formula(m)
+    formula = {m: fmt.codec.min_length(m) for m in range(1, max_m + 1)}
+    table = min_length_table(fmt, formula, min(max(formula.values()), MAX_ENUM_BITS))
+    for m, expected in formula.items():
         if table[m] != expected:
             return CheckResult(name, False, f"m={m}: formula {expected}, oracle {table[m]}")
     return CheckResult(name, True, "exact agreement")

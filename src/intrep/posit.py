@@ -82,8 +82,7 @@ def min_length(m: int) -> int:
     """Fewest posit bits that represent the integer m exactly: 1 for m = 0, the pattern "0"."""
     if m == 0:
         return 1
-    prof = integer_profile(m)
-    v, w = prof.v, prof.w
+    v, w = integer_profile(m)
     length = (5 * (v + 3)) // 4 - w
     if w == v - 1:
         # No fraction bits: the exponent field's trailing zeros go too.

@@ -83,8 +83,7 @@ def min_length(m: int) -> int:
     """Fewest takum bits that represent the integer m exactly: 1 for m = 0, the pattern "0"."""
     if m == 0:
         return 1
-    prof = integer_profile(m)
-    v, w = prof.v, prof.w
+    v, w = integer_profile(m)
     # An integer of bit length v has exponent v - 1, and the characteristic
     # reaches MAX_EXPONENT, so |m| < 2^255 is in range with enough fraction bits.
     if v > MAX_EXPONENT + 1:

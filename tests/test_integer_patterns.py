@@ -154,7 +154,7 @@ def test_representable_sets_match_the_full_enumeration(fmt):
         everything = reference_integers(fmt, n, max(windows))
         for window in windows:
             expected = tuple(sorted(m for m in everything if -window <= m <= window))
-            assert oracle.representable_set(fmt, n, window).integers == expected, (n, window)
+            assert oracle.representable_set(fmt, n, window) == expected, (n, window)
 
 
 @pytest.fixture(scope="module")
@@ -199,25 +199,21 @@ def test_verify_fails_when_the_range_drops_an_end(capsys, monkeypatch, cls, end)
     def truncated(self, n):
         # From width 3 on the ends of each half are even, and the walk decodes
         # only odd patterns, so the positive half loses its lowest odd pattern
-        # and the negative half its highest.  Width 2 keeps its halves: there
-        # 01 is the only odd pattern of 1, and without it the min-length sweep
-        # for m = 1 runs on through 24 bits.
+        # and the negative half its highest.  At width 2 each half is one
+        # pattern, 01 (the only odd pattern of 1) or 11, and goes altogether.
         positive, negative = true_range(self, n)
-        if n == 2:
-            return positive, negative
         if end == "1":
             return range(positive.start + 2, positive.stop), negative
         return positive, range(negative.start, negative.stop - 2)
 
     monkeypatch.setattr(cls, "integer_patterns", truncated)
-    # Dropping the low end removes the only odd pattern of 2 (at width 5), so
-    # with m = 2 in the length checks the min-length sweep would run on
-    # through 24 bits.
-    code = cli.main(["verify", "--max-n", "8", "--max-m", "1"])
+    code = cli.main(["verify", "--max-n", "8", "--max-m", "16"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_VERIFICATION
     family = cls().family
     assert f"FAIL  {family} largest-consecutive formula vs oracle, n=5..8: n=5:" in out
+    if end == "1":
+        assert f"FAIL  {family} min-length formula vs oracle, m=1..16: m=1: formula 2, oracle None" in out
 
 
 @pytest.mark.parametrize(

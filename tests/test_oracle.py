@@ -22,9 +22,7 @@ POSIT5_INTEGERS = (-64, -16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 64)
 
 def test_posit5_representable_set():
     result = oracle.representable_set(PositFormat(), 5, 100)
-    assert result.integers == POSIT5_INTEGERS
-    assert result.n == 5
-    assert result.window == 100
+    assert result == POSIT5_INTEGERS
     assert 16 in result
     assert 3 not in result
 
@@ -37,13 +35,13 @@ def test_representable_set_membership():
 
 def test_takum12_covers_small_integers():
     result = oracle.representable_set(TakumFormat(), 12, 10)
-    assert result.integers == tuple(range(-10, 11))
+    assert result == tuple(range(-10, 11))
 
 
 def test_e4m3_largest_integer():
     result = oracle.representable_set(PRESETS["e4m3"], window=500)
-    assert max(result.integers) == 448
-    assert min(result.integers) == -448
+    assert max(result) == 448
+    assert min(result) == -448
 
 
 def test_representable_set_validation():
@@ -58,14 +56,14 @@ def test_representable_set_validation():
 def test_workers_match_serial():
     serial = oracle.representable_set(PositFormat(), 16, 50)
     parallel = oracle.representable_set(PositFormat(), 16, 50, workers=2)
-    assert serial.integers == parallel.integers
+    assert serial == parallel
 
 
 def test_workers_match_serial_for_a_minifloat():
     # A minifloat handle, codec property and all, pickles into pool workers.
     serial = oracle.representable_set(PRESETS["float16"], window=50)
     parallel = oracle.representable_set(PRESETS["float16"], window=50, workers=2)
-    assert serial.integers == parallel.integers
+    assert serial == parallel
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):
@@ -93,7 +91,7 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
     serial = oracle.representable_set(PositFormat(), 16, 50, workers=10_000)
     assert created == [3]
-    assert capped.integers == serial.integers
+    assert capped == serial
 
 
 def test_each_pool_task_scans_one_slice_of_each_half(monkeypatch):
@@ -118,7 +116,7 @@ def test_each_pool_task_scans_one_slice_of_each_half(monkeypatch):
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     pooled = oracle.representable_set(PositFormat(), 16, 50, workers=4)
-    assert pooled.integers == oracle.representable_set(PositFormat(), 16, 50).integers
+    assert pooled == oracle.representable_set(PositFormat(), 16, 50)
     positive, negative = PositFormat().integer_patterns(16)
     step = len(positive) // 4
     slices = [(positive[i : i + step], negative[i : i + step]) for i in range(0, len(positive), step)]
@@ -296,6 +294,25 @@ def test_check_min_length_catches_mutated_formula(monkeypatch, fmt):
     result = oracle.check_min_length(fmt, 16)
     assert not result.passed
     assert "m=7" in result.detail
+
+
+def test_check_min_length_stops_at_the_longest_formula_length(monkeypatch):
+    # 011 is the only odd pattern of 16, so with it hidden no width has 16;
+    # the sweep ends at width 8, the longest formula length for m <= 16,
+    # after the 64 odd patterns of the positive halves up to it.
+    calls = 0
+    true_decode = posit.decode_uint
+
+    def hiding(u, n):
+        nonlocal calls
+        calls += 1
+        return None if (u, n) == (0b011, 3) else true_decode(u, n)
+
+    monkeypatch.setattr(posit, "decode_uint", hiding)
+    result = oracle.check_min_length(PositFormat(), 16)
+    assert result.detail == "m=16: formula 3, oracle None"
+    assert not result.passed
+    assert calls <= 64
 
 
 @pytest.mark.parametrize(

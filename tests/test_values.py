@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intrep import DomainError, DyadicValue, IntegerProfile, integer_profile, posit, takum
+from intrep import DomainError, DyadicValue, integer_profile, posit, takum
 
 
 def test_constructors_and_kinds():
@@ -55,10 +55,11 @@ def test_from_mantissa_round_trips(sign, magnitude):
 
 
 def test_integer_profile_examples():
-    assert integer_profile(1) == IntegerProfile(1, 0)
-    assert integer_profile(12) == IntegerProfile(4, 2)
-    assert integer_profile(-16) == IntegerProfile(5, 4)
-    assert integer_profile(12).fraction_bits == 1
+    assert integer_profile(1) == (1, 0)
+    assert integer_profile(12) == (4, 2)
+    assert integer_profile(-16) == (5, 4)
+    v, w = integer_profile(12)
+    assert v - w - 1 == 1  # fraction bits below the leading 1
     with pytest.raises(DomainError):
         integer_profile(0)
 
@@ -67,8 +68,7 @@ def test_integer_profile_examples():
 def test_integer_profile_structure(odd_seed, w):
     odd = 2 * odd_seed - 1
     prof = integer_profile(odd << w)
-    assert prof.w == w
-    assert prof.v == odd.bit_length() + w
+    assert prof == (odd.bit_length() + w, w)
     assert prof == integer_profile(-(odd << w))
 
 
