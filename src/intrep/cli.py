@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from decimal import Context, Decimal
+from typing import NamedTuple
 
 from . import core, formats, minifloat, oracle, posit, takum
 from .core import DEFAULT_MAX_BITS, BitString, BudgetError, CapacityError, DomainError, FormatError
@@ -21,8 +21,7 @@ EXIT_VERIFICATION = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One line of the summary table."""
 
     name: str
@@ -106,12 +105,18 @@ def _render_table(rows: list[TableRow], exact: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None) -> int:
+    """Write text to stdout or to the file out; a file that cannot be written is a usage error."""
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(out, "w", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def cmd_decode(args) -> int:
@@ -142,8 +147,7 @@ def cmd_max_consecutive(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _write(_render_table(build_table(), args.exact), args.out)
-    return EXIT_OK
+    return _write(_render_table(build_table(), args.exact), args.out)
 
 
 def _exponent(k: int) -> int | str:
@@ -164,16 +168,14 @@ def figure_rows(n_min: int, n_max: int) -> list[tuple[int, int | str, int | str]
 def cmd_figure(args) -> int:
     lines = ["n,posit_exponent,takum_exponent"]
     lines += [f"{n},{p},{t}" for n, p, t in figure_rows(args.n_min, args.n_max)]
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _write("\n".join(lines) + "\n", args.out)
 
 
 def cmd_precision_profile(args) -> int:
     fmt = formats.parse_format(args.format)
     lines = ["exponent,non_fraction_bits"]
     lines += [f"{e},{b}" for e, b in fmt.precision_profile()]
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _write("\n".join(lines) + "\n", args.out)
 
 
 def cmd_verify(args) -> int:

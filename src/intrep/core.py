@@ -8,7 +8,7 @@ nonzero integer, and the encoders' shortest-pattern frame.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -91,14 +91,56 @@ class BitString:
         return f"BitString({str(self)!r})"
 
 
+class FrozenSlots:
+    """Base of the immutable format handles: a value made of the fields in _fields.
+
+    A subclass names its fields in __slots__ and _fields, in constructor
+    order, and passes their values to this __init__.  Instances are equal,
+    and hash equal, when their types and fields are; assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__, *self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuild through the constructor: pickle's default restores slots by
+        # assignment, which __setattr__ refuses.  Pool workers get handles so.
+        return self.__class__, self._values()
+
+
 class ValueKind(enum.Enum):
     ZERO = "zero"
     NAR = "nar"
     FINITE = "finite"
 
 
-@dataclass(frozen=True, slots=True)
-class DyadicValue:
+class DyadicValue(NamedTuple):
     """Exact decoded value: zero, NaR (not a real), or sign*significand*2**exponent2.
 
     Finite values are canonical: sign is +1 or -1 and the significand is an

@@ -11,33 +11,33 @@ type.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from types import ModuleType
 from typing import ClassVar, Union
 
 from . import minifloat, posit, takum
-from .core import BitString, DyadicValue, FormatError
+from .core import BitString, DyadicValue, FormatError, FrozenSlots
 from .minifloat import PRESETS, MinifloatSpec
 
 
-@dataclass(frozen=True, slots=True)
-class _TaperedFormat:
+class _TaperedFormat(FrozenSlots):
     """A posit or takum handle: width n, or the whole family when n is None.
 
     The family's codec module is a ClassVar, not a field, because handles are
     pickled into pool workers and a module cannot be pickled.
     """
 
-    n: int | None = None
+    __slots__ = _fields = ("n",)
+    n: int | None
 
     codec: ClassVar[ModuleType]
     # Width whose exponents a bare family handle profiles; None if it needs one.
     profile_width: ClassVar[int | None] = None
 
-    def __post_init__(self):
+    def __init__(self, n: int | None = None):
+        super().__init__(n)
         floor = self.codec.MIN_WIDTH
-        if self.n is not None and self.n < floor:
-            raise FormatError(f"{self.family} width must be at least {floor}, got {self.n}")
+        if n is not None and n < floor:
+            raise FormatError(f"{self.family} width must be at least {floor}, got {n}")
 
     @property
     def family(self) -> str:
@@ -93,13 +93,13 @@ class _TaperedFormat:
         return [(e, self.codec.non_fraction_bits(e)) for e in self.codec.exponent_range(n)]
 
 
-@dataclass(frozen=True, slots=True)
 class PositFormat(_TaperedFormat):
+    __slots__ = ()
     codec = posit
 
 
-@dataclass(frozen=True, slots=True)
 class TakumFormat(_TaperedFormat):
+    __slots__ = ()
     codec = takum
     profile_width = 12  # the first width that reaches the whole takum exponent range
 

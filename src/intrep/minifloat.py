@@ -16,10 +16,16 @@ only decoder; decode(spec, BitString) checks the width and wraps it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import partial
 
-from .core import BitString, DomainError, DyadicValue, FormatError, trailing_zero_count
+from .core import (
+    BitString,
+    DomainError,
+    DyadicValue,
+    FormatError,
+    FrozenSlots,
+    trailing_zero_count,
+)
 
 
 class SpecialValues(enum.Enum):
@@ -28,20 +34,27 @@ class SpecialValues(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class MinifloatSpec:
+class MinifloatSpec(FrozenSlots):
     """Shape of a minifloat format: exponent bits, fraction bits, bias, specials.
 
     It is also the format's handle, with the members formats.py relies on.
     """
 
+    __slots__ = _fields = ("exponent_bits", "fraction_bits", "bias", "special")
     exponent_bits: int
     fraction_bits: int
     bias: int
-    special: SpecialValues = SpecialValues.IEEE
+    special: SpecialValues
 
-    def __post_init__(self):
-        if self.exponent_bits < 1 or self.fraction_bits < 0:
+    def __init__(
+        self,
+        exponent_bits: int,
+        fraction_bits: int,
+        bias: int,
+        special: SpecialValues = SpecialValues.IEEE,
+    ):
+        super().__init__(exponent_bits, fraction_bits, bias, special)
+        if exponent_bits < 1 or fraction_bits < 0:
             raise FormatError(f"impossible minifloat shape: {self}")
 
     @property

@@ -15,9 +15,8 @@ appended zeros, so an even n-bit pattern repeats the value of an
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from . import formats, minifloat, takum
 from .core import BudgetError, DomainError, FormatError
@@ -43,8 +42,7 @@ def _enumeration_width(fmt: FormatSpec, n: int | None) -> int:
     return width
 
 
-@dataclass(frozen=True, slots=True)
-class ConsecutiveReport:
+class ConsecutiveReport(NamedTuple):
     """Largest k with every integer in [-k, k] representable at width n."""
 
     format: FormatSpec
@@ -82,6 +80,10 @@ def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers <= 1 or n < 16:
         return _add_integers(fmt, n, (range(1), positive, negative), window)  # pattern 0 is zero
+    # Imported on the first pooled call, not with the module: it loads
+    # multiprocessing, which no other path of `import intrep` needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     # Task i scans the i-th slice of each half; the halves have equal length.
     step = -(-len(positive) // workers)
     slices = [(positive[i : i + step], negative[i : i + step]) for i in range(0, len(positive), step)]
@@ -184,8 +186,7 @@ def min_length(fmt: FormatSpec, m: int, max_len: int = MAX_ENUM_BITS) -> int | N
     return 1
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one formula-vs-oracle suite."""
 
     name: str

@@ -1,6 +1,9 @@
-import dataclasses
+import errno
+import json
+import os
 import random
 import shlex
+import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -300,7 +303,7 @@ def test_table_ratios():
 
 def test_table_footnote_reads_the_computed_row():
     rows = [
-        dataclasses.replace(row, value=17) if row.name == "e4m3 (computed)" else row
+        row._replace(value=17) if row.name == "e4m3 (computed)" else row
         for row in cli.build_table()
     ]
     footnote = cli._render_table(rows, exact=False).splitlines()[-1]
@@ -364,6 +367,22 @@ def test_figure_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "n,posit_exponent,takum_exponent\n5,1,1\n6,2,1\n7,3,2\n8,4,3\n"
+
+
+@pytest.mark.parametrize(
+    "command,where,reason",
+    [
+        (["table"], "missing/table.txt", errno.ENOENT),
+        (["figure", "--n-max", "8"], ".", errno.EISDIR),
+        (["precision-profile", "--format", "e4m3"], "missing/profile.csv", errno.ENOENT),
+    ],
+    ids=["table-missing-directory", "figure-directory", "precision-profile-missing-directory"],
+)
+def test_out_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, command, where, reason):
+    target = tmp_path / where
+    code, out, err = run(capsys, [*command, "--out", str(target)])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {target}: {os.strerror(reason)}\n"
 
 
 # ----------------------------------------------------- precision-profile
@@ -550,3 +569,35 @@ def test_readme_verify_example_lines_are_real_output_lines_in_order(capsys):
     for line in output.splitlines():
         if line != "...":
             assert line in real, line  # consumes real up to the match, so order counts
+
+
+# ------------------------------------------------------------ cold start
+
+# Prints the modules that `import intrep` adds, then those that one decode adds
+# on top, each as a set difference taken inside one fresh interpreter, so
+# modules the interpreter loaded at start-up do not count.
+IMPORTED_MODULES = """
+import json, sys
+before = set(sys.modules)
+import intrep
+imported = set(sys.modules) - before
+intrep.cli.main(["decode", "--format", "posit8", "--bits", "011"])
+print(json.dumps([sorted(imported), sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_a_query_loads_neither_the_process_pool_nor_dataclasses():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORTED_MODULES],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    decoded, report = child.stdout.splitlines()
+    assert decoded == "16"
+    imported, ran = map(set, json.loads(report))
+    assert "intrep.cli" in imported
+    heavy = {"dataclasses", "multiprocessing", "concurrent.futures.process"}
+    assert heavy & imported == set()
+    assert heavy & ran == set()

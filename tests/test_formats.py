@@ -1,4 +1,5 @@
 import ast
+import pickle
 import re
 from collections import Counter
 from pathlib import Path
@@ -67,6 +68,31 @@ def test_format_name_round_trip(name):
 def test_format_name_custom_minifloat():
     spec = MinifloatSpec(3, 2, 3)
     assert spec.name == "minifloat(e=3,f=2,bias=3,ieee)"
+
+
+def test_handles_are_immutable_values():
+    assert PositFormat(16) != TakumFormat(16)
+    assert PositFormat(16) == PositFormat(n=16)
+    assert hash(PositFormat(16)) == hash(PositFormat(n=16))
+    assert MinifloatSpec(5, 10, 15) == PRESETS["float16"]
+    assert hash(MinifloatSpec(5, 10, 15)) == hash(PRESETS["float16"])
+    assert repr(PositFormat(16)) == "PositFormat(n=16)"
+    assert repr(TakumFormat()) == "TakumFormat(n=None)"
+    for handle, field in ((PositFormat(16), "n"), (PRESETS["e4m3"], "bias")):
+        with pytest.raises(AttributeError):
+            setattr(handle, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(handle, field)
+        with pytest.raises(AttributeError):
+            handle.other = 0
+
+
+@pytest.mark.parametrize(
+    "fmt", [PositFormat(), TakumFormat(12), *PRESETS.values()], ids=lambda fmt: fmt.name
+)
+def test_handles_pickle(fmt):
+    copy = pickle.loads(pickle.dumps(fmt))
+    assert type(copy) is type(fmt) and copy == fmt
 
 
 def test_format_width():

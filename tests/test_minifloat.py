@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from intrep import (
@@ -170,7 +172,11 @@ def test_exponent_domain():
 
 
 def test_invalid_shape_rejected():
-    with pytest.raises(FormatError):
+    shape = (
+        "MinifloatSpec(exponent_bits=0, fraction_bits=3, bias=1, "
+        "special=<SpecialValues.IEEE: 'ieee'>)"
+    )
+    with pytest.raises(FormatError, match=re.escape(f"impossible minifloat shape: {shape}")):
         MinifloatSpec(0, 3, 1)
     with pytest.raises(FormatError):
         MinifloatSpec(4, -1, 1)

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from intrep import (
@@ -84,7 +86,7 @@ def test_workers_capped_at_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     capped = oracle.representable_set(PositFormat(), 16, 50, workers=10_000)
     assert created == [3]
@@ -113,7 +115,7 @@ def test_each_pool_task_scans_one_slice_of_each_half(monkeypatch):
             tasks.extend(zip(*iterables))
             return map(fn, *iterables)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     pooled = oracle.representable_set(PositFormat(), 16, 50, workers=4)
     assert pooled == oracle.representable_set(PositFormat(), 16, 50)
