@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Context, Decimal
 from typing import NamedTuple
 
 from . import core, formats, minifloat, oracle, posit, takum
@@ -69,6 +68,8 @@ def render_magnitude(value: int, exact: bool = False) -> str:
     if exact or value < 10**5:
         text = core.decimal_text(value)
         return f"{power} = {text}" if power else text
+    # Imported here, not with the module: only this approximation needs it.
+    from decimal import Context, Decimal
     # The top 100 bits scaled in 30 digits round correctly at any size.
     shift = max(value.bit_length() - 100, 0)
     ctx = Context(prec=30)
@@ -239,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = add("verify", cmd_verify, "run every formula-vs-oracle suite")
-    p.add_argument("--max-n", type=int, default=16, help="largest posit/takum width swept (<= 24)")
-    cap = oracle.MAX_LENGTH_M
+    widest, cap = oracle.MAX_ENUM_BITS, oracle.MAX_LENGTH_M
+    swept = f"largest posit/takum width swept (<= {widest})"
+    p.add_argument("--max-n", type=int, default=16, help=swept)
     p.add_argument("--max-m", type=int, default=4096, help=f"largest m in length checks (<= {cap})")
 
     return parser

@@ -242,23 +242,24 @@ def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> Bit
     "0" for m = 0, CapacityError when the shortest pattern, min_length(m)
     bits, exceeds max_bits.  head(v) is the (value, width) of the bits before
     the fraction of a positive integer with bit length v.  A result not
-    min_length(m) wide raises ArithmeticError.
+    min_length(m) wide, zero's one bit included, raises ArithmeticError.
     """
     need = min_length(m)
     if need > max_bits:
         raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")
     if m == 0:
-        return BitString("0")
-    v, w = integer_profile(m)
-    fraction_bits = v - w - 1  # explicit significand bits below the leading 1
-    value, width = head(v)
-    frac = (abs(m) >> w) & ((1 << fraction_bits) - 1)
-    u = (value << fraction_bits) | frac
-    # Appended zeros never change a value, so the shortest pattern drops them all.
-    # A positive pattern starts "01", so at least two bits stay.
-    drop = trailing_zero_count(u)
-    u >>= drop
-    width += fraction_bits - drop
+        u, width = 0, 1
+    else:
+        v, w = integer_profile(m)
+        fraction_bits = v - w - 1  # explicit significand bits below the leading 1
+        value, width = head(v)
+        frac = (abs(m) >> w) & ((1 << fraction_bits) - 1)
+        u = (value << fraction_bits) | frac
+        # Appended zeros never change a value, so the shortest pattern drops them all.
+        # A positive pattern starts "01", so at least two bits stay.
+        drop = trailing_zero_count(u)
+        u >>= drop
+        width += fraction_bits - drop
     if m < 0:
         u = -u & ((1 << width) - 1)
     if width != need:

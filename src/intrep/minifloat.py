@@ -54,7 +54,9 @@ class MinifloatSpec(FrozenSlots):
         special: SpecialValues = SpecialValues.IEEE,
     ):
         super().__init__(exponent_bits, fraction_bits, bias, special)
-        if exponent_bits < 1 or fraction_bits < 0:
+        shape = (exponent_bits, fraction_bits, bias)
+        typed = isinstance(special, SpecialValues) and all(type(x) is int for x in shape)
+        if not typed or exponent_bits < 1 or fraction_bits < 0:
             raise FormatError(f"impossible minifloat shape: {self}")
 
     @property

@@ -43,7 +43,7 @@ def _enumeration_width(fmt: FormatSpec, n: int | None) -> int:
 
 
 class ConsecutiveReport(NamedTuple):
-    """Largest k with every integer in [-k, k] representable at width n."""
+    """Largest k with every integer in [-k, k] representable at width n; -1 if not even 0 is."""
 
     format: FormatSpec
     n: int
@@ -98,7 +98,7 @@ def _odd_patterns(fmt: FormatSpec, n: int) -> list[range]:
 
 
 def _consecutive_run(found: set[int], k: int) -> int:
-    """The largest k' >= k with every integer in [-k', k'] in found, given [-k, k] is."""
+    """The largest k' >= k with [-k', k'] in found, given [-k, k] is; k = -1 assumes nothing."""
     while k + 1 in found and -(k + 1) in found:
         k += 1
     return k
@@ -111,7 +111,7 @@ def representable_set(
     workers: int | None = None,
 ) -> tuple[int, ...]:
     """The representable integers in [-window, window] at width n, ascending."""
-    if window is None or window < 1:
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
     width = _enumeration_width(fmt, n)
     found = _integers_at_width(fmt, width, window, workers)
@@ -131,7 +131,7 @@ def largest_consecutive(
     width = _enumeration_width(fmt, n)
     # k is bounded by the pattern count, so a window of 2^width loses nothing.
     found = _integers_at_width(fmt, width, 1 << width, workers)
-    k = _consecutive_run(found, 0)
+    k = _consecutive_run(found, -1)
     try:
         closed = fmt.closed_form(width)
     except DomainError:  # the format's shape has no closed form
@@ -152,17 +152,20 @@ def min_length_table(
     is scanned only while a positive target remains, its negative half only
     while a negative target remains.  The sweep stops at the
     pattern that resolves the last target: every shorter width has been
-    scanned by then, so no length can change.  Entries left None were not
-    representable within max_len bits.
+    scanned by then, so no length can change.  A target 0 is 1 if the
+    1-bit pattern 0, which every pattern 0 extends, is zero.  Entries left
+    None were not representable within max_len bits.
     """
     _check_budget(max_len)
     fmt.codec  # refuses a minifloat, which has no variable-length encoding
     targets = list(targets)
-    if any(isinstance(m, bool) or not isinstance(m, int) or m == 0 for m in targets):
-        raise FormatError("targets must be nonzero integers")
+    if any(isinstance(m, bool) or not isinstance(m, int) for m in targets):
+        raise FormatError("targets must be integers")
     positive = {m for m in targets if m > 0}
     negative = {m for m in targets if m < 0}
     lengths: dict[int, int | None] = dict.fromkeys(targets)
+    if 0 in lengths and 0 in _integers(fmt.pattern_kernel(1), (0,)):
+        lengths[0] = 1
     for width in range(2, max_len + 1):
         if not positive and not negative:
             break
@@ -180,10 +183,7 @@ def min_length_table(
 
 def min_length(fmt: FormatSpec, m: int, max_len: int = MAX_ENUM_BITS) -> int | None:
     """Minimal bits representing m exactly, or None if max_len does not suffice."""
-    if m != 0:
-        return min_length_table(fmt, [m], max_len)[m]
-    min_length_table(fmt, [], max_len)  # the handle and budget checks every other m gets
-    return 1
+    return min_length_table(fmt, [m], max_len)[m]
 
 
 class CheckResult(NamedTuple):
@@ -213,7 +213,7 @@ def _consecutive_walk(fmt: PositFormat | TakumFormat, max_n: int):
     """
     window = 1 << max_n
     found = _add_integers(fmt, max_n, (range(1),), window)  # pattern 0, zero
-    k = 0
+    k = -1
     for n in range(2, max_n + 1):
         _add_integers(fmt, n, _odd_patterns(fmt, n), window, found)
         k = _consecutive_run(found, k)
@@ -276,18 +276,21 @@ def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
     return CheckResult(name, True, "exact agreement")
 
 
+def _negated(value: tuple[int, int, int] | None) -> tuple[int, int, int] | None:
+    """The decode_uint triple of -value; zero and NaR (None) are their own negatives."""
+    return value if value is None or not value[1] else (-value[0], value[1], value[2])
+
+
 def check_negation_closure(max_n: int = 14) -> CheckResult:
-    """Every finite nonzero pattern's two's complement decodes to its negative.
+    """Every pattern's two's complement decodes to its negative.
 
     Patterns pair up as p and -p mod 2^n with p in [0, 2^(n-1)], so each is
-    decoded once; 0 and 2^(n-1), zero and NaR, pair with themselves and pass
-    only if they are not finite and nonzero.  Past the first width, p runs
-    over 0, the odd patterns and 2^(n-1) only: an even pair 2q, -2q mod 2^n
-    is the (n-1)-bit pair q, -q mod 2^(n-1) zero-extended, checked one width
-    before.  A pair passes when both values are finite, nonzero and
-    negatives of each other, or when neither is finite and nonzero.  A
-    failure names the first finite nonzero pattern, in ascending order,
-    whose negation is wrong.
+    decoded once; 0 and 2^(n-1) pair with themselves, so each must be zero
+    or NaR.  Past the first width, p runs over 0, the odd patterns and
+    2^(n-1) only: an even pair 2q, -2q mod 2^n is the (n-1)-bit pair
+    q, -q mod 2^(n-1) zero-extended, checked one width before.  A pair
+    passes when decode(-p mod 2^n) equals _negated(decode(p)); a failure
+    names the first p, in ascending order, whose pair does not.
     """
     _check_max_n(max_n)
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
@@ -299,17 +302,9 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
                 patterns = range(half + 1)
             else:
                 patterns = chain((0,), range(1, half, 2), (half,))
-            failed = None
-            for pattern in patterns:
-                value, negated = decode(pattern, n), decode(-pattern & mask, n)
-                if value is not None and value[1]:
-                    if negated != (-value[0], value[1], value[2]):
-                        failed = pattern
-                        break
-                elif negated is not None and negated[1]:
-                    failed = -pattern & mask  # p ascends, so this ends at the smallest
-            if failed is not None:
-                return CheckResult(name, False, f"{fmt.family} pattern {failed:0{n}b} at n={n}")
+            for p in patterns:
+                if decode(-p & mask, n) != _negated(decode(p, n)):
+                    return CheckResult(name, False, f"{fmt.family} pattern {p:0{n}b} at n={n}")
     return CheckResult(name, True, "negation holds for every finite pattern")
 
 
@@ -318,8 +313,8 @@ def check_round_trip(max_m: int = 4096) -> CheckResult:
     _check_max_m(max_m)
     for fmt in (PositFormat(), TakumFormat()):
         encode, decode = fmt.codec.encode_integer, fmt.codec.decode
-        for a in range(1, max_m + 1):
-            for m in (a, -a):
+        for a in range(max_m + 1):
+            for m in (a, -a) if a else (0,):
                 try:
                     bits = encode(m)
                 except ArithmeticError as exc:  # the pattern is not min_length(m) wide

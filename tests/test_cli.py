@@ -598,6 +598,6 @@ def test_a_query_loads_neither_the_process_pool_nor_dataclasses():
     assert decoded == "16"
     imported, ran = map(set, json.loads(report))
     assert "intrep.cli" in imported
-    heavy = {"dataclasses", "multiprocessing", "concurrent.futures.process"}
+    heavy = {"dataclasses", "decimal", "multiprocessing", "concurrent.futures.process"}
     assert heavy & imported == set()
     assert heavy & ran == set()

@@ -281,7 +281,7 @@ VERIFY_KERNEL_CALLS = {
     "check_minifloat_consecutive": 68124,
     "check_min_length": 61440 + 95232,
     "check_negation_closure": 32844,
-    "check_round_trip": 16384,
+    "check_round_trip": 16386,
     "check_analytic_consecutive": 0,
     "known_discrepancies": 145,
 }
@@ -315,4 +315,4 @@ def test_verify_all_kernel_calls(monkeypatch):
         monkeypatch.setattr(oracle, name, measured(name, getattr(oracle, name)))
     oracle.verify_all()
     assert calls == VERIFY_KERNEL_CALLS
-    assert total == 339707
+    assert total == 339709

@@ -180,3 +180,8 @@ def test_invalid_shape_rejected():
         MinifloatSpec(0, 3, 1)
     with pytest.raises(FormatError):
         MinifloatSpec(4, -1, 1)
+    # Malformed values that the arithmetic would otherwise take: "ieee" is
+    # not SpecialValues.IEEE, so 01111000 would decode as 256, not +inf.
+    for malformed in [(4, 3, 7, "ieee"), (4, 3, 7.5), (4.0, 3, 7), (True, 3, 7), (4, 3, False)]:
+        with pytest.raises(FormatError, match="impossible minifloat shape"):
+            MinifloatSpec(*malformed)

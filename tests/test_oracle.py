@@ -9,6 +9,7 @@ from intrep import (
     MinifloatSpec,
     PositFormat,
     TakumFormat,
+    cli,
     minifloat,
     oracle,
     posit,
@@ -51,6 +52,8 @@ def test_representable_set_validation():
         oracle.representable_set(PositFormat(), 8)  # no window
     with pytest.raises(FormatError):
         oracle.representable_set(PositFormat(), 8, 0)
+    with pytest.raises(FormatError):
+        oracle.representable_set(PositFormat(), 5, window=True)
     with pytest.raises(BudgetError):
         oracle.representable_set(PositFormat(), 25, 10)
 
@@ -170,6 +173,19 @@ def test_largest_consecutive_needs_both_signs(monkeypatch):
     assert report.agreement is False
 
 
+def test_a_pattern_0_that_is_not_zero_is_seen(monkeypatch, capsys):
+    # Zero goes through the same rule as every other integer: nothing
+    # presumes that pattern 0 decodes to it.
+    true_decode = posit.decode_uint
+    monkeypatch.setattr(posit, "decode_uint", lambda u, n: None if u == 0 else true_decode(u, n))
+    report = oracle.largest_consecutive(PositFormat(8))
+    assert (report.value, report.agreement) == (-1, False)
+    assert oracle.min_length(PositFormat(), 0) is None
+    assert cli.main(["verify", "--max-n", "8", "--max-m", "16"]) == cli.EXIT_VERIFICATION
+    expected = "FAIL  posit largest-consecutive formula vs oracle, n=5..8: n=5: closed form 2, oracle -1"
+    assert expected in capsys.readouterr().out.splitlines()
+
+
 def test_largest_consecutive_budget():
     with pytest.raises(BudgetError):
         oracle.largest_consecutive(PositFormat(), 25)
@@ -193,8 +209,7 @@ def test_min_length_not_found_is_none():
 
 
 def test_min_length_table_validation():
-    with pytest.raises(FormatError):
-        oracle.min_length_table(PositFormat(), [0, 1])
+    assert oracle.min_length_table(PositFormat(), [0, 1]) == {0: 1, 1: 2}
     with pytest.raises(FormatError):
         oracle.min_length_table(PRESETS["e4m3"], [1, 2])
     with pytest.raises(BudgetError):
@@ -205,6 +220,11 @@ def test_min_length_table_validation():
 def test_min_length_table_rejects_non_int_targets(targets):
     with pytest.raises(FormatError):
         oracle.min_length_table(PositFormat(), targets)
+
+
+@pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
+def test_min_length_table_counts_zero(fmt):
+    assert oracle.min_length_table(fmt, [0, 1, -1]) == {0: 1, 1: 2, -1: 2}
 
 
 def test_min_length_table_sweep():
@@ -335,23 +355,27 @@ def test_check_takum_consecutive_catches_mutated_formula(monkeypatch, module, ch
 
 
 @pytest.mark.parametrize(
-    "module,pattern,value,named",
+    "module,overrides,named",
     [
         # 111011 is -(000101): corrupting it breaks 000101's negation.
-        (posit, 0b111011, (-1, 3, -8), "posit pattern 000101"),
-        # 000101 is NaR while 111011 stays finite, so 111011's negation fails.
-        (takum, 0b000101, None, "takum pattern 111011"),
+        (posit, {0b111011: (-1, 3, -8)}, "posit pattern 000101"),
+        # 000101 is NaR while 111011 stays finite, so the pair fails.
+        (takum, {0b000101: None}, "takum pattern 000101"),
+        # Neither value is finite and nonzero, yet zero's negative is not NaR.
+        (takum, {0b000101: (1, 0, 0), 0b111011: None}, "takum pattern 000101"),
         # Zero's and NaR's patterns are their own two's complements, so
         # neither may be finite and nonzero.
-        (takum, 0b000000, (1, 1, 0), "takum pattern 000000"),
-        (posit, 0b100000, (1, 1, 0), "posit pattern 100000"),
+        (takum, {0b000000: (1, 1, 0)}, "takum pattern 000000"),
+        (posit, {0b100000: (1, 1, 0)}, "posit pattern 100000"),
     ],
-    ids=["negative-half", "positive-half-nar", "zero", "nar"],
+    ids=["negative-half", "positive-half-nar", "zero-and-nar", "zero", "nar"],
 )
-def test_check_negation_closure_catches_mutated_kernel(monkeypatch, module, pattern, value, named):
+def test_check_negation_closure_catches_mutated_kernel(monkeypatch, module, overrides, named):
     true_decode = module.decode_uint
     monkeypatch.setattr(
-        module, "decode_uint", lambda u, n: value if (u, n) == (pattern, 6) else true_decode(u, n)
+        module,
+        "decode_uint",
+        lambda u, n: overrides[u] if n == 6 and u in overrides else true_decode(u, n),
     )
     result = oracle.check_negation_closure(6)
     assert not result.passed

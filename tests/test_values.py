@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intrep import DomainError, DyadicValue, integer_profile, posit, takum
+from intrep import DomainError, DyadicValue, integer_profile, oracle, posit, takum
 
 
 def test_constructors_and_kinds():
@@ -78,6 +78,11 @@ def test_encoders_check_their_width_against_min_length(monkeypatch, codec, delta
     # The check is a raise, not an assert, so it also runs under python -O.
     true_length = codec.min_length
     monkeypatch.setattr(codec, "min_length", lambda m: true_length(m) + delta)
-    for m in (5, -12, (1 << 40) + 3):
+    for m in (0, 5, -12, (1 << 40) + 3):
         with pytest.raises(ArithmeticError):
             codec.encode_integer(m)
+    # Zero is the first integer the round trip encodes, through the same check.
+    result = oracle.check_round_trip(16)
+    assert not result.passed
+    family = codec.__name__.rpartition(".")[2]
+    assert result.detail == f"{family} encoding of 0 has 1 bits, not {1 + delta}"
