@@ -140,6 +140,12 @@ class ValueKind(enum.Enum):
     FINITE = "finite"
 
 
+# The members as module globals: ValueKind.FINITE is a lookup on the enum
+# class, several times slower than a global, and a decode reads a kind two
+# or three times.
+_ZERO, _NAR, _FINITE = ValueKind.ZERO, ValueKind.NAR, ValueKind.FINITE
+
+
 class DyadicValue(NamedTuple):
     """Exact decoded value: zero, NaR (not a real), or sign*significand*2**exponent2.
 
@@ -154,11 +160,11 @@ class DyadicValue(NamedTuple):
 
     @classmethod
     def zero(cls) -> "DyadicValue":
-        return cls(ValueKind.ZERO)
+        return cls(_ZERO)
 
     @classmethod
     def nar(cls) -> "DyadicValue":
-        return cls(ValueKind.NAR)
+        return cls(_NAR)
 
     @classmethod
     def from_mantissa(cls, sign: int, numerator: int, exponent2: int) -> "DyadicValue":
@@ -166,45 +172,46 @@ class DyadicValue(NamedTuple):
         if sign not in (1, -1) or numerator <= 0:
             raise DomainError("finite values need sign in {1,-1} and numerator > 0")
         shift = trailing_zero_count(numerator)
-        return cls(ValueKind.FINITE, sign, numerator >> shift, exponent2 + shift)
+        return cls(_FINITE, sign, numerator >> shift, exponent2 + shift)
 
     @classmethod
     def from_triple(cls, triple: tuple[int, int, int] | None) -> "DyadicValue":
         """Value of a decode_uint result: None is NaR, a zero significand is zero.
 
         A finite triple is already canonical (odd significand), so it is
-        taken as is.
+        taken as is, and built by tuple.__new__: the named tuple's own
+        __new__ is a Python function, one more frame per decode.
         """
         if triple is None:
             return cls.nar()
         sign, significand, exponent2 = triple
-        if significand == 0:
+        if not significand:
             return cls.zero()
-        return cls(ValueKind.FINITE, sign, significand, exponent2)
+        return tuple.__new__(cls, (_FINITE, sign, significand, exponent2))
 
     @property
     def is_zero(self) -> bool:
-        return self.kind is ValueKind.ZERO
+        return self.kind is _ZERO
 
     @property
     def is_nar(self) -> bool:
-        return self.kind is ValueKind.NAR
+        return self.kind is _NAR
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is ValueKind.FINITE
+        return self.kind is _FINITE
 
     def is_integer(self) -> bool:
-        if self.is_zero:
-            return True
-        return self.is_finite and self.exponent2 >= 0
+        kind = self.kind
+        return kind is _ZERO or (kind is _FINITE and self.exponent2 >= 0)
 
     def as_integer(self) -> int:
-        if not self.is_integer():
-            raise DomainError(f"{self} is not an integer")
-        if self.is_zero:
+        kind, sign, significand, exponent2 = self
+        if kind is _FINITE and exponent2 >= 0:
+            return sign * (significand << exponent2)
+        if kind is _ZERO:
             return 0
-        return self.sign * (self.significand << self.exponent2)
+        raise DomainError(f"{self} is not an integer")
 
     def __str__(self) -> str:
         if self.is_zero:

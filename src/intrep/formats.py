@@ -3,9 +3,11 @@
 A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
 takum handles may carry a width or stand for the whole family (width None);
 minifloat widths are intrinsic to the spec.  Every handle carries its
-family's operations (name, width, codec, pattern_kernel, integer_patterns,
+family's operations (name, width, codec, decode_patterns, integer_patterns,
 closed_form, precision_profile), so callers do not branch on the handle's
-type.
+type.  decode_patterns(n, patterns) is the batch decode: the family's
+decode_uint of each n-bit pattern, lazily and in order, with the width's
+masks and shifts worked out once for the whole batch.
 """
 
 from __future__ import annotations
@@ -51,18 +53,9 @@ class _TaperedFormat(FrozenSlots):
     def width(self) -> int | None:
         return self.n
 
-    def pattern_kernel(self, n: int):
-        """The codec's decode_uint at width n, as a function of the pattern alone.
-
-        A positional closure: a keyword partial rebuilds its keyword dict on
-        every call, which costs about a fifth of a short pattern's decode.
-        """
-        decode_uint = self.codec.decode_uint
-
-        def decode(u: int):
-            return decode_uint(u, n)
-
-        return decode
+    def decode_patterns(self, n: int, patterns):
+        """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints."""
+        return self.codec.decode_uints(patterns, n)
 
     def integer_patterns(self, n: int) -> tuple[range, range]:
         """The positive and the negative n-bit patterns that can be a nonzero integer.

@@ -9,14 +9,16 @@ exponent field is spent, captured by SpecialValues:
           every other all-ones-exponent pattern is an ordinary normal number
   NONE  - no special patterns at all; all-ones exponent is an ordinary normal
 
-decode_uint(spec, u) decodes a pattern held as a plain integer and is the
-only decoder; decode(spec, BitString) checks the width and wraps it.
+decode_uint(spec, u) decodes a pattern held as a plain integer, and
+decode_uints(spec, patterns) decodes many; both run the one decode body,
+_decode, on the layout the spec worked out when it was built, and
+decode(spec, BitString) checks the width and wraps decode_uint.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import partial
+from itertools import repeat
 
 from .core import (
     BitString,
@@ -24,7 +26,6 @@ from .core import (
     DyadicValue,
     FormatError,
     FrozenSlots,
-    trailing_zero_count,
 )
 
 
@@ -40,7 +41,10 @@ class MinifloatSpec(FrozenSlots):
     It is also the format's handle, with the members formats.py relies on.
     """
 
-    __slots__ = _fields = ("exponent_bits", "fraction_bits", "bias", "special")
+    _fields = ("exponent_bits", "fraction_bits", "bias", "special")
+    # _layout, outside _fields, is the decode body's arguments after the
+    # pattern: set once here, it leaves equality, hash and pickling alone.
+    __slots__ = (*_fields, "_layout")
     exponent_bits: int
     fraction_bits: int
     bias: int
@@ -58,6 +62,24 @@ class MinifloatSpec(FrozenSlots):
         typed = isinstance(special, SpecialValues) and all(type(x) is int for x in shape)
         if not typed or exponent_bits < 1 or fraction_bits < 0:
             raise FormatError(f"impossible minifloat shape: {self}")
+        frac_mask = (1 << fraction_bits) - 1
+        # Under an all-ones exponent field, the fractions from nar_from up are NaR.
+        if special is SpecialValues.IEEE:
+            nar_from = 0  # infinities and NaNs
+        elif special is SpecialValues.E4M3:
+            nar_from = frac_mask  # the single NaN
+        else:
+            nar_from = frac_mask + 1  # none
+        layout = (
+            exponent_bits + fraction_bits,
+            fraction_bits,
+            (1 << exponent_bits) - 1,
+            frac_mask,
+            nar_from,
+            frac_mask + 1,
+            bias + fraction_bits,
+        )
+        object.__setattr__(self, "_layout", layout)
 
     @property
     def width(self) -> int:
@@ -90,9 +112,9 @@ class MinifloatSpec(FrozenSlots):
         """A posit or takum handle's variable-length codec module; a minifloat has none."""
         raise FormatError(f"{self.name} has no variable-length encoding")
 
-    def pattern_kernel(self, n: int):
-        """decode_uint for this spec as a function of the pattern alone; n is its width."""
-        return partial(decode_uint, self)
+    def decode_patterns(self, n: int, patterns):
+        """decode_uints(self, patterns); n is its width."""
+        return decode_uints(self, patterns)
 
     def integer_patterns(self, n: int) -> tuple[range, range]:
         """The positive and the negative patterns that can be a nonzero integer; n is the width.
@@ -135,30 +157,48 @@ def decode_uint(spec: MinifloatSpec, u: int) -> tuple[int, int, int] | None:
     Returns (sign, odd significand, exponent2), (1, 0, 0) for either zero,
     or None for NaR (infinities and NaNs alike).
     """
-    fraction_bits, exponent_bits = spec.fraction_bits, spec.exponent_bits
-    if u < 0 or u >> (1 + exponent_bits + fraction_bits):
-        raise FormatError(f"{u} does not fit in {spec.width} bits")
-    s = u >> (exponent_bits + fraction_bits)
-    all_ones = (1 << exponent_bits) - 1
+    return _decode(u, *spec._layout)
+
+
+def decode_uints(spec: MinifloatSpec, patterns):
+    """decode_uint(spec, u) of each pattern, lazily, in order."""
+    return map(_decode, patterns, *map(repeat, spec._layout))
+
+
+def _decode(
+    u: int,
+    sign_shift: int,
+    fraction_bits: int,
+    all_ones: int,
+    frac_mask: int,
+    nar_from: int,
+    hidden: int,
+    offset: int,
+) -> tuple[int, int, int] | None:
+    """decode_uint's arithmetic, given the spec's layout (MinifloatSpec._layout).
+
+    The layout is the sign's shift, the fraction bits, the all-ones exponent
+    field and fraction mask, the least fraction that is NaR under an
+    all-ones exponent field (past the mask when none is), the hidden bit,
+    and bias + fraction_bits.
+    """
+    s = u >> sign_shift
+    if s >> 1:  # u < 0 or u >= 2^width: the sign "bit" is neither 0 nor 1
+        raise FormatError(f"{u} does not fit in {sign_shift + 1} bits")
     exp_field = (u >> fraction_bits) & all_ones
-    frac = u & ((1 << fraction_bits) - 1)
-
-    if exp_field == all_ones:
-        if spec.special is SpecialValues.IEEE:
-            return None
-        if spec.special is SpecialValues.E4M3 and frac == (1 << fraction_bits) - 1:
-            return None
-
-    if exp_field == 0:
-        if frac == 0:
-            return (1, 0, 0)
+    frac = u & frac_mask
+    if exp_field == all_ones and frac >= nar_from:
+        return None
+    if exp_field:
+        numer = hidden | frac
+        exponent = exp_field - offset
+    elif frac:  # subnormal: the exponent of the smallest normals
         numer = frac
-        exponent = spec.min_normal_exponent
+        exponent = 1 - offset
     else:
-        numer = (1 << fraction_bits) + frac
-        exponent = exp_field - spec.bias
-    shift = trailing_zero_count(numer)
-    return (-1 if s else 1), numer >> shift, exponent - fraction_bits + shift
+        return (1, 0, 0)
+    shift = (numer & -numer).bit_length() - 1  # trailing_zero_count(numer), one call fewer
+    return (-1 if s else 1), numer >> shift, exponent + shift
 
 
 def decode(spec: MinifloatSpec, bits: BitString) -> DyadicValue:

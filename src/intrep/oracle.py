@@ -2,20 +2,22 @@
 
 Everything here works by decoding pattern spaces — no shortcuts shared
 with the formulas under test — so agreement between the two routes is
-meaningful evidence.  Patterns are enumerated as plain integers through each
-family's decode_uint kernel.  Enumeration is capped at 24-bit widths, and
-skips only patterns that cannot change an answer: a nonzero integer comes
-only from the two halves of the handle's integer_patterns(n) (for posit and
-takum, the patterns from 1 up to the sign bit and from past NaR to -1), and
-zero only from pattern 0.  Posit and takum values do not change under
-appended zeros, so an even n-bit pattern repeats the value of an
-(n-1)-bit one: a walk over widths decodes only the odd patterns of each.
+meaningful evidence.  Patterns are enumerated as plain integers and decoded
+a width at a time, lazily, by the handle's decode_patterns, which works out
+the width's layout once for the whole batch.  Enumeration is capped at
+24-bit widths, and skips only patterns that cannot change an answer: a
+nonzero integer comes only from the two halves of the handle's
+integer_patterns(n) (for posit and takum, the patterns from 1 up to the
+sign bit and from past NaR to -1), and zero only from pattern 0.  Posit
+and takum values do not change under appended zeros, so an even n-bit
+pattern repeats the value of an (n-1)-bit one: a walk over widths decodes
+only the odd patterns of each.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from typing import NamedTuple
 
 from . import formats, minifloat, takum
@@ -53,9 +55,9 @@ class ConsecutiveReport(NamedTuple):
     agreement: bool | None  # oracle vs closed form; None when no closed form applies
 
 
-def _integers(decode, patterns):
-    """The integer of each decoded triple that is one, pattern by pattern."""
-    for value in map(decode, patterns):
+def _integers(values):
+    """The integer of each decoded triple that is one, in order."""
+    for value in values:
         if value is not None and value[2] >= 0:
             yield value[0] * (value[1] << value[2])
 
@@ -69,7 +71,7 @@ def _add_integers(
     afterwards, would hold every integer twice at the peak.
     """
     found = set() if found is None else found
-    for m in _integers(fmt.pattern_kernel(n), chain.from_iterable(parts)):
+    for m in _integers(fmt.decode_patterns(n, chain.from_iterable(parts))):
         if -window <= m <= window:
             found.add(m)
     return found
@@ -164,7 +166,7 @@ def min_length_table(
     positive = {m for m in targets if m > 0}
     negative = {m for m in targets if m < 0}
     lengths: dict[int, int | None] = dict.fromkeys(targets)
-    if 0 in lengths and 0 in _integers(fmt.pattern_kernel(1), (0,)):
+    if 0 in lengths and 0 in _integers(fmt.decode_patterns(1, (0,))):
         lengths[0] = 1
     for width in range(2, max_len + 1):
         if not positive and not negative:
@@ -172,7 +174,7 @@ def min_length_table(
         for remaining, odd_patterns in zip((positive, negative), _odd_patterns(fmt, width)):
             if not remaining:
                 continue
-            for m in _integers(fmt.pattern_kernel(width), odd_patterns):
+            for m in _integers(fmt.decode_patterns(width, odd_patterns)):
                 if m in remaining:
                     lengths[m] = width
                     remaining.discard(m)
@@ -285,25 +287,26 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
     """Every pattern's two's complement decodes to its negative.
 
     Patterns pair up as p and -p mod 2^n with p in [0, 2^(n-1)], so each is
-    decoded once; 0 and 2^(n-1) pair with themselves, so each must be zero
-    or NaR.  Past the first width, p runs over 0, the odd patterns and
-    2^(n-1) only: an even pair 2q, -2q mod 2^n is the (n-1)-bit pair
-    q, -q mod 2^(n-1) zero-extended, checked one width before.  A pair
+    decoded once, the p in one lazy batch and their negatives in another;
+    0 and 2^(n-1) pair with themselves, so each must be zero or NaR.  Past
+    the first width, p runs over 0, the odd patterns and 2^(n-1) only: an
+    even pair 2q, -2q mod 2^n is the (n-1)-bit pair q, -q mod 2^(n-1)
+    zero-extended, checked one width before.  A pair
     passes when decode(-p mod 2^n) equals _negated(decode(p)); a failure
     names the first p, in ascending order, whose pair does not.
     """
     _check_max_n(max_n)
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
     for fmt in (PositFormat(), TakumFormat()):
-        decode = fmt.codec.decode_uint
         for n in range(takum.MIN_WIDTH, max_n + 1):
-            mask, half = (1 << n) - 1, 1 << (n - 1)
-            if n == takum.MIN_WIDTH:
-                patterns = range(half + 1)
-            else:
-                patterns = chain((0,), range(1, half, 2), (half,))
-            for p in patterns:
-                if decode(-p & mask, n) != _negated(decode(p, n)):
+            half = 1 << (n - 1)
+            step = 1 if n == takum.MIN_WIDTH else 2
+            # -p mod 2^n is 2^n - p, but for 0 and half, which pair with themselves.
+            ps, ascending = tee(chain((0,), range(1, half, step), (half,)))
+            negatives = chain((0,), range((half << 1) - 1, half, -step), (half,))
+            values = fmt.decode_patterns(n, ascending)
+            for p, value, negative in zip(ps, values, fmt.decode_patterns(n, negatives)):
+                if negative != _negated(value):
                     return CheckResult(name, False, f"{fmt.family} pattern {p:0{n}b} at n={n}")
     return CheckResult(name, True, "negation holds for every finite pattern")
 

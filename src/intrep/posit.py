@@ -13,11 +13,14 @@ fraction f in [0, 1).  A string whose non-sign bits are all zero is 0 (S=0)
 or NaR (S=1).  Short strings decode via zero-extension, so every value keeps
 its meaning under appended zeros.
 
-decode_uint(u, n) decodes an n-bit pattern held as a plain integer and is
-the only decoder; decode(BitString) wraps it.
+decode_uint(u, n) decodes an n-bit pattern held as a plain integer, and
+decode_uints(patterns, n) decodes many patterns of one width; both run the
+one decode body, _decode, and decode(BitString) wraps decode_uint.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .core import (
     DEFAULT_MAX_BITS,
@@ -27,7 +30,6 @@ from .core import (
     check_width,
     encode_shortest,
     integer_profile,
-    trailing_zero_count,
 )
 
 MIN_WIDTH = 3
@@ -37,18 +39,34 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     """Exact value of the n-bit posit pattern u, as DyadicValue's canonical triple.
 
     Returns (sign, odd significand, exponent2), (1, 0, 0) for zero, or None
-    for NaR.  The regime run is the leading-bit count of the pattern after
-    the sign, XOR-ed with its first bit so that either run reads as zeros.
+    for NaR.
     """
-    if n < 1 or u < 0 or u >> n:
+    if n < 1:
         raise FormatError(f"{u} does not fit in {n} bits")
-    body_bits = n - 1
+    return _decode(u, n - 1, (1 << (n - 1)) - 1)
+
+
+def decode_uints(patterns, n: int):
+    """decode_uint of each n-bit pattern, lazily and in order: the layout is worked out once."""
+    if n < 1:
+        return map(decode_uint, patterns, repeat(n))  # refuses each pattern as decode_uint does
+    return map(_decode, patterns, repeat(n - 1), repeat((1 << (n - 1)) - 1))
+
+
+def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | None:
+    """decode_uint's arithmetic, given the layout of the width n: n - 1 and 2^(n-1) - 1.
+
+    The regime run is the leading-bit count of the pattern after the sign,
+    XOR-ed with its first bit so that either run reads as zeros.
+    """
     s = u >> body_bits
-    body = u & ((1 << body_bits) - 1)
+    if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
+        raise FormatError(f"{u} does not fit in {body_bits + 1} bits")
+    body = u & body_mask
     if not body:
         return None if s else (1, 0, 0)
     if body >> (body_bits - 1):
-        k = body_bits - (body ^ ((1 << body_bits) - 1)).bit_length()
+        k = body_bits - (body ^ body_mask).bit_length()
         regime = k - 1
     else:
         k = body_bits - body.bit_length()
@@ -69,7 +87,7 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     else:
         numer = (1 << p) + frac
         exponent = 4 * regime + exp_field - p
-    shift = trailing_zero_count(numer)
+    shift = (numer & -numer).bit_length() - 1  # trailing_zero_count(numer), one call fewer
     return (-1 if s else 1), numer >> shift, exponent + shift
 
 

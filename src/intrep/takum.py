@@ -13,13 +13,15 @@ complemented regime bits and c = -2^(r+1) + 1 + C.  Either way c lies in
 non-sign bits are all zero is 0 (S=0) or NaR (S=1).  Short strings decode
 via zero-extension, exactly as posits do.
 
-decode_uint(u, n) decodes an n-bit pattern held as a plain integer and is
-the only decoder; decode(BitString) wraps it.
+decode_uint(u, n) decodes an n-bit pattern held as a plain integer, and
+decode_uints(patterns, n) decodes many patterns of one width; both run the
+one decode body, _decode, and decode(BitString) wraps decode_uint.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from .core import (
     DEFAULT_MAX_BITS,
@@ -43,18 +45,43 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     """Exact value of the n-bit takum pattern u, as DyadicValue's canonical triple.
 
     Returns (sign, odd significand, exponent2), (1, 0, 0) for zero, or None
-    for NaR.  Patterns shorter than the 12-bit header (sign, direction,
-    regime and up to 7 characteristic bits) are zero-extended to it first.
+    for NaR.
     """
-    if n < 1 or u < 0 or u >> n:
+    if n < 1:
         raise FormatError(f"{u} does not fit in {n} bits")
     if n < 12:
-        u <<= 12 - n
-        n = 12
-    s = u >> (n - 1)
-    if not u & ((1 << (n - 1)) - 1):
+        return _decode(u, n - 1, 12 - n, 0, 0x7FF)
+    return _decode(u, n - 1, 0, n - 12, (1 << (n - 1)) - 1)
+
+
+def decode_uints(patterns, n: int):
+    """decode_uint of each n-bit pattern, lazily and in order: the layout is worked out once."""
+    if n < 1:
+        return map(decode_uint, patterns, repeat(n))  # refuses each pattern as decode_uint does
+    if n < 12:
+        layout = n - 1, 12 - n, 0, 0x7FF
+    else:
+        layout = n - 1, 0, n - 12, (1 << (n - 1)) - 1
+    return map(_decode, patterns, *map(repeat, layout))
+
+
+def _decode(
+    u: int, sign_shift: int, pad: int, header_shift: int, body_mask: int
+) -> tuple[int, int, int] | None:
+    """decode_uint's arithmetic, given the layout of the width n.
+
+    A pattern shorter than the 12-bit header (sign, direction, regime and
+    up to 7 characteristic bits) is zero-extended to it first, by pad bits.
+    The layout is n - 1, pad, then the header's shift and the mask of the
+    bits after the sign at the extended width max(n, 12).
+    """
+    s = u >> sign_shift
+    if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
+        raise FormatError(f"{u} does not fit in {sign_shift + 1} bits")
+    u <<= pad
+    if not u & body_mask:
         return None if s else (1, 0, 0)
-    header = u >> (n - 12)
+    header = u >> header_shift
     r = (header >> 7) & 7
     if header & 0x400:  # direction bit D
         characteristic = (1 << r) - 1
@@ -62,7 +89,7 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
         r = 7 - r
         characteristic = 1 - (2 << r)
     characteristic += (header >> (7 - r)) & ((1 << r) - 1)
-    p = n - 5 - r
+    p = header_shift + 7 - r  # the extended width less 5 + r header bits
     frac = u & ((1 << p) - 1)
     if s:
         numer = (2 << p) - frac
@@ -70,7 +97,7 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     else:
         numer = (1 << p) + frac
         exponent = characteristic - p
-    shift = trailing_zero_count(numer)
+    shift = (numer & -numer).bit_length() - 1  # trailing_zero_count(numer), one call fewer
     return (-1 if s else 1), numer >> shift, exponent + shift
 
 

@@ -1,5 +1,6 @@
 import ast
 import pickle
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -17,6 +18,7 @@ from intrep import (
     PositFormat,
     TakumFormat,
     formats,
+    minifloat,
     oracle,
     parse_format,
 )
@@ -78,7 +80,12 @@ def test_handles_are_immutable_values():
     assert hash(MinifloatSpec(5, 10, 15)) == hash(PRESETS["float16"])
     assert repr(PositFormat(16)) == "PositFormat(n=16)"
     assert repr(TakumFormat()) == "TakumFormat(n=None)"
-    for handle, field in ((PositFormat(16), "n"), (PRESETS["e4m3"], "bias")):
+    assert repr(PRESETS["e5m2"]) == (
+        "MinifloatSpec(exponent_bits=5, fraction_bits=2, bias=15, "
+        "special=<SpecialValues.IEEE: 'ieee'>)"
+    )
+    e4m3 = PRESETS["e4m3"]
+    for handle, field in ((PositFormat(16), "n"), (e4m3, "bias"), (e4m3, "_layout")):
         with pytest.raises(AttributeError):
             setattr(handle, field, 0)
         with pytest.raises(AttributeError):
@@ -93,6 +100,8 @@ def test_handles_are_immutable_values():
 def test_handles_pickle(fmt):
     copy = pickle.loads(pickle.dumps(fmt))
     assert type(copy) is type(fmt) and copy == fmt
+    # A minifloat's decode layout is rebuilt by the constructor, not pickled.
+    assert list(copy.decode_patterns(8, range(256))) == list(fmt.decode_patterns(8, range(256)))
 
 
 def test_format_width():
@@ -141,12 +150,61 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
     assert str(given.value) == str(built.value)
 
 
-@pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
-def test_pattern_kernel_is_decode_uint(fmt):
-    for n in range(1, 13):
-        kernel = fmt.pattern_kernel(n)
-        for u in range(1 << n):
-            assert kernel(u) == fmt.codec.decode_uint(u, n), (u, n)
+TAPERED = pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
+
+
+def decode_each(fmt, n: int, patterns) -> list:
+    """The reference path: the codec's decode_uint, one pattern at a time."""
+    if isinstance(fmt, MinifloatSpec):
+        return [minifloat.decode_uint(fmt, u) for u in patterns]
+    return [fmt.codec.decode_uint(u, n) for u in patterns]
+
+
+@TAPERED
+def test_batch_decode_agrees_on_every_short_pattern(fmt):
+    for n in range(1, 17):
+        patterns = range(1 << n)
+        assert list(fmt.decode_patterns(n, patterns)) == decode_each(fmt, n, patterns), n
+
+
+@TAPERED
+def test_batch_decode_agrees_on_random_wide_patterns(fmt):
+    rng = random.Random(15)
+    for n in range(17, 1025):
+        patterns = [rng.getrandbits(n) for _ in range(6)] + [0, 1 << (n - 1), (1 << n) - 1]
+        assert list(fmt.decode_patterns(n, patterns)) == decode_each(fmt, n, patterns), n
+
+
+@pytest.mark.parametrize("name", ["float16", "bfloat16", "e4m3", "e5m2", "float32", "float64"])
+def test_batch_decode_agrees_on_minifloat_patterns(name):
+    spec = PRESETS[name]
+    n = spec.width
+    if n <= 16:
+        patterns = range(1 << n)
+    else:
+        rng = random.Random(name)
+        patterns = [rng.getrandbits(n) for _ in range(5000)]
+    assert list(spec.decode_patterns(n, patterns)) == decode_each(spec, n, patterns)
+
+
+@TAPERED
+@pytest.mark.parametrize("n,u", [(4, 16), (4, -1), (13, 1 << 13), (0, 0), (0, 1), (-3, 5)])
+def test_batch_decode_refuses_what_decode_uint_refuses(fmt, n, u):
+    with pytest.raises(FormatError) as single:
+        fmt.codec.decode_uint(u, n)
+    with pytest.raises(FormatError) as batch:
+        list(fmt.decode_patterns(n, [u]))
+    assert str(batch.value) == str(single.value) == f"{u} does not fit in {n} bits"
+
+
+@pytest.mark.parametrize("u", [16, -1])
+def test_minifloat_batch_decode_refuses_what_decode_uint_refuses(u):
+    spec = MinifloatSpec(2, 1, 1)
+    with pytest.raises(FormatError) as single:
+        minifloat.decode_uint(spec, u)
+    with pytest.raises(FormatError) as batch:
+        list(spec.decode_patterns(spec.width, [u]))
+    assert str(batch.value) == str(single.value) == f"{u} does not fit in 4 bits"
 
 
 def test_decode_dispatch():

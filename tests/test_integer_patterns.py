@@ -12,6 +12,7 @@ exactly.
 """
 
 import random
+from itertools import repeat
 
 import pytest
 
@@ -31,9 +32,9 @@ def nonzero_integer(value) -> int | None:
 
 def reference_integers(fmt, n: int, window: int) -> set[int]:
     """Every integer in [-window, window] that some n-bit pattern decodes to."""
-    decode = fmt.pattern_kernel(n)
+    decode = fmt.codec.decode_uint
     found = set()
-    for value in map(decode, range(1 << n)):
+    for value in map(decode, range(1 << n), repeat(n)):
         if value is not None and value[2] >= 0:
             m = value[0] * (value[1] << value[2])
             if -window <= m <= window:
@@ -129,7 +130,7 @@ def test_minifloat_integers_lie_in_the_half_of_their_sign():
     for spec in MINIFLOAT_SHAPES:
         positive, negative = spec.integer_patterns(spec.width)
         assert len(positive) == len(negative), spec
-        for u, value in enumerate(map(spec.pattern_kernel(spec.width), range(1 << spec.width))):
+        for u, value in enumerate(spec.decode_patterns(spec.width, range(1 << spec.width))):
             m = nonzero_integer(value)
             if m is not None:
                 assert u in (negative if m < 0 else positive), (spec, u, m)
@@ -221,17 +222,16 @@ def test_verify_fails_when_the_range_drops_an_end(capsys, monkeypatch, cls, end)
     [(posit, PositFormat(), 61440), (takum, TakumFormat(), 95232)],
     ids=IDS,
 )
-def test_min_length_table_kernel_calls(monkeypatch, module, fmt, calls):
+def test_min_length_table_kernel_calls(decode_fault, module, fmt, calls):
     # Every odd pattern up to the last target would be 192510 and 357374 calls.
     count = 0
-    true_decode = module.decode_uint
 
-    def counting(u, n):
+    def counting(u, n, value):
         nonlocal count
         count += 1
-        return true_decode(u, n)
+        return value
 
-    monkeypatch.setattr(module, "decode_uint", counting)
+    decode_fault(counting, module)
     oracle.min_length_table(fmt, range(1, 4097))
     assert count == calls
 
@@ -254,18 +254,14 @@ def test_the_width_walk_matches_the_single_width_route(cls):
     ],
     ids=["posit-4", "posit--3", "takum-8", "takum--5"],
 )
-def test_a_hidden_odd_pattern_fails_the_first_width_that_needs_it(monkeypatch, cls, check, m):
+def test_a_hidden_odd_pattern_fails_the_first_width_that_needs_it(decode_fault, cls, check, m):
     # The walk never decodes the even patterns that repeat the hidden one at
     # wider widths, so m stays missing from its shortest width on.
     codec = cls.codec
     hidden = codec.encode_integer(m)
     needs = next(n for n in range(takum.MIN_WIDTH, 17) if codec.largest_consecutive(n) >= abs(m))
-    true_decode = codec.decode_uint
-    monkeypatch.setattr(
-        codec,
-        "decode_uint",
-        lambda u, n: None if (u, n) == (hidden.uint, hidden.width) else true_decode(u, n),
-    )
+    spot = (hidden.uint, hidden.width)
+    decode_fault(lambda u, n, value: None if (u, n) == spot else value, codec)
     result = check(16)
     assert not result.passed
     closed = codec.largest_consecutive(needs)
@@ -287,19 +283,15 @@ VERIFY_KERNEL_CALLS = {
 }
 
 
-def test_verify_all_kernel_calls(monkeypatch):
+def test_verify_all_kernel_calls(monkeypatch, decode_fault):
     total = 0
 
-    def counting(true_decode):
-        def decode(*args):
-            nonlocal total
-            total += 1
-            return true_decode(*args)
+    def counting(u, n, value):
+        nonlocal total
+        total += 1
+        return value
 
-        return decode
-
-    for module in (posit, takum, minifloat):
-        monkeypatch.setattr(module, "decode_uint", counting(module.decode_uint))
+    decode_fault(counting, posit, takum, minifloat)
     calls = dict.fromkeys(VERIFY_KERNEL_CALLS, 0)
 
     def measured(name, check):

@@ -162,22 +162,18 @@ def test_consecutive_report_non_power_of_two():
     assert report.agreement is None  # no closed form applies to this shape
 
 
-def test_largest_consecutive_needs_both_signs(monkeypatch):
+def test_largest_consecutive_needs_both_signs(decode_fault):
     # 10101110 is the only posit8 pattern for -5; with it NaR, [-5, 5] has a gap.
-    true_decode = posit.decode_uint
-    monkeypatch.setattr(
-        posit, "decode_uint", lambda u, n: None if (u, n) == (0b10101110, 8) else true_decode(u, n)
-    )
+    decode_fault(lambda u, n, value: None if (u, n) == (0b10101110, 8) else value, posit)
     report = oracle.largest_consecutive(PositFormat(), 8)
     assert report.value == 4
     assert report.agreement is False
 
 
-def test_a_pattern_0_that_is_not_zero_is_seen(monkeypatch, capsys):
+def test_a_pattern_0_that_is_not_zero_is_seen(decode_fault, capsys):
     # Zero goes through the same rule as every other integer: nothing
     # presumes that pattern 0 decodes to it.
-    true_decode = posit.decode_uint
-    monkeypatch.setattr(posit, "decode_uint", lambda u, n: None if u == 0 else true_decode(u, n))
+    decode_fault(lambda u, n, value: None if u == 0 else value, posit)
     report = oracle.largest_consecutive(PositFormat(8))
     assert (report.value, report.agreement) == (-1, False)
     assert oracle.min_length(PositFormat(), 0) is None
@@ -232,15 +228,14 @@ def test_min_length_table_sweep():
     assert table == {1: 2, 8: 4, 9: 10, 10: 9}
 
 
-def test_min_length_table_stops_at_last_target(monkeypatch):
+def test_min_length_table_stops_at_last_target(decode_fault):
     calls = []
-    true_decode = posit.decode_uint
 
-    def counting(u, n):
+    def counting(u, n, value):
         calls.append((u, n))
-        return true_decode(u, n)
+        return value
 
-    monkeypatch.setattr(posit, "decode_uint", counting)
+    decode_fault(counting, posit)
     assert oracle.min_length_table(PositFormat(), [1]) == {1: 2}
     assert calls == [(0b01, 2)]  # 01 is 1: the sweep ends before 11
 
@@ -289,14 +284,15 @@ def test_width_sweeps_refuse_an_empty_range(check):
 
 
 @pytest.mark.parametrize("check", WIDTH_SWEEPS, ids=["posit", "takum", "negation"])
-def test_width_sweeps_refuse_an_over_budget_range_before_any_decode(monkeypatch, check):
+def test_width_sweeps_refuse_an_over_budget_range_before_any_decode(
+    monkeypatch, decode_fault, check
+):
     def refuse(*args):
-        # Raising, not recording: the first call ends what would be a 2^25-pattern sweep.
+        # Raising, not recording: the first decode ends what would be a 2^25-pattern sweep.
         raise AssertionError(f"enumeration started: {args}")
 
     monkeypatch.setattr(oracle, "largest_consecutive", refuse)
-    for module in (posit, takum):
-        monkeypatch.setattr(module, "decode_uint", refuse)
+    decode_fault(refuse, posit, takum)
     with pytest.raises(BudgetError, match="^max_n 25 exceeds the 24-bit enumeration budget$"):
         check(25)
 
@@ -318,19 +314,18 @@ def test_check_min_length_catches_mutated_formula(monkeypatch, fmt):
     assert "m=7" in result.detail
 
 
-def test_check_min_length_stops_at_the_longest_formula_length(monkeypatch):
+def test_check_min_length_stops_at_the_longest_formula_length(decode_fault):
     # 011 is the only odd pattern of 16, so with it hidden no width has 16;
     # the sweep ends at width 8, the longest formula length for m <= 16,
     # after the 64 odd patterns of the positive halves up to it.
     calls = 0
-    true_decode = posit.decode_uint
 
-    def hiding(u, n):
+    def hiding(u, n, value):
         nonlocal calls
         calls += 1
-        return None if (u, n) == (0b011, 3) else true_decode(u, n)
+        return None if (u, n) == (0b011, 3) else value
 
-    monkeypatch.setattr(posit, "decode_uint", hiding)
+    decode_fault(hiding, posit)
     result = oracle.check_min_length(PositFormat(), 16)
     assert result.detail == "m=16: formula 3, oracle None"
     assert not result.passed
@@ -370,13 +365,8 @@ def test_check_takum_consecutive_catches_mutated_formula(monkeypatch, module, ch
     ],
     ids=["negative-half", "positive-half-nar", "zero-and-nar", "zero", "nar"],
 )
-def test_check_negation_closure_catches_mutated_kernel(monkeypatch, module, overrides, named):
-    true_decode = module.decode_uint
-    monkeypatch.setattr(
-        module,
-        "decode_uint",
-        lambda u, n: overrides[u] if n == 6 and u in overrides else true_decode(u, n),
-    )
+def test_check_negation_closure_catches_mutated_kernel(decode_fault, module, overrides, named):
+    decode_fault(lambda u, n, value: overrides[u] if n == 6 and u in overrides else value, module)
     result = oracle.check_negation_closure(6)
     assert not result.passed
     assert result.detail == named + " at n=6"
