@@ -2,22 +2,23 @@
 
 Everything here works by decoding pattern spaces — no shortcuts shared
 with the formulas under test — so agreement between the two routes is
-meaningful evidence.  Patterns are enumerated as plain integers and decoded
-a width at a time, lazily, by the handle's decode_patterns, which works out
-the width's layout once for the whole batch.  Enumeration is capped at
-24-bit widths, and skips only patterns that cannot change an answer: a
-nonzero integer comes only from the two halves of the handle's
-integer_patterns(n) (for posit and takum, the patterns from 1 up to the
-sign bit and from past NaR to -1), and zero only from pattern 0.  Posit
-and takum values do not change under appended zeros, so an even n-bit
-pattern repeats the value of an (n-1)-bit one: a walk over widths decodes
-only the odd patterns of each.
+meaningful evidence.  Patterns are plain integers, decoded a width at a
+time by the handle's decode_patterns.  Enumeration is capped at 24-bit
+widths and skips only patterns that cannot change an answer: a nonzero
+integer comes only from the two halves of the handle's
+integer_patterns(n), zero only from pattern 0.  Posit and takum values do
+not change under appended zeros and ascend with the pattern within each
+half, so the walks over widths climb one gap ladder: they decode an odd
+pattern only while a wanted integer lies strictly between the values of
+its neighbours one width down.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from itertools import chain, repeat, tee
+from math import inf
 from typing import NamedTuple
 
 from . import formats, minifloat, takum
@@ -94,9 +95,35 @@ def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None
     return _add_integers(fmt, n, (range(1),), window, found)
 
 
-def _odd_patterns(fmt: FormatSpec, n: int) -> list[range]:
-    """The odd patterns of each half of integer_patterns(n)."""
-    return [range(half.start | 1, half.stop, 2) for half in fmt.integer_patterns(n)]
+def _gap_ladder(fmt: PositFormat | TakumFormat, max_len: int, holds):
+    """(width, integers of the patterns decoded at width) for width = 1..max_len.
+
+    A gap (u, lo, hi) holds the odd pattern u and the integers lo < m < hi,
+    lo the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf).  u
+    is decoded if it is in a half of integer_patterns(width) and holds(lo,
+    hi), which says some wanted m is in the gap.  A finite value x inside it
+    cuts it at floor x and ceil x; after NaR, zero or a value outside, both
+    children keep (lo, hi): none widens its parent, so values out of order
+    could only hide integers.  Width 1 decodes pattern 0 if 0 is wanted.
+    """
+    yield 1, _integers(fmt.decode_patterns(1, (0,) if holds(-1, 1) else ()))
+    gaps = [(1, 0, inf), (3, -inf, 0)]  # 01 and 11: between zero, NaR and zero again
+    for width in range(2, max_len + 1):
+        positive, negative = fmt.integer_patterns(width)
+        live = [g for g in gaps if holds(g[1], g[2]) and (g[0] in positive or g[0] in negative)]
+        values = list(fmt.decode_patterns(width, [u for u, _, _ in live]))
+        yield width, _integers(values)
+        if width == max_len:  # no width is left to cut gaps for
+            break
+        gaps = []
+        for (u, lo, hi), value in zip(live, values):
+            floor, ceil = lo, hi
+            if value is not None:
+                x, e = value[0] * value[1], value[2]
+                below, above = (x << e, x << e) if e >= 0 else (x >> -e, -(-x >> -e))
+                if lo < above and below < hi:
+                    floor, ceil = below, above
+            gaps += (2 * u - 1, lo, ceil), (2 * u + 1, floor, hi)
 
 
 def _consecutive_run(found: set[int], k: int) -> int:
@@ -107,10 +134,7 @@ def _consecutive_run(found: set[int], k: int) -> int:
 
 
 def representable_set(
-    fmt: FormatSpec,
-    n: int | None = None,
-    window: int | None = None,
-    workers: int | None = None,
+    fmt: FormatSpec, n: int | None = None, window: int | None = None, workers: int | None = None
 ) -> tuple[int, ...]:
     """The representable integers in [-window, window] at width n, ascending."""
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
@@ -127,8 +151,7 @@ def largest_consecutive(
 
     Decodes pattern 0 and both halves of integer_patterns(n).  The value is
     the largest k with every integer in [-k, k] representable: the walk
-    stops at the first k + 1 for which either k + 1 or -(k + 1) has no
-    pattern.
+    stops at the first k + 1 where k + 1 or -(k + 1) has no pattern.
     """
     width = _enumeration_width(fmt, n)
     # k is bounded by the pattern count, so a window of 2^width loses nothing.
@@ -148,13 +171,8 @@ def min_length_table(
 ) -> dict[int, int | None]:
     """Minimal representation lengths for many integers in one sweep.
 
-    Scans widths in ascending order; at width L only patterns ending in 1 are
-    new (everything else is a shorter pattern zero-extended), and only those
-    in fmt.integer_patterns(L) can be a nonzero integer.  Its positive half
-    is scanned only while a positive target remains, its negative half only
-    while a negative target remains.  The sweep stops at the
-    pattern that resolves the last target: every shorter width has been
-    scanned by then, so no length can change.  A target 0 is 1 if the
+    Climbs the gap ladder with the targets wanted; a found one is a pattern's
+    value, which bounds gaps and lies inside none.  A target 0 is 1 if the
     1-bit pattern 0, which every pattern 0 extends, is zero.  Entries left
     None were not representable within max_len bits.
     """
@@ -163,23 +181,13 @@ def min_length_table(
     targets = list(targets)
     if any(isinstance(m, bool) or not isinstance(m, int) for m in targets):
         raise FormatError("targets must be integers")
-    positive = {m for m in targets if m > 0}
-    negative = {m for m in targets if m < 0}
     lengths: dict[int, int | None] = dict.fromkeys(targets)
-    if 0 in lengths and 0 in _integers(fmt.decode_patterns(1, (0,))):
-        lengths[0] = 1
-    for width in range(2, max_len + 1):
-        if not positive and not negative:
-            break
-        for remaining, odd_patterns in zip((positive, negative), _odd_patterns(fmt, width)):
-            if not remaining:
-                continue
-            for m in _integers(fmt.decode_patterns(width, odd_patterns)):
-                if m in remaining:
-                    lengths[m] = width
-                    remaining.discard(m)
-                    if not remaining:
-                        break
+    wanted = sorted(lengths)
+    holds = lambda lo, hi: bisect_right(wanted, lo) < bisect_left(wanted, hi)
+    for width, integers in _gap_ladder(fmt, max_len, holds):
+        for m in integers:
+            if m in lengths and lengths[m] is None:
+                lengths[m] = width
     return lengths
 
 
@@ -207,19 +215,17 @@ def _check_max_n(max_n: int) -> None:
 def _consecutive_walk(fmt: PositFormat | TakumFormat, max_n: int):
     """(n, largest consecutive integer at width n) for n = 2..max_n, in one pass.
 
-    Every n-bit pattern is pattern 0 or an odd pattern of some width up to
-    n zero-extended, so the integers of width n are those of width n - 1
-    and those of the odd n-bit patterns: each width decodes only its odd
-    patterns, into one set that keeps every integer within 2^max_n, and k
-    never decreases.  That window loses nothing, as k is below 2^(n-1).
+    The integers of width n are those of width n - 1 and of its odd patterns,
+    so k never decreases.  The ladder wants |m| <= 2^max_n: k is below 2^(n-1).
     """
     window = 1 << max_n
-    found = _add_integers(fmt, max_n, (range(1),), window)  # pattern 0, zero
-    k = -1
-    for n in range(2, max_n + 1):
-        _add_integers(fmt, n, _odd_patterns(fmt, n), window, found)
+    found, k = set(), -1
+    ladder = _gap_ladder(fmt, max_n, lambda lo, hi: hi - lo > 1 and -window < hi and lo < window)
+    for n, integers in ladder:
+        found.update(integers)
         k = _consecutive_run(found, k)
-        yield n, k
+        if n > 1:
+            yield n, k
 
 
 def _check_consecutive(name: str, answers) -> CheckResult:
@@ -255,21 +261,17 @@ def check_minifloat_consecutive() -> CheckResult:
     return _check_consecutive(name, answers)
 
 
-def _check_max_m(max_m: int) -> None:
+def _check_max_m(max_m: int, cap: float = inf) -> None:
     if max_m < 1:
         raise FormatError(f"max_m must be positive, got {max_m}")
-
-
-def _check_length_budget(max_m: int) -> None:
-    _check_max_m(max_m)
-    if max_m > MAX_LENGTH_M:
-        raise BudgetError(f"min-length verification capped at m <= {MAX_LENGTH_M}, got {max_m}")
+    if max_m > cap:
+        raise BudgetError(f"min-length verification capped at m <= {cap}, got {max_m}")
 
 
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
     """The sweep ends at the longest formula length: an m still missing there disagrees anyway."""
     name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
-    _check_length_budget(max_m)
+    _check_max_m(max_m, MAX_LENGTH_M)
     formula = {m: fmt.codec.min_length(m) for m in range(1, max_m + 1)}
     table = min_length_table(fmt, formula, min(max(formula.values()), MAX_ENUM_BITS))
     for m, expected in formula.items():
@@ -346,22 +348,19 @@ def check_analytic_consecutive() -> CheckResult:
 def known_discrepancies() -> list[CheckResult]:
     """Informational notes about published values the oracle contradicts."""
     report = largest_consecutive(minifloat.PRESETS["e4m3"])
-    return [
-        CheckResult(
-            "e4m3 largest-consecutive vs commonly published value",
-            True,
-            f"enumeration of all {1 << report.n} patterns gives {report.value}; the widely "
-            f"quoted {E4M3_PUBLISHED} would need 4 fraction bits, but E4M3 has 3 "
-            f"(known discrepancy, not a failure)",
-            note=True,
-        )
-    ]
+    detail = (
+        f"enumeration of all {1 << report.n} patterns gives {report.value}; the widely "
+        f"quoted {E4M3_PUBLISHED} would need 4 fraction bits, but E4M3 has 3 "
+        f"(known discrepancy, not a failure)"
+    )
+    name = "e4m3 largest-consecutive vs commonly published value"
+    return [CheckResult(name, True, detail, note=True)]
 
 
 def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
     """Every formula-vs-oracle suite at the given budgets."""
     _check_max_n(max_n)
-    _check_length_budget(max_m)
+    _check_max_m(max_m, MAX_LENGTH_M)
     return [
         check_posit_consecutive(max_n),
         check_takum_consecutive(max_n),

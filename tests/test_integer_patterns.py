@@ -5,14 +5,16 @@ positive integer can only come from the patterns from that of 1 (01 0...0)
 up to the sign bit, and a negative one from those past NaR (10 0...0) up to
 that of -1 (11 0...0); the handle's integer_patterns(n) names the two halves
 and the oracle scans nothing else.  Values do not change under appended
-zeros, so the oracle's walks over widths decode only odd patterns.  The
+zeros and ascend with the pattern within each half, so the oracle's walks
+over widths decode only odd patterns, and of those only the ones whose
+neighbours leave room for a wanted integer (the gap ladder).  The
 reference loops below skip nothing: every pattern for representable sets,
 every odd pattern for minimal lengths.  The oracle must give their results
-exactly.
+exactly, also when a decode fault hides or misplaces one pattern.
 """
 
 import random
-from itertools import repeat
+from itertools import pairwise, repeat
 
 import pytest
 
@@ -60,6 +62,20 @@ def reference_min_length_table(fmt, targets, max_len: int) -> dict[int, int | No
                     if not remaining:
                         break
     return lengths
+
+
+def ascending(a, b) -> bool:
+    """Whether the finite nonzero decode_uint triple a is below b, exactly."""
+    low = min(a[2], b[2])
+    return a[0] * (a[1] << (a[2] - low)) < b[0] * (b[1] << (b[2] - low))
+
+
+def consecutive_run(found: set[int]) -> int:
+    """The largest k with every integer in [-k, k] in found; -1 if 0 is not."""
+    k = -1
+    while k + 1 in found and -(k + 1) in found:
+        k += 1
+    return k
 
 
 def check_pattern(fmt, u: int, n: int) -> None:
@@ -114,6 +130,27 @@ def test_even_patterns_repeat_the_value_one_width_down(fmt):
         n = rng.randint(17, 600)
         u = rng.getrandbits(n) & ~1
         assert decode(u, n) == decode(u >> 1, n - 1), (u, n)
+
+
+@pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
+def test_values_ascend_with_the_pattern_within_each_half(fmt):
+    # The gap ladder of min_length_table and the width walk prunes on this:
+    # with it, an odd pattern lies strictly between its two neighbours.
+    decode = fmt.codec.decode_uint
+    for n in range(2, 17):
+        for half in fmt.integer_patterns(n):
+            values = [decode(u, n) for u in half]
+            assert all(value is not None and value[1] for value in values), n
+            assert all(ascending(a, b) for a, b in pairwise(values)), n
+    rng = random.Random(2026)
+    for _ in range(20000):
+        n = rng.randint(17, 600)
+        half = fmt.integer_patterns(n)[rng.getrandbits(1)]
+        # Runs of equal bits near either end of a half make long regimes common.
+        u = rng.choice([half.start, half.stop - 2, rng.randrange(half.start, half.stop - 1)])
+        u ^= rng.getrandbits(rng.randint(0, n)) & ((1 << (n - 2)) - 1)
+        if u in half and u + 1 in half:
+            assert ascending(decode(u, n), decode(u + 1, n)), (u, n)
 
 
 MINIFLOAT_SHAPES = [
@@ -219,11 +256,12 @@ def test_verify_fails_when_the_range_drops_an_end(capsys, monkeypatch, cls, end)
 
 @pytest.mark.parametrize(
     "module,fmt,calls",
-    [(posit, PositFormat(), 61440), (takum, TakumFormat(), 95232)],
+    [(posit, PositFormat(), 4096), (takum, TakumFormat(), 4098)],
     ids=IDS,
 )
 def test_min_length_table_kernel_calls(decode_fault, module, fmt, calls):
-    # Every odd pattern up to the last target would be 192510 and 357374 calls.
+    # Every odd pattern up to the last target would be 192510 and 357374
+    # calls, and the odd patterns of the halves up to it 61440 and 95232.
     count = 0
 
     def counting(u, n, value):
@@ -238,10 +276,43 @@ def test_min_length_table_kernel_calls(decode_fault, module, fmt, calls):
 
 @pytest.mark.parametrize("cls", [PositFormat, TakumFormat], ids=IDS)
 def test_the_width_walk_matches_the_single_width_route(cls):
-    walk = dict(oracle._consecutive_walk(cls(), 16))
-    assert list(walk) == list(range(2, 17))
-    for n in range(cls.codec.MIN_WIDTH, 17):
+    walk = dict(oracle._consecutive_walk(cls(), 18))
+    assert list(walk) == list(range(2, 19))
+    for n in range(cls.codec.MIN_WIDTH, 19):
         assert walk[n] == oracle.largest_consecutive(cls(n)).value, n
+
+
+@pytest.mark.parametrize(
+    "cls,m",
+    [(PositFormat, 4), (PositFormat, -4), (TakumFormat, 8), (TakumFormat, -8)],
+    ids=["posit-4", "posit--4", "takum-8", "takum--8"],
+)
+@pytest.mark.parametrize(
+    "replacement",
+    [None, (1, 0, 0), (1, 1, 300), (-1, 1, 300)],
+    ids=["nar", "zero", "far-above", "far-below"],
+)
+def test_the_gap_ladder_narrows_a_gap_only_on_a_value_inside_it(decode_fault, cls, m, replacement):
+    # m's only odd pattern, and every zero-extension of it, decodes to
+    # replacement.  Its neighbours one width down are finite, so 2^300 lies
+    # outside its gap, and integers lie on both sides of m within the gap.
+    # The ladder must still climb below the pattern, as the exhaustive
+    # references under the same fault do: a child gap bounded by the
+    # replacement would lose the integers on one side.
+    fmt = cls()
+    hidden = fmt.codec.encode_integer(m)
+    u, width = hidden.uint, hidden.width
+
+    def fault(v, n, value):
+        return replacement if n >= width and v == u << (n - width) else value
+
+    decode_fault(fault, fmt.codec)
+    targets = [a for a in range(-64, 65) if a]
+    expected = reference_min_length_table(fmt, targets, 12)
+    assert expected[m] is None
+    assert oracle.min_length_table(fmt, targets, 12) == expected
+    walk = dict(oracle._consecutive_walk(fmt, 12))
+    assert walk == {n: consecutive_run(reference_integers(fmt, n, 1 << 12)) for n in range(2, 13)}
 
 
 @pytest.mark.parametrize(
@@ -270,12 +341,14 @@ def test_a_hidden_odd_pattern_fails_the_first_width_that_needs_it(decode_fault, 
 
 # Kernel calls of each suite in verify_all() at the default budgets.  A full
 # enumeration of every width would be 65544, 65544, 131584 and 65512 calls
-# for the first three suites and the negation closure.
+# for the first three suites and the negation closure.  The odd patterns of
+# the halves, without the gap ladder, are 32769 per width walk and
+# 61440 + 95232 for the min-length tables.
 VERIFY_KERNEL_CALLS = {
-    "check_posit_consecutive": 32769,
-    "check_takum_consecutive": 32769,
+    "check_posit_consecutive": 6145,
+    "check_takum_consecutive": 4363,
     "check_minifloat_consecutive": 68124,
-    "check_min_length": 61440 + 95232,
+    "check_min_length": 4096 + 4098,
     "check_negation_closure": 32844,
     "check_round_trip": 16386,
     "check_analytic_consecutive": 0,
@@ -307,4 +380,4 @@ def test_verify_all_kernel_calls(monkeypatch, decode_fault):
         monkeypatch.setattr(oracle, name, measured(name, getattr(oracle, name)))
     oracle.verify_all()
     assert calls == VERIFY_KERNEL_CALLS
-    assert total == 339709
+    assert total == 136201
