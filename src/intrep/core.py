@@ -243,10 +243,10 @@ def check_width(n: int, floor: int, family: str) -> None:
 DEFAULT_MAX_BITS = 256
 
 
-def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> BitString:
-    """Shortest posit or takum bit string for the integer m: both encoders' frame.
+def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> tuple[int, int]:
+    """Shortest posit or takum pattern for the integer m, as (u, width): both encoders' frame.
 
-    "0" for m = 0, CapacityError when the shortest pattern, min_length(m)
+    (0, 1) for m = 0, CapacityError when the shortest pattern, min_length(m)
     bits, exceeds max_bits.  head(v) is the (value, width) of the bits before
     the fraction of a positive integer with bit length v.  A result not
     min_length(m) wide, zero's one bit included, raises ArithmeticError.
@@ -271,4 +271,4 @@ def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> Bit
         u = -u & ((1 << width) - 1)
     if width != need:
         raise ArithmeticError(f"{family} encoding of {m} has {width} bits, not {need}")
-    return BitString.from_uint(u, width)
+    return u, width

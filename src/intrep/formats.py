@@ -57,7 +57,7 @@ class _TaperedFormat(FrozenSlots):
         """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints."""
         return self.codec.decode_uints(patterns, n)
 
-    def integer_patterns(self, n: int) -> tuple[range, range]:
+    def integer_patterns(self, n: int, window: int | None = None) -> tuple[range, range]:
         """The positive and the negative n-bit patterns that can be a nonzero integer.
 
         Patterns are ordered like two's-complement integers, so the positive
@@ -65,7 +65,9 @@ class _TaperedFormat(FrozenSlots):
         the negative ones from just past NaR (10 0...0) up to the pattern of
         -1 (11 0...0); every other pattern is zero, NaR, or lies strictly
         between -1 and 1.  The two ranges have equal length.  Holds from
-        n = 2, where they are 01 and 11.
+        n = 2, where they are 01 and 11.  The window is not used: a bound on
+        a posit or takum magnitude would take the regime arithmetic of the
+        decoder under test, which the oracle must not share.
         """
         half = 1 << (n - 1)
         return range(half >> 1, half), range(half + 1, half + (half >> 1) + 1)

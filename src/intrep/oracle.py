@@ -5,12 +5,12 @@ with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are plain integers, decoded a width at a
 time by the handle's decode_patterns.  Enumeration is capped at 24-bit
 widths and skips only patterns that cannot change an answer: a nonzero
-integer comes only from the two halves of the handle's
-integer_patterns(n), zero only from pattern 0.  Posit and takum values do
-not change under appended zeros and ascend with the pattern within each
-half, so the walks over widths climb one gap ladder: they decode an odd
-pattern only while a wanted integer lies strictly between the values of
-its neighbours one width down.
+integer in [-window, window] comes only from the two halves of the
+handle's integer_patterns(n, window), zero only from pattern 0.  Posit
+and takum values do not change under appended zeros and ascend with the
+pattern within each half, so the walks over widths climb one gap ladder:
+they decode an odd pattern only while a wanted integer lies strictly
+between the values of its neighbours one width down.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import inf
 from typing import NamedTuple
 
 from . import formats, minifloat, takum
-from .core import BudgetError, DomainError, FormatError
+from .core import BudgetError, DomainError, DyadicValue, FormatError
 from .formats import FormatSpec, PositFormat, TakumFormat
 
 MAX_ENUM_BITS = 24
@@ -79,9 +79,9 @@ def _add_integers(
 
 
 def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
-    positive, negative = fmt.integer_patterns(n)
+    positive, negative = fmt.integer_patterns(n, window)
     workers = min(workers or 1, os.cpu_count() or 1)
-    if workers <= 1 or n < 16:
+    if workers <= 1 or n < 16 or not positive:  # empty halves leave no slice to hand out
         return _add_integers(fmt, n, (range(1), positive, negative), window)  # pattern 0 is zero
     # Imported on the first pooled call, not with the module: it loads
     # multiprocessing, which no other path of `import intrep` needs.
@@ -149,7 +149,7 @@ def largest_consecutive(
 ) -> ConsecutiveReport:
     """Largest consecutive integer from the width-n patterns, checked against the closed form.
 
-    Decodes pattern 0 and both halves of integer_patterns(n).  The value is
+    Decodes pattern 0 and both halves of integer_patterns(n, 2^n).  The value is
     the largest k with every integer in [-k, k] representable: the walk
     stops at the first k + 1 where k + 1 or -(k + 1) has no pattern.
     """
@@ -314,19 +314,27 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
 
 
 def check_round_trip(max_m: int = 4096) -> CheckResult:
+    """Each |m| <= max_m encodes, at min_length(m) bits, to a pattern decoding to m.
+
+    Patterns stay plain (u, width) integers, through the codec's encode_uint
+    and decode_uint; a value is built only to name a failing decode.
+    """
     name = f"encode/decode round trip with minimal width, |m|<={max_m}"
     _check_max_m(max_m)
     for fmt in (PositFormat(), TakumFormat()):
-        encode, decode = fmt.codec.encode_integer, fmt.codec.decode
+        encode, decode = fmt.codec.encode_uint, fmt.codec.decode_uint
         for a in range(max_m + 1):
             for m in (a, -a) if a else (0,):
                 try:
-                    bits = encode(m)
+                    u, width = encode(m)
                 except ArithmeticError as exc:  # the pattern is not min_length(m) wide
                     return CheckResult(name, False, str(exc))
-                value = decode(bits)
-                if not value.is_integer() or value.as_integer() != m:
-                    return CheckResult(name, False, f"{fmt.name} m={m} decoded to {value}")
+                value = decode(u, width)
+                # _integers' rule for one triple, inline: a generator per m costs
+                # about a third of this loop.
+                if value is None or value[2] < 0 or value[0] * (value[1] << value[2]) != m:
+                    detail = f"{fmt.name} m={m} decoded to {DyadicValue.from_triple(value)}"
+                    return CheckResult(name, False, detail)
     return CheckResult(name, True, "round trips at the predicted minimal width")
 
 

@@ -16,6 +16,8 @@ its meaning under appended zeros.
 decode_uint(u, n) decodes an n-bit pattern held as a plain integer, and
 decode_uints(patterns, n) decodes many patterns of one width; both run the
 one decode body, _decode, and decode(BitString) wraps decode_uint.
+encode_uint(m) gives the shortest pattern of the integer m as (u, width),
+and encode_integer(m) wraps it in a BitString.
 """
 
 from __future__ import annotations
@@ -111,13 +113,18 @@ def min_length(m: int) -> int:
     return length
 
 
-def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
-    """Shortest posit bit string decoding exactly to the integer m.
+def encode_uint(m: int, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, int]:
+    """Shortest posit pattern decoding exactly to the integer m, as (u, width).
 
-    Returns the width-1 string "0" for m = 0.  Raises CapacityError when the
-    shortest representation would exceed max_bits.
+    Returns (0, 1), the pattern "0", for m = 0.  Raises CapacityError when
+    the shortest representation would exceed max_bits.
     """
     return encode_shortest(m, max_bits, "posit", min_length, _head)
+
+
+def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
+    """encode_uint(m, max_bits) as a bit string: "0" for m = 0."""
+    return BitString.from_uint(*encode_uint(m, max_bits))
 
 
 def _head(v: int) -> tuple[int, int]:

@@ -71,6 +71,13 @@ def test_workers_match_serial_for_a_minifloat():
     assert serial == parallel
 
 
+def test_a_sweep_with_empty_halves_starts_no_pool(monkeypatch):
+    # Bias 40000 puts every magnitude below 1, so both halves are empty.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    assert oracle.representable_set(MinifloatSpec(15, 1, 40000), window=5, workers=2) == (0,)
+
+
 def test_workers_capped_at_cpu_count(monkeypatch):
     created = []
 
@@ -370,3 +377,21 @@ def test_check_negation_closure_catches_mutated_kernel(decode_fault, module, ove
     result = oracle.check_negation_closure(6)
     assert not result.passed
     assert result.detail == named + " at n=6"
+
+
+@pytest.mark.parametrize(
+    "module,m,replacement,named",
+    [
+        (posit, 5, None, "posit m=5 decoded to NaR"),
+        (posit, 5, (1, 3, -1), "posit m=5 decoded to 3*2^-1"),
+        (takum, -7, (-1, 3, 1), "takum m=-7 decoded to -6"),
+    ],
+    ids=["nar", "fraction", "wrong-integer"],
+)
+def test_check_round_trip_names_the_first_wrong_decode(decode_fault, module, m, replacement, named):
+    bits = module.encode_integer(m)
+    spot = (bits.uint, bits.width)
+    decode_fault(lambda u, n, value: replacement if (u, n) == spot else value, module)
+    result = oracle.check_round_trip(16)
+    assert not result.passed
+    assert result.detail == named

@@ -1,8 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intrep import DomainError, DyadicValue, integer_profile, oracle, posit, takum
+from intrep import (
+    BitString,
+    CapacityError,
+    DomainError,
+    DyadicValue,
+    integer_profile,
+    oracle,
+    posit,
+    takum,
+)
 
 
 def test_constructors_and_kinds():
@@ -86,3 +97,28 @@ def test_encoders_check_their_width_against_min_length(monkeypatch, codec, delta
     assert not result.passed
     family = codec.__name__.rpartition(".")[2]
     assert result.detail == f"{family} encoding of 0 has 1 bits, not {1 + delta}"
+
+
+def attempt(encode, m: int, max_bits: int):
+    """encode(m, max_bits) as (u, width), or the type and text of its refusal."""
+    try:
+        result = encode(m, max_bits)
+    except (CapacityError, DomainError) as exc:
+        return type(exc), str(exc)
+    return (result.uint, result.width) if isinstance(result, BitString) else result
+
+
+@pytest.mark.parametrize("codec", [posit, takum], ids=["posit", "takum"])
+def test_encode_uint_is_encode_integer_as_plain_ints(codec):
+    rng = random.Random(2027)
+    seeded = [rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 255)) for _ in range(2000)]
+    # The default 256 bits refuse some long m, which 322 bits take in both families.
+    cases = [(m, 256) for m in range(-4096, 4097)]
+    cases += [(m, max_bits) for m in seeded for max_bits in (256, 322)]
+    cases += [(3, 5), (1 << 255, 322), (-(1 << 255), 322), ((1 << 300) + 1, 400)]
+    for m, max_bits in cases:
+        expected = attempt(codec.encode_integer, m, max_bits)
+        assert attempt(codec.encode_uint, m, max_bits) == expected, (m, max_bits)
+    assert attempt(codec.encode_uint, 3, 5)[0] is CapacityError
+    if codec is takum:
+        assert attempt(codec.encode_uint, 1 << 255, 322)[0] is DomainError
