@@ -24,8 +24,8 @@ from .minifloat import PRESETS, MinifloatSpec
 class _TaperedFormat(FrozenSlots):
     """A posit or takum handle: width n, or the whole family when n is None.
 
-    The family's codec module is a ClassVar, not a field, because handles are
-    pickled into pool workers and a module cannot be pickled.
+    The family's codec module is a ClassVar, not a field, because a handle
+    pickles and a module cannot.
     """
 
     __slots__ = _fields = ("n",)

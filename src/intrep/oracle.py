@@ -8,9 +8,11 @@ widths and skips only patterns that cannot change an answer: a nonzero
 integer in [-window, window] comes only from the two halves of the
 handle's integer_patterns(n, window), zero only from pattern 0.  Posit
 and takum values do not change under appended zeros and ascend with the
-pattern within each half, so the walks over widths climb one gap ladder:
-they decode an odd pattern only while a wanted integer lies strictly
-between the values of its neighbours one width down.
+pattern within each half, so every posit or takum question, at one width
+or over many, climbs one gap ladder: it decodes an odd pattern only while
+a wanted integer lies strictly between the values of its neighbours one
+width down.  A minifloat's values change under appended zeros, so its
+sweep decodes pattern 0 and the halves, split over a process pool if asked.
 """
 
 from __future__ import annotations
@@ -78,7 +80,30 @@ def _add_integers(
     return found
 
 
+def _in_window(window: int):
+    """The gap ladder's holds for the integers in [-window, window]: one lies strictly inside."""
+    return lambda lo, hi: hi - lo > 1 and -window < hi and lo < window
+
+
 def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
+    """The integers in [-window, window] of the n-bit patterns.
+
+    A posit or takum handle climbs the gap ladder to width n, in this
+    process; a minifloat, whose values change under appended zeros, has no
+    codec and scans pattern 0 and its halves.
+    """
+    try:
+        fmt.codec
+    except FormatError:
+        return _scan_halves(fmt, n, window, workers)
+    found = set()
+    for _, integers in _gap_ladder(fmt, n, _in_window(window)):
+        found.update(m for m in integers if -window <= m <= window)
+    return found
+
+
+def _scan_halves(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
+    """Pattern 0 and both halves of integer_patterns(n, window), from width 16 over a pool."""
     positive, negative = fmt.integer_patterns(n, window)
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers <= 1 or n < 16 or not positive:  # empty halves leave no slice to hand out
@@ -136,7 +161,14 @@ def _consecutive_run(found: set[int], k: int) -> int:
 def representable_set(
     fmt: FormatSpec, n: int | None = None, window: int | None = None, workers: int | None = None
 ) -> tuple[int, ...]:
-    """The representable integers in [-window, window] at width n, ascending."""
+    """The representable integers in [-window, window] at width n, ascending.
+
+    A posit or takum climbs the gap ladder to width n and decodes only the
+    odd patterns whose neighbours leave room for an integer in the window;
+    workers is ignored for them.  A minifloat decodes pattern 0 and the
+    halves of integer_patterns(n, window), split over up to workers
+    processes (at most one per CPU) from width 16.
+    """
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
     width = _enumeration_width(fmt, n)
@@ -149,9 +181,12 @@ def largest_consecutive(
 ) -> ConsecutiveReport:
     """Largest consecutive integer from the width-n patterns, checked against the closed form.
 
-    Decodes pattern 0 and both halves of integer_patterns(n, 2^n).  The value is
-    the largest k with every integer in [-k, k] representable: the walk
-    stops at the first k + 1 where k + 1 or -(k + 1) has no pattern.
+    Finds the integers of the width-n patterns as representable_set(fmt, n,
+    2^n, workers) does: a posit or takum climbs the gap ladder, ignoring
+    workers; a minifloat decodes pattern 0 and both halves of
+    integer_patterns(n, 2^n).  The value is the largest k with every integer
+    in [-k, k] representable: the walk stops at the first k + 1 where k + 1
+    or -(k + 1) has no pattern.
     """
     width = _enumeration_width(fmt, n)
     # k is bounded by the pattern count, so a window of 2^width loses nothing.
@@ -218,10 +253,8 @@ def _consecutive_walk(fmt: PositFormat | TakumFormat, max_n: int):
     The integers of width n are those of width n - 1 and of its odd patterns,
     so k never decreases.  The ladder wants |m| <= 2^max_n: k is below 2^(n-1).
     """
-    window = 1 << max_n
     found, k = set(), -1
-    ladder = _gap_ladder(fmt, max_n, lambda lo, hi: hi - lo > 1 and -window < hi and lo < window)
-    for n, integers in ladder:
+    for n, integers in _gap_ladder(fmt, max_n, _in_window(1 << max_n)):
         found.update(integers)
         k = _consecutive_run(found, k)
         if n > 1:

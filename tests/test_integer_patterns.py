@@ -5,12 +5,13 @@ positive integer can only come from the patterns from that of 1 (01 0...0)
 up to the sign bit, and a negative one from those past NaR (10 0...0) up to
 that of -1 (11 0...0); the handle's integer_patterns(n) names the two halves
 and the oracle scans nothing else.  Values do not change under appended
-zeros and ascend with the pattern within each half, so the oracle's walks
-over widths decode only odd patterns, and of those only the ones whose
-neighbours leave room for a wanted integer (the gap ladder).  The
-reference loops below skip nothing: every pattern for representable sets,
-every odd pattern for minimal lengths.  The oracle must give their results
-exactly, also when a decode fault hides or misplaces one pattern.
+zeros and ascend with the pattern within each half, so the oracle's posit
+and takum sweeps, at one width or over many, decode only odd patterns, and
+of those only the ones whose neighbours leave room for a wanted integer
+(the gap ladder).  The reference loops below skip nothing: every pattern
+for representable sets, every odd pattern for minimal lengths.  The oracle
+must give their results exactly, also when a decode fault hides or
+misplaces one pattern.
 """
 
 import random
@@ -200,8 +201,8 @@ def test_minifloat_integer_patterns_skip_the_patterns_below_one(preset, decoded)
 
 @pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
 def test_representable_sets_match_the_full_enumeration(fmt):
-    for n in range(5, 17):
-        windows = (1, 100, 1 << n)
+    for n in range(5, 19):
+        windows = (1, 2, 3, 100, 1 << (n - 1), 1 << n)
         everything = reference_integers(fmt, n, max(windows))
         for window in windows:
             expected = tuple(sorted(m for m in everything if -window <= m <= window))
@@ -287,12 +288,32 @@ def test_min_length_table_kernel_calls(decode_fault, module, fmt, calls):
     assert count == calls
 
 
+@pytest.mark.parametrize(
+    "module,fmt,calls",
+    [(posit, PositFormat(), 57345), (takum, TakumFormat(), 53257)],
+    ids=IDS,
+)
+def test_largest_consecutive_kernel_calls(decode_fault, module, fmt, calls):
+    # Pattern 0 and the halves of width 20 would be 524289 calls.
+    count = 0
+
+    def counting(u, n, value):
+        nonlocal count
+        count += 1
+        return value
+
+    decode_fault(counting, module)
+    assert oracle.largest_consecutive(fmt, 20).value == 8192
+    assert count == calls
+
+
 @pytest.mark.parametrize("cls", [PositFormat, TakumFormat], ids=IDS)
-def test_the_width_walk_matches_the_single_width_route(cls):
+def test_the_width_walk_matches_the_full_enumeration(cls):
     walk = dict(oracle._consecutive_walk(cls(), 18))
     assert list(walk) == list(range(2, 19))
     for n in range(cls.codec.MIN_WIDTH, 19):
-        assert walk[n] == oracle.largest_consecutive(cls(n)).value, n
+        expected = consecutive_run(reference_integers(cls(), n, 1 << n))
+        assert walk[n] == oracle.largest_consecutive(cls(n)).value == expected, n
 
 
 @pytest.mark.parametrize(

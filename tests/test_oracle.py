@@ -58,10 +58,14 @@ def test_representable_set_validation():
         oracle.representable_set(PositFormat(), 25, 10)
 
 
-def test_workers_match_serial():
-    serial = oracle.representable_set(PositFormat(), 16, 50)
-    parallel = oracle.representable_set(PositFormat(), 16, 50, workers=2)
-    assert serial == parallel
+@pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
+def test_a_tapered_sweep_starts_no_pool(monkeypatch, fmt):
+    # The gap ladder runs in this process: workers is ignored for posit and takum.
+    serial = oracle.representable_set(fmt, 16, 50)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    assert oracle.representable_set(fmt, 16, 50, workers=2) == serial
+    assert oracle.largest_consecutive(fmt, 16, workers=2).agreement is True
 
 
 def test_workers_match_serial_for_a_minifloat():
@@ -98,10 +102,10 @@ def test_workers_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    capped = oracle.representable_set(PositFormat(), 16, 50, workers=10_000)
+    capped = oracle.representable_set(PRESETS["float16"], window=50, workers=10_000)
     assert created == [3]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
-    serial = oracle.representable_set(PositFormat(), 16, 50, workers=10_000)
+    serial = oracle.representable_set(PRESETS["float16"], window=50, workers=10_000)
     assert created == [3]
     assert capped == serial
 
@@ -127,9 +131,9 @@ def test_each_pool_task_scans_one_slice_of_each_half(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-    pooled = oracle.representable_set(PositFormat(), 16, 50, workers=4)
-    assert pooled == oracle.representable_set(PositFormat(), 16, 50)
-    positive, negative = PositFormat().integer_patterns(16)
+    pooled = oracle.representable_set(PRESETS["float16"], window=50, workers=4)
+    assert pooled == oracle.representable_set(PRESETS["float16"], window=50)
+    positive, negative = PRESETS["float16"].integer_patterns(16, 50)
     step = len(positive) // 4
     slices = [(positive[i : i + step], negative[i : i + step]) for i in range(0, len(positive), step)]
     assert [parts for _, _, parts, _ in tasks] == slices
@@ -170,8 +174,10 @@ def test_consecutive_report_non_power_of_two():
 
 
 def test_largest_consecutive_needs_both_signs(decode_fault):
-    # 10101110 is the only posit8 pattern for -5; with it NaR, [-5, 5] has a gap.
-    decode_fault(lambda u, n, value: None if (u, n) == (0b10101110, 8) else value, posit)
+    # 1010111 is the only odd posit pattern for -5, and 10101110 its only
+    # posit8 pattern; with both NaR, [-5, 5] has a gap.
+    hidden = {(0b1010111, 7), (0b10101110, 8)}
+    decode_fault(lambda u, n, value: None if (u, n) in hidden else value, posit)
     report = oracle.largest_consecutive(PositFormat(), 8)
     assert report.value == 4
     assert report.agreement is False
