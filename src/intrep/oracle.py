@@ -3,16 +3,15 @@
 Everything here works by decoding pattern spaces — no shortcuts shared
 with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are plain integers, decoded a width at a
-time by the handle's decode_patterns.  Enumeration is capped at 24-bit
-widths and skips only patterns that cannot change an answer: a nonzero
-integer in [-window, window] comes only from the two halves of the
-handle's integer_patterns(n, window), zero only from pattern 0.  Posit
-and takum values do not change under appended zeros and ascend with the
-pattern within each half, so every posit or takum question, at one width
-or over many, climbs one gap ladder: it decodes an odd pattern only while
-a wanted integer lies strictly between the values of its neighbours one
-width down.  A minifloat's values change under appended zeros, so its
-sweep decodes pattern 0 and the halves, split over a process pool if asked.
+time by the handle's decode_patterns, at most 24 bits wide, skipping only
+patterns that cannot change an answer: a nonzero integer in [-window,
+window] comes only from the halves of integer_patterns(n, window), zero
+only from pattern 0.  Posit and takum values do not change under appended
+zeros and ascend with the pattern within each half, so every posit or
+takum question climbs one gap ladder: it decodes an odd pattern only while
+a wanted integer lies strictly between its neighbours' values one width
+down, and a count of the patterns between them can end a run early.  A
+minifloat's sweep decodes pattern 0 and the halves, over a pool if asked.
 """
 
 from __future__ import annotations
@@ -80,26 +79,29 @@ def _add_integers(
     return found
 
 
-def _in_window(window: int):
-    """The gap ladder's holds for the integers in [-window, window]: one lies strictly inside."""
-    return lambda lo, hi: hi - lo > 1 and -window < hi and lo < window
+def _in_window(window: int, narrows: bool = False):
+    """The gap ladder's holds for the integers in [-window, window]: one lies strictly inside.
+
+    If narrows, a gap with more integers than room proves one missing (the
+    ladder's order premise, used a second time), so a consecutive run at the
+    ladder's last width ends below max(hi - 1, -lo - 1).
+    """
+    def holds(lo, hi, room):
+        nonlocal window
+        if narrows and hi - lo - 1 > room:
+            window = min(window, max(hi - 1, -lo - 1))
+        return hi - lo > 1 and -window < hi and lo < window
+    return holds
 
 
 def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
-    """The integers in [-window, window] of the n-bit patterns.
-
-    A posit or takum handle climbs the gap ladder to width n, in this
-    process; a minifloat, whose values change under appended zeros, has no
-    codec and scans pattern 0 and its halves.
-    """
+    """The integers in [-window, window] of the n-bit patterns, found as representable_set says."""
     try:
         fmt.codec
     except FormatError:
         return _scan_halves(fmt, n, window, workers)
-    found = set()
-    for _, integers in _gap_ladder(fmt, n, _in_window(window)):
-        found.update(m for m in integers if -window <= m <= window)
-    return found
+    ladder = _gap_ladder(fmt, n, _in_window(window))
+    return {m for _, integers in ladder for m in integers if -window <= m <= window}
 
 
 def _scan_halves(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
@@ -124,31 +126,36 @@ def _gap_ladder(fmt: PositFormat | TakumFormat, max_len: int, holds):
     """(width, integers of the patterns decoded at width) for width = 1..max_len.
 
     A gap (u, lo, hi) holds the odd pattern u and the integers lo < m < hi,
-    lo the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf).  u
-    is decoded if it is in a half of integer_patterns(width) and holds(lo,
-    hi), which says some wanted m is in the gap.  A finite value x inside it
-    cuts it at floor x and ceil x; after NaR, zero or a value outside, both
-    children keep (lo, hi): none widens its parent, so values out of order
-    could only hide integers.  Width 1 decodes pattern 0 if 0 is wanted.
+    lo the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf), and
+    room = 2^(max_len - width + 1) - 1 max_len-bit patterns lie between the
+    zero-extensions of u - 1 and u + 1.  u is decoded if it is in a half of
+    integer_patterns(width) and holds(lo, hi, room) says a wanted m is in the
+    gap.  A finite value x inside it cuts it at floor x and ceil x; after
+    NaR, zero or a value outside, both children keep (lo, hi): none widens
+    its parent, so values out of order could only hide integers.  Width 1
+    decodes pattern 0 if 0 is wanted.
     """
-    yield 1, _integers(fmt.decode_patterns(1, (0,) if holds(-1, 1) else ()))
+    yield 1, _integers(fmt.decode_patterns(1, (0,) if holds(-1, 1, 1) else ()))
     gaps = [(1, 0, inf), (3, -inf, 0)]  # 01 and 11: between zero, NaR and zero again
     for width in range(2, max_len + 1):
         positive, negative = fmt.integer_patterns(width)
-        live = [g for g in gaps if holds(g[1], g[2]) and (g[0] in positive or g[0] in negative)]
-        values = list(fmt.decode_patterns(width, [u for u, _, _ in live]))
-        yield width, _integers(values)
+        room = (2 << (max_len - width)) - 1
+        live = (g for g in gaps if holds(g[1], g[2], room) and (g[0] in positive or g[0] in negative))
         if width == max_len:  # no width is left to cut gaps for
-            break
-        gaps = []
-        for (u, lo, hi), value in zip(live, values):
+            yield width, _integers(fmt.decode_patterns(width, (g[0] for g in live)))
+            return
+        live, gaps, integers = list(live), [], []
+        for (u, lo, hi), value in zip(live, fmt.decode_patterns(width, (g[0] for g in live))):
             floor, ceil = lo, hi
             if value is not None:
                 x, e = value[0] * value[1], value[2]
                 below, above = (x << e, x << e) if e >= 0 else (x >> -e, -(-x >> -e))
+                if e >= 0:
+                    integers.append(below)
                 if lo < above and below < hi:
                     floor, ceil = below, above
             gaps += (2 * u - 1, lo, ceil), (2 * u + 1, floor, hi)
+        yield width, integers
 
 
 def _consecutive_run(found: set[int], k: int) -> int:
@@ -164,16 +171,14 @@ def representable_set(
     """The representable integers in [-window, window] at width n, ascending.
 
     A posit or takum climbs the gap ladder to width n and decodes only the
-    odd patterns whose neighbours leave room for an integer in the window;
+    odd patterns with an integer of the window between their neighbours;
     workers is ignored for them.  A minifloat decodes pattern 0 and the
     halves of integer_patterns(n, window), split over up to workers
     processes (at most one per CPU) from width 16.
     """
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
-    width = _enumeration_width(fmt, n)
-    found = _integers_at_width(fmt, width, window, workers)
-    return tuple(sorted(found))
+    return tuple(sorted(_integers_at_width(fmt, _enumeration_width(fmt, n), window, workers)))
 
 
 def largest_consecutive(
@@ -181,17 +186,17 @@ def largest_consecutive(
 ) -> ConsecutiveReport:
     """Largest consecutive integer from the width-n patterns, checked against the closed form.
 
-    Finds the integers of the width-n patterns as representable_set(fmt, n,
-    2^n, workers) does: a posit or takum climbs the gap ladder, ignoring
-    workers; a minifloat decodes pattern 0 and both halves of
-    integer_patterns(n, 2^n).  The value is the largest k with every integer
-    in [-k, k] representable: the walk stops at the first k + 1 where k + 1
-    or -(k + 1) has no pattern.
+    The value is the largest k with [-k, k] representable: a posit or takum
+    takes the last k of _consecutive_walk(fmt, n), ignoring workers, and a
+    minifloat the run of representable_set(fmt, n, 2^n, workers).
     """
     width = _enumeration_width(fmt, n)
-    # k is bounded by the pattern count, so a window of 2^width loses nothing.
-    found = _integers_at_width(fmt, width, 1 << width, workers)
-    k = _consecutive_run(found, -1)
+    try:
+        fmt.codec
+    except FormatError:  # a minifloat: its values change under appended zeros
+        k = _consecutive_run(_integers_at_width(fmt, width, 1 << width, workers), -1)
+    else:
+        *_, (_, k) = _consecutive_walk(fmt, width)
     try:
         closed = fmt.closed_form(width)
     except DomainError:  # the format's shape has no closed form
@@ -218,7 +223,7 @@ def min_length_table(
         raise FormatError("targets must be integers")
     lengths: dict[int, int | None] = dict.fromkeys(targets)
     wanted = sorted(lengths)
-    holds = lambda lo, hi: bisect_right(wanted, lo) < bisect_left(wanted, hi)
+    holds = lambda lo, hi, room: bisect_right(wanted, lo) < bisect_left(wanted, hi)
     for width, integers in _gap_ladder(fmt, max_len, holds):
         for m in integers:
             if m in lengths and lengths[m] is None:
@@ -251,10 +256,12 @@ def _consecutive_walk(fmt: PositFormat | TakumFormat, max_n: int):
     """(n, largest consecutive integer at width n) for n = 2..max_n, in one pass.
 
     The integers of width n are those of width n - 1 and of its odd patterns,
-    so k never decreases.  The ladder wants |m| <= 2^max_n: k is below 2^(n-1).
+    so k never decreases.  The ladder wants |m| <= 2^max_n, as k < 2^(n-1),
+    until _in_window narrows it by counting patterns: the order premise's
+    second use, which bounds every k of the walk.
     """
     found, k = set(), -1
-    for n, integers in _gap_ladder(fmt, max_n, _in_window(1 << max_n)):
+    for n, integers in _gap_ladder(fmt, max_n, _in_window(1 << max_n, narrows=True)):
         found.update(integers)
         k = _consecutive_run(found, k)
         if n > 1:

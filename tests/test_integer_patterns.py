@@ -8,10 +8,11 @@ and the oracle scans nothing else.  Values do not change under appended
 zeros and ascend with the pattern within each half, so the oracle's posit
 and takum sweeps, at one width or over many, decode only odd patterns, and
 of those only the ones whose neighbours leave room for a wanted integer
-(the gap ladder).  The reference loops below skip nothing: every pattern
-for representable sets, every odd pattern for minimal lengths.  The oracle
-must give their results exactly, also when a decode fault hides or
-misplaces one pattern.
+(the gap ladder); the width walk also skips the gaps past a bound that,
+by a count of patterns, its run cannot reach.  The reference loops below
+skip nothing: every pattern for representable sets, every odd pattern for
+minimal lengths.  The oracle must give their results exactly, also when a
+decode fault hides or misplaces one pattern.
 """
 
 import random
@@ -135,8 +136,10 @@ def test_even_patterns_repeat_the_value_one_width_down(fmt):
 
 @pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
 def test_values_ascend_with_the_pattern_within_each_half(fmt):
-    # The gap ladder of min_length_table and the width walk prunes on this:
-    # with it, an odd pattern lies strictly between its two neighbours.
+    # The gap ladder prunes on this: with it, an odd pattern lies strictly
+    # between its two neighbours.  The width walk uses it a second time to
+    # narrow its window: only the patterns of its last width between the
+    # zero-extensions of a gap's neighbours can hold the gap's integers.
     decode = fmt.codec.decode_uint
     for n in range(2, 17):
         for half in fmt.integer_patterns(n):
@@ -290,11 +293,12 @@ def test_min_length_table_kernel_calls(decode_fault, module, fmt, calls):
 
 @pytest.mark.parametrize(
     "module,fmt,calls",
-    [(posit, PositFormat(), 57345), (takum, TakumFormat(), 53257)],
+    [(posit, PositFormat(), 16413), (takum, TakumFormat(), 16419)],
     ids=IDS,
 )
 def test_largest_consecutive_kernel_calls(decode_fault, module, fmt, calls):
-    # Pattern 0 and the halves of width 20 would be 524289 calls.
+    # Pattern 0 and the halves of width 20 would be 524289 calls, and the
+    # gap ladder with the window kept at 2^20 57345 and 53257 calls.
     count = 0
 
     def counting(u, n, value):
@@ -314,6 +318,15 @@ def test_the_width_walk_matches_the_full_enumeration(cls):
     for n in range(cls.codec.MIN_WIDTH, 19):
         expected = consecutive_run(reference_integers(cls(), n, 1 << n))
         assert walk[n] == oracle.largest_consecutive(cls(n)).value == expected, n
+
+
+@pytest.mark.parametrize("cls", [PositFormat, TakumFormat], ids=IDS)
+def test_the_narrowed_run_matches_the_whole_window(cls):
+    # representable_set keeps the window 2^n that largest_consecutive's walk
+    # narrows wherever a gap holds more integers than patterns of width n.
+    for n in range(cls.codec.MIN_WIDTH, 21):
+        expected = consecutive_run(set(oracle.representable_set(cls(), n, 1 << n)))
+        assert oracle.largest_consecutive(cls(), n).value == expected, n
 
 
 @pytest.mark.parametrize(
@@ -377,12 +390,14 @@ def test_a_hidden_odd_pattern_fails_the_first_width_that_needs_it(decode_fault, 
 # enumeration of every width would be 65544, 65544, 131584 and 65512 calls
 # for the first three suites and the negation closure.  The odd patterns of
 # the halves, without the gap ladder, are 32769 per width walk and
-# 61440 + 95232 for the min-length tables.  The minifloat halves ending at
-# the window: float16 34816, bfloat16 4352 (33024 to the end of the halves),
-# e4m3 144, e5m2 72 (136), and the four zero patterns; 68124 without the cut.
+# 61440 + 95232 for the min-length tables.  The width walks' ladders with
+# the window kept at 2^16, not narrowed by counting patterns, are 6145 and
+# 4363.  The minifloat halves ending at the window: float16 34816, bfloat16
+# 4352 (33024 to the end of the halves), e4m3 144, e5m2 72 (136), and the
+# four zero patterns; 68124 without the cut.
 VERIFY_KERNEL_CALLS = {
-    "check_posit_consecutive": 6145,
-    "check_takum_consecutive": 4363,
+    "check_posit_consecutive": 2071,
+    "check_takum_consecutive": 1047,
     "check_minifloat_consecutive": 39388,
     "check_min_length": 4096 + 4098,
     "check_negation_closure": 32844,
@@ -416,4 +431,5 @@ def test_verify_all_kernel_calls(monkeypatch, decode_fault):
         monkeypatch.setattr(oracle, name, measured(name, getattr(oracle, name)))
     oracle.verify_all()
     assert calls == VERIFY_KERNEL_CALLS
-    assert total == 107465  # 136201 without the minifloat window cut
+    # 136201 without the minifloat window cut, 107465 without the narrowed walks
+    assert total == 100075
