@@ -8,10 +8,11 @@ patterns that cannot change an answer: a nonzero integer in [-window,
 window] comes only from the halves of integer_patterns(n, window), zero
 only from pattern 0.  Posit and takum values do not change under appended
 zeros and ascend with the pattern within each half, so every posit or
-takum question climbs one gap ladder: it decodes an odd pattern only while
-a wanted integer lies strictly between its neighbours' values one width
-down, and a count of the patterns between them can end a run early.  A
-minifloat's sweep decodes pattern 0 and the halves, over a pool if asked.
+takum question climbs one gap ladder, filtered a width at a time: it makes
+no gap without an integer strictly between its neighbours' values one width
+down, decodes a gap's odd pattern only if a wanted one is inside, and ends
+a run early where a count of patterns proves it.  A minifloat's sweep
+decodes pattern 0 and the halves, over a pool if asked.
 """
 
 from __future__ import annotations
@@ -32,18 +33,12 @@ MAX_ANALYTIC_N = 64  # widest takum whose Lambert-W exponent is checked
 E4M3_PUBLISHED = 32  # the widely quoted e4m3 largest consecutive integer
 
 
-def _check_budget(n: int) -> None:
+def _check_budget(n: int) -> int:
     if n < 1:
         raise FormatError(f"width must be positive, got {n}")
     if n > MAX_ENUM_BITS:
         raise BudgetError(f"enumeration of {n}-bit patterns exceeds the {MAX_ENUM_BITS}-bit budget")
-
-
-def _enumeration_width(fmt: FormatSpec, n: int | None) -> int:
-    """The width to enumerate fmt at (formats.resolve_width), within the budget."""
-    width = formats.resolve_width(fmt, n)
-    _check_budget(width)
-    return width
+    return n
 
 
 class ConsecutiveReport(NamedTuple):
@@ -80,17 +75,19 @@ def _add_integers(
 
 
 def _in_window(window: int, narrows: bool = False):
-    """The gap ladder's holds for the integers in [-window, window]: one lies strictly inside.
+    """The gap ladder's holds for [-window, window]: a width's gaps reaching into it, in order.
 
-    If narrows, a gap with more integers than room proves one missing (the
-    ladder's order premise, used a second time), so a consecutive run at the
-    ladder's last width ends below max(hi - 1, -lo - 1).
+    The ladder makes no gap without an integer inside.  If narrows, a gap with
+    more integers than room proves one missing (the order premise's second
+    use), so a run at the last width ends below max(hi - 1, -lo - 1).
     """
-    def holds(lo, hi, room):
+    def holds(gaps, room):
         nonlocal window
-        if narrows and hi - lo - 1 > room:
-            window = min(window, max(hi - 1, -lo - 1))
-        return hi - lo > 1 and -window < hi and lo < window
+        for g in gaps:  # (u, lo, hi), yielded as is: a copy would double a width's gaps
+            if narrows and g[2] - g[1] - 1 > room:
+                window = min(window, max(g[2] - 1, -g[1] - 1))
+            if -window < g[2] and g[1] < window:
+                yield g
     return holds
 
 
@@ -128,33 +125,38 @@ def _gap_ladder(fmt: PositFormat | TakumFormat, max_len: int, holds):
     A gap (u, lo, hi) holds the odd pattern u and the integers lo < m < hi,
     lo the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf), and
     room = 2^(max_len - width + 1) - 1 max_len-bit patterns lie between the
-    zero-extensions of u - 1 and u + 1.  u is decoded if it is in a half of
-    integer_patterns(width) and holds(lo, hi, room) says a wanted m is in the
-    gap.  A finite value x inside it cuts it at floor x and ceil x; after
-    NaR, zero or a value outside, both children keep (lo, hi): none widens
-    its parent, so values out of order could only hide integers.  Width 1
-    decodes pattern 0 if 0 is wanted.
+    zero-extensions of u - 1 and u + 1.  holds(gaps, room) keeps a width's
+    gaps with a wanted m inside; their u in a half of integer_patterns(width)
+    are decoded.  A finite value x inside cuts the gap at floor x and ceil x,
+    dropping a child with no integer inside; after NaR, zero or a value
+    outside, both children keep (lo, hi): none widens its parent, so values
+    out of order could only hide integers.  Width 1's gap is (0, -1, 1).
     """
-    yield 1, _integers(fmt.decode_patterns(1, (0,) if holds(-1, 1, 1) else ()))
+    yield 1, _integers(fmt.decode_patterns(1, [g[0] for g in holds([(0, -1, 1)], 1)]))
     gaps = [(1, 0, inf), (3, -inf, 0)]  # 01 and 11: between zero, NaR and zero again
     for width in range(2, max_len + 1):
         positive, negative = fmt.integer_patterns(width)
         room = (2 << (max_len - width)) - 1
-        live = (g for g in gaps if holds(g[1], g[2], room) and (g[0] in positive or g[0] in negative))
+        live = [g for g in holds(gaps, room) if g[0] in positive or g[0] in negative]
         if width == max_len:  # no width is left to cut gaps for
             yield width, _integers(fmt.decode_patterns(width, (g[0] for g in live)))
             return
-        live, gaps, integers = list(live), [], []
+        gaps, integers = [], []
         for (u, lo, hi), value in zip(live, fmt.decode_patterns(width, (g[0] for g in live))):
-            floor, ceil = lo, hi
             if value is not None:
                 x, e = value[0] * value[1], value[2]
-                below, above = (x << e, x << e) if e >= 0 else (x >> -e, -(-x >> -e))
                 if e >= 0:
+                    below = above = x << e
                     integers.append(below)
+                else:
+                    below, above = x >> -e, -(-x >> -e)
                 if lo < above and below < hi:
-                    floor, ceil = below, above
-            gaps += (2 * u - 1, lo, ceil), (2 * u + 1, floor, hi)
+                    if above - lo > 1:
+                        gaps.append((2 * u - 1, lo, above))
+                    if hi - below > 1:
+                        gaps.append((2 * u + 1, below, hi))
+                    continue
+            gaps += (2 * u - 1, lo, hi), (2 * u + 1, lo, hi)
         yield width, integers
 
 
@@ -178,7 +180,8 @@ def representable_set(
     """
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
-    return tuple(sorted(_integers_at_width(fmt, _enumeration_width(fmt, n), window, workers)))
+    width = _check_budget(formats.resolve_width(fmt, n))
+    return tuple(sorted(_integers_at_width(fmt, width, window, workers)))
 
 
 def largest_consecutive(
@@ -190,7 +193,7 @@ def largest_consecutive(
     takes the last k of _consecutive_walk(fmt, n), ignoring workers, and a
     minifloat the run of representable_set(fmt, n, 2^n, workers).
     """
-    width = _enumeration_width(fmt, n)
+    width = _check_budget(formats.resolve_width(fmt, n))
     try:
         fmt.codec
     except FormatError:  # a minifloat: its values change under appended zeros
@@ -206,15 +209,13 @@ def largest_consecutive(
     return ConsecutiveReport(fmt, width, k, exponent, "oracle", agreement)
 
 
-def min_length_table(
-    fmt: FormatSpec, targets, max_len: int = MAX_ENUM_BITS
-) -> dict[int, int | None]:
+def min_length_table(fmt: FormatSpec, targets, max_len: int = MAX_ENUM_BITS) -> dict[int, int | None]:
     """Minimal representation lengths for many integers in one sweep.
 
-    Climbs the gap ladder with the targets wanted; a found one is a pattern's
-    value, which bounds gaps and lies inside none.  A target 0 is 1 if the
-    1-bit pattern 0, which every pattern 0 extends, is zero.  Entries left
-    None were not representable within max_len bits.
+    Climbs the gap ladder, keeping a width's gaps with a target inside; a
+    found one is a pattern's value, which bounds gaps and lies inside none.
+    A target 0 is 1 if the 1-bit pattern 0, which every pattern 0 extends,
+    is zero.  Entries left None were not representable within max_len bits.
     """
     _check_budget(max_len)
     fmt.codec  # refuses a minifloat, which has no variable-length encoding
@@ -223,7 +224,7 @@ def min_length_table(
         raise FormatError("targets must be integers")
     lengths: dict[int, int | None] = dict.fromkeys(targets)
     wanted = sorted(lengths)
-    holds = lambda lo, hi, room: bisect_right(wanted, lo) < bisect_left(wanted, hi)
+    holds = lambda gaps, _: [g for g in gaps if bisect_right(wanted, g[1]) < bisect_left(wanted, g[2])]
     for width, integers in _gap_ladder(fmt, max_len, holds):
         for m in integers:
             if m in lengths and lengths[m] is None:
@@ -293,11 +294,13 @@ def check_takum_consecutive(max_n: int = 16) -> CheckResult:
     return _check_tapered_consecutive(TakumFormat, max_n)
 
 
-def check_minifloat_consecutive() -> CheckResult:
-    """Every preset that the enumeration budget admits, whatever the verify max_n."""
+def check_minifloat_consecutive(_reports: dict | None = None) -> CheckResult:
+    """Every preset the enumeration budget admits, whatever max_n; the reports go into _reports."""
     specs = {p: s for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS}
     name = f"minifloat largest-consecutive vs oracle ({', '.join(specs)})"
-    answers = ((p, largest_consecutive(s).value, s.closed_form(s.width)) for p, s in specs.items())
+    reports = {} if _reports is None else _reports
+    reports.update((p, largest_consecutive(s)) for p, s in specs.items())
+    answers = ((p, reports[p].value, s.closed_form(s.width)) for p, s in specs.items())
     return _check_consecutive(name, answers)
 
 
@@ -333,9 +336,8 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
     0 and 2^(n-1) pair with themselves, so each must be zero or NaR.  Past
     the first width, p runs over 0, the odd patterns and 2^(n-1) only: an
     even pair 2q, -2q mod 2^n is the (n-1)-bit pair q, -q mod 2^(n-1)
-    zero-extended, checked one width before.  A pair
-    passes when decode(-p mod 2^n) equals _negated(decode(p)); a failure
-    names the first p, in ascending order, whose pair does not.
+    zero-extended, checked one width before.  A failure names the least p
+    whose -p mod 2^n does not decode to _negated(decode(p)).
     """
     _check_max_n(max_n)
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
@@ -370,8 +372,7 @@ def check_round_trip(max_m: int = 4096) -> CheckResult:
                 except ArithmeticError as exc:  # the pattern is not min_length(m) wide
                     return CheckResult(name, False, str(exc))
                 value = decode(u, width)
-                # _integers' rule for one triple, inline: a generator per m costs
-                # about a third of this loop.
+                # _integers' rule, inline: a generator per m costs about a third of this loop.
                 if value is None or value[2] < 0 or value[0] * (value[1] << value[2]) != m:
                     detail = f"{fmt.name} m={m} decoded to {DyadicValue.from_triple(value)}"
                     return CheckResult(name, False, detail)
@@ -393,14 +394,12 @@ def check_analytic_consecutive() -> CheckResult:
     return CheckResult(name, True, "exact agreement, residuals within tolerance")
 
 
-def known_discrepancies() -> list[CheckResult]:
-    """Informational notes about published values the oracle contradicts."""
-    report = largest_consecutive(minifloat.PRESETS["e4m3"])
-    detail = (
-        f"enumeration of all {1 << report.n} patterns gives {report.value}; the widely "
-        f"quoted {E4M3_PUBLISHED} would need 4 fraction bits, but E4M3 has 3 "
-        f"(known discrepancy, not a failure)"
-    )
+def known_discrepancies(_reports: dict | None = None) -> list[CheckResult]:
+    """Notes about published values the oracle contradicts; e4m3's report is taken from _reports."""
+    report = (_reports or {}).get("e4m3") or largest_consecutive(minifloat.PRESETS["e4m3"])
+    detail = (f"enumeration of all {1 << report.n} patterns gives {report.value}; the widely "
+              f"quoted {E4M3_PUBLISHED} would need 4 fraction bits, but E4M3 has 3 "
+              f"(known discrepancy, not a failure)")
     name = "e4m3 largest-consecutive vs commonly published value"
     return [CheckResult(name, True, detail, note=True)]
 
@@ -409,14 +408,15 @@ def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
     """Every formula-vs-oracle suite at the given budgets."""
     _check_max_n(max_n)
     _check_max_m(max_m, MAX_LENGTH_M)
+    reports: dict[str, ConsecutiveReport] = {}  # the minifloat suite's, for the e4m3 note
     return [
         check_posit_consecutive(max_n),
         check_takum_consecutive(max_n),
-        check_minifloat_consecutive(),
+        check_minifloat_consecutive(reports),
         check_min_length(PositFormat(), max_m),
         check_min_length(TakumFormat(), max_m),
         check_negation_closure(min(max_n, 14)),
         check_round_trip(max_m),
         check_analytic_consecutive(),
-        *known_discrepancies(),
+        *known_discrepancies(reports),
     ]
