@@ -100,8 +100,8 @@ def _render_table(rows: list[TableRow], exact: bool) -> str:
     computed = next(row.value for row in rows if row.name == "e4m3 (computed)")
     lines.append(
         f"* published tables commonly list {render_magnitude(oracle.E4M3_PUBLISHED)} for e4m3, "
-        "which presumes 4 fraction bits; E4M3 has 3.  Exhaustive enumeration of all "
-        f"{1 << minifloat.PRESETS['e4m3'].width} bit patterns gives {computed}."
+        "which presumes 4 fraction bits; E4M3 has 3.  The brute-force oracle over its "
+        f"{minifloat.PRESETS['e4m3'].width}-bit patterns gives {computed}."
     )
     return "\n".join(lines) + "\n"
 

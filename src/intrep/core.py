@@ -130,7 +130,7 @@ class FrozenSlots:
 
     def __reduce__(self):
         # Rebuild through the constructor: pickle's default restores slots by
-        # assignment, which __setattr__ refuses.  Pool workers get handles so.
+        # assignment, which __setattr__ refuses.
         return self.__class__, self._values()
 
 

@@ -3,11 +3,13 @@
 A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
 takum handles may carry a width or stand for the whole family (width None);
 minifloat widths are intrinsic to the spec.  Every handle carries its
-family's operations (name, width, codec, decode_patterns, integer_patterns,
-closed_form, precision_profile), so callers do not branch on the handle's
-type.  decode_patterns(n, patterns) is the batch decode: the family's
-decode_uint of each n-bit pattern, lazily and in order, with the width's
-masks and shifts worked out once for the whole batch.
+family's operations (name, width, codec, decode_patterns, closed_form,
+precision_profile), so callers do not branch on the handle's type.
+decode_patterns(n, patterns) is the batch decode: the family's decode_uint
+of each n-bit pattern, lazily and in order, with the width's masks and
+shifts worked out once for the whole batch.  Posit and takum handles also
+name integer_patterns(n), the halves the oracle's gap ladder climbs; the
+oracle gives a minifloat its own sign-magnitude view instead.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .minifloat import PRESETS, MinifloatSpec
 class _TaperedFormat(FrozenSlots):
     """A posit or takum handle: width n, or the whole family when n is None.
 
-    The family's codec module is a ClassVar, not a field, because a handle
-    pickles and a module cannot.
+    The family's codec module is a ClassVar, not a field: a handle compares,
+    hashes and pickles by its fields, and a module does not pickle.
     """
 
     __slots__ = _fields = ("n",)
@@ -57,7 +59,7 @@ class _TaperedFormat(FrozenSlots):
         """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints."""
         return self.codec.decode_uints(patterns, n)
 
-    def integer_patterns(self, n: int, window: int | None = None) -> tuple[range, range]:
+    def integer_patterns(self, n: int) -> tuple[range, range]:
         """The positive and the negative n-bit patterns that can be a nonzero integer.
 
         Patterns are ordered like two's-complement integers, so the positive
@@ -65,9 +67,7 @@ class _TaperedFormat(FrozenSlots):
         the negative ones from just past NaR (10 0...0) up to the pattern of
         -1 (11 0...0); every other pattern is zero, NaR, or lies strictly
         between -1 and 1.  The two ranges have equal length.  Holds from
-        n = 2, where they are 01 and 11.  The window is not used: a bound on
-        a posit or takum magnitude would take the regime arithmetic of the
-        decoder under test, which the oracle must not share.
+        n = 2, where they are 01 and 11.
         """
         half = 1 << (n - 1)
         return range(half >> 1, half), range(half + 1, half + (half >> 1) + 1)

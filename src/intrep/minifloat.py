@@ -116,30 +116,6 @@ class MinifloatSpec(FrozenSlots):
         """decode_uints(self, patterns); n is its width."""
         return decode_uints(self, patterns)
 
-    def integer_patterns(self, n: int, window: int | None = None) -> tuple[range, range]:
-        """The positive and the negative patterns that can be a nonzero integer; n is the width.
-
-        With a window, only those that can be one in [-window, window].
-        Each half starts at the magnitude bias << fraction_bits, exponent
-        field bias and fraction 0, which is 1.0 if finite: every smaller
-        magnitude has a smaller exponent field and lies in (0, 1).  With
-        bias <= 0, where even subnormals can be integers, each half keeps
-        every nonzero magnitude; with bias >= 2^exponent_bits no value
-        reaches 1, and both halves are empty.  A window ends each half at
-        the magnitude with exponent field E = bias + window.bit_length() and
-        fraction 0: every magnitude with a field E >= 1 is at least
-        2^(E - bias), past the window from that one on.  The end is never
-        below exponent field 1, so the subnormals stay, nor below the start
-        (its field is at least bias + 1), nor outside the half.  The halves
-        have equal length.
-        """
-        half = 1 << (n - 1)
-        one = min(max(self.bias << self.fraction_bits, 1), half)
-        end = half
-        if window is not None:
-            end = min(max(self.bias + window.bit_length(), 1) << self.fraction_bits, half)
-        return range(one, end), range(half + one, half + end)
-
     def closed_form(self, n: int) -> int:
         """largest_consecutive(self); n is its width."""
         return largest_consecutive(self)

@@ -4,22 +4,21 @@ Everything here works by decoding pattern spaces — no shortcuts shared
 with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are plain integers, decoded a width at a
 time by the handle's decode_patterns, at most 24 bits wide, skipping only
-patterns that cannot change an answer: a nonzero integer in [-window,
-window] comes only from the halves of integer_patterns(n, window), zero
-only from pattern 0.  Posit and takum values do not change under appended
-zeros and ascend with the pattern within each half, so every posit or
-takum question climbs one gap ladder, filtered a width at a time: it makes
-no gap without an integer strictly between its neighbours' values one width
-down, decodes a gap's odd pattern only if a wanted one is inside, and ends
-a run early where a count of patterns proves it.  A minifloat's sweep
-decodes pattern 0 and the halves, over a pool if asked.
+patterns that cannot change an answer: a nonzero integer comes only from
+the halves of integer_patterns(n), zero only from pattern 0.  Posit and
+takum values do not change under appended zeros and ascend with the
+pattern within each half, and so do a minifloat's in its _SignMagnitude
+view, so every question climbs one gap ladder, filtered a width at a time:
+it makes no gap without an integer strictly between its neighbours' values
+one width down, decodes a gap's odd pattern only if a wanted one is inside,
+and ends a run early where a count of patterns proves it.  Every sweep runs
+in the calling process.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat, tee
+from itertools import chain, tee
 from math import inf
 from typing import NamedTuple
 
@@ -59,21 +58,6 @@ def _integers(values):
             yield value[0] * (value[1] << value[2])
 
 
-def _add_integers(
-    fmt: FormatSpec, n: int, parts, window: int, found: set[int] | None = None
-) -> set[int]:
-    """Add the integers in [-window, window] of the n-bit patterns of parts to found, or a new set.
-
-    The parts are scanned in one loop into one set: a set per part, united
-    afterwards, would hold every integer twice at the peak.
-    """
-    found = set() if found is None else found
-    for m in _integers(fmt.decode_patterns(n, chain.from_iterable(parts))):
-        if -window <= m <= window:
-            found.add(m)
-    return found
-
-
 def _in_window(window: int, narrows: bool = False):
     """The gap ladder's holds for [-window, window]: a width's gaps reaching into it, in order.
 
@@ -91,35 +75,47 @@ def _in_window(window: int, narrows: bool = False):
     return holds
 
 
-def _integers_at_width(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
-    """The integers in [-window, window] of the n-bit patterns, found as representable_set says."""
+class _SignMagnitude(NamedTuple):
+    """A minifloat's patterns in the order the gap ladder climbs, a width at a time.
+
+    Width-w pattern u is the spec's u << (n - w) below 2^(w-1) and
+    sign | (2^w - u) << (n - w) above it, so appended zeros keep its value,
+    and as a sign-magnitude value grows with its magnitude, values ascend
+    within each half as a posit's do.  2^(w-1) stands for no pattern (NaR
+    to the ladder), and no view pattern is -0, which has +0's value.
+    """
+
+    spec: minifloat.MinifloatSpec
+
+    def integer_patterns(self, w: int) -> tuple[range, range]:
+        """Every width-w pattern but zero and 2^(w-1): the ladder's halves."""
+        half = 1 << (w - 1)
+        return range(1, half), range(half + 1, half << 1)
+
+    def decode_patterns(self, w: int, patterns):
+        """The spec's decode_patterns of each width-w view pattern's spec pattern."""
+        n = self.spec.width
+        shift, top, sign = n - w, 1 << w, 1 << (n - 1)
+        spec_patterns = (u << shift if u < top >> 1 else sign | (top - u) << shift for u in patterns)
+        return self.spec.decode_patterns(n, spec_patterns)
+
+
+def _ladder_handle(fmt: FormatSpec) -> PositFormat | TakumFormat | _SignMagnitude:
+    """The handle the gap ladder climbs: a posit or takum itself, a minifloat's view."""
     try:
         fmt.codec
-    except FormatError:
-        return _scan_halves(fmt, n, window, workers)
-    ladder = _gap_ladder(fmt, n, _in_window(window))
+    except FormatError:  # a minifloat: its values change under appended zeros
+        return _SignMagnitude(fmt)
+    return fmt
+
+
+def _integers_at_width(fmt: FormatSpec, n: int, window: int) -> set[int]:
+    """The integers in [-window, window] of the n-bit patterns, found as representable_set says."""
+    ladder = _gap_ladder(_ladder_handle(fmt), n, _in_window(window))
     return {m for _, integers in ladder for m in integers if -window <= m <= window}
 
 
-def _scan_halves(fmt: FormatSpec, n: int, window: int, workers: int | None) -> set[int]:
-    """Pattern 0 and both halves of integer_patterns(n, window), from width 16 over a pool."""
-    positive, negative = fmt.integer_patterns(n, window)
-    workers = min(workers or 1, os.cpu_count() or 1)
-    if workers <= 1 or n < 16 or not positive:  # empty halves leave no slice to hand out
-        return _add_integers(fmt, n, (range(1), positive, negative), window)  # pattern 0 is zero
-    # Imported on the first pooled call, not with the module: it loads
-    # multiprocessing, which no other path of `import intrep` needs.
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Task i scans the i-th slice of each half; the halves have equal length.
-    step = -(-len(positive) // workers)
-    slices = [(positive[i : i + step], negative[i : i + step]) for i in range(0, len(positive), step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        found = set().union(*pool.map(_add_integers, repeat(fmt), repeat(n), slices, repeat(window)))
-    return _add_integers(fmt, n, (range(1),), window, found)
-
-
-def _gap_ladder(fmt: PositFormat | TakumFormat, max_len: int, holds):
+def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, max_len: int, holds):
     """(width, integers of the patterns decoded at width) for width = 1..max_len.
 
     A gap (u, lo, hi) holds the odd pattern u and the integers lo < m < hi,
@@ -172,16 +168,14 @@ def representable_set(
 ) -> tuple[int, ...]:
     """The representable integers in [-window, window] at width n, ascending.
 
-    A posit or takum climbs the gap ladder to width n and decodes only the
-    odd patterns with an integer of the window between their neighbours;
-    workers is ignored for them.  A minifloat decodes pattern 0 and the
-    halves of integer_patterns(n, window), split over up to workers
-    processes (at most one per CPU) from width 16.
+    The gap ladder climbs to width n (a minifloat's: its own width, in its
+    _SignMagnitude view) and decodes only the odd patterns with an integer
+    of the window between their neighbours.  workers is ignored.
     """
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
     width = _check_budget(formats.resolve_width(fmt, n))
-    return tuple(sorted(_integers_at_width(fmt, width, window, workers)))
+    return tuple(sorted(_integers_at_width(fmt, width, window)))
 
 
 def largest_consecutive(
@@ -189,17 +183,12 @@ def largest_consecutive(
 ) -> ConsecutiveReport:
     """Largest consecutive integer from the width-n patterns, checked against the closed form.
 
-    The value is the largest k with [-k, k] representable: a posit or takum
-    takes the last k of _consecutive_walk(fmt, n), ignoring workers, and a
-    minifloat the run of representable_set(fmt, n, 2^n, workers).
+    The value is the largest k with [-k, k] representable, the last k of
+    _consecutive_walk to width n (a minifloat's in its _SignMagnitude view).
+    workers is ignored.
     """
     width = _check_budget(formats.resolve_width(fmt, n))
-    try:
-        fmt.codec
-    except FormatError:  # a minifloat: its values change under appended zeros
-        k = _consecutive_run(_integers_at_width(fmt, width, 1 << width, workers), -1)
-    else:
-        *_, (_, k) = _consecutive_walk(fmt, width)
+    *_, (_, k) = _consecutive_walk(_ladder_handle(fmt), width)
     try:
         closed = fmt.closed_form(width)
     except DomainError:  # the format's shape has no closed form
@@ -253,7 +242,7 @@ def _check_max_n(max_n: int) -> None:
         raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
 
 
-def _consecutive_walk(fmt: PositFormat | TakumFormat, max_n: int):
+def _consecutive_walk(fmt: PositFormat | TakumFormat | _SignMagnitude, max_n: int):
     """(n, largest consecutive integer at width n) for n = 2..max_n, in one pass.
 
     The integers of width n are those of width n - 1 and of its odd patterns,
@@ -294,13 +283,11 @@ def check_takum_consecutive(max_n: int = 16) -> CheckResult:
     return _check_tapered_consecutive(TakumFormat, max_n)
 
 
-def check_minifloat_consecutive(_reports: dict | None = None) -> CheckResult:
-    """Every preset the enumeration budget admits, whatever max_n; the reports go into _reports."""
+def check_minifloat_consecutive() -> CheckResult:
+    """Every preset the enumeration budget admits, whatever max_n."""
     specs = {p: s for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS}
     name = f"minifloat largest-consecutive vs oracle ({', '.join(specs)})"
-    reports = {} if _reports is None else _reports
-    reports.update((p, largest_consecutive(s)) for p, s in specs.items())
-    answers = ((p, reports[p].value, s.closed_form(s.width)) for p, s in specs.items())
+    answers = ((p, largest_consecutive(s).value, s.closed_form(s.width)) for p, s in specs.items())
     return _check_consecutive(name, answers)
 
 
@@ -394,11 +381,11 @@ def check_analytic_consecutive() -> CheckResult:
     return CheckResult(name, True, "exact agreement, residuals within tolerance")
 
 
-def known_discrepancies(_reports: dict | None = None) -> list[CheckResult]:
-    """Notes about published values the oracle contradicts; e4m3's report is taken from _reports."""
-    report = (_reports or {}).get("e4m3") or largest_consecutive(minifloat.PRESETS["e4m3"])
-    detail = (f"enumeration of all {1 << report.n} patterns gives {report.value}; the widely "
-              f"quoted {E4M3_PUBLISHED} would need 4 fraction bits, but E4M3 has 3 "
+def known_discrepancies() -> list[CheckResult]:
+    """Notes about published values the oracle contradicts."""
+    report = largest_consecutive(minifloat.PRESETS["e4m3"])
+    detail = (f"the brute-force oracle over the {report.n}-bit patterns gives {report.value}; the "
+              f"widely quoted {E4M3_PUBLISHED} would need 4 fraction bits, but E4M3 has 3 "
               f"(known discrepancy, not a failure)")
     name = "e4m3 largest-consecutive vs commonly published value"
     return [CheckResult(name, True, detail, note=True)]
@@ -408,15 +395,14 @@ def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
     """Every formula-vs-oracle suite at the given budgets."""
     _check_max_n(max_n)
     _check_max_m(max_m, MAX_LENGTH_M)
-    reports: dict[str, ConsecutiveReport] = {}  # the minifloat suite's, for the e4m3 note
     return [
         check_posit_consecutive(max_n),
         check_takum_consecutive(max_n),
-        check_minifloat_consecutive(reports),
+        check_minifloat_consecutive(),
         check_min_length(PositFormat(), max_m),
         check_min_length(TakumFormat(), max_m),
         check_negation_closure(min(max_n, 14)),
         check_round_trip(max_m),
         check_analytic_consecutive(),
-        *known_discrepancies(reports),
+        *known_discrepancies(),
     ]

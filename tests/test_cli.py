@@ -307,7 +307,7 @@ def test_table_footnote_reads_the_computed_row():
         for row in cli.build_table()
     ]
     footnote = cli._render_table(rows, exact=False).splitlines()[-1]
-    assert footnote.endswith("Exhaustive enumeration of all 256 bit patterns gives 17.")
+    assert footnote.endswith("The brute-force oracle over its 8-bit patterns gives 17.")
 
 
 def test_table_exact(capsys):
