@@ -7,9 +7,8 @@ family's operations (name, width, codec, decode_patterns, closed_form,
 precision_profile), so callers do not branch on the handle's type.
 decode_patterns(n, patterns) is the batch decode: the family's decode_uint
 of each n-bit pattern, lazily and in order, with the width's masks and
-shifts worked out once for the whole batch.  Posit and takum handles also
-name integer_patterns(n), the halves the oracle's gap ladder climbs; the
-oracle gives a minifloat its own sign-magnitude view instead.
+shifts worked out once for the whole batch, and the only operation the
+oracle's gap ladder asks of a handle.
 """
 
 from __future__ import annotations
@@ -58,19 +57,6 @@ class _TaperedFormat(FrozenSlots):
     def decode_patterns(self, n: int, patterns):
         """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints."""
         return self.codec.decode_uints(patterns, n)
-
-    def integer_patterns(self, n: int) -> tuple[range, range]:
-        """The positive and the negative n-bit patterns that can be a nonzero integer.
-
-        Patterns are ordered like two's-complement integers, so the positive
-        integers lie from the pattern of 1 (01 0...0) up to the sign bit and
-        the negative ones from just past NaR (10 0...0) up to the pattern of
-        -1 (11 0...0); every other pattern is zero, NaR, or lies strictly
-        between -1 and 1.  The two ranges have equal length.  Holds from
-        n = 2, where they are 01 and 11.
-        """
-        half = 1 << (n - 1)
-        return range(half >> 1, half), range(half + 1, half + (half >> 1) + 1)
 
     def closed_form(self, n: int) -> int:
         """The codec's largest_consecutive at width n."""

@@ -112,12 +112,18 @@ class MinifloatSpec(FrozenSlots):
         """A posit or takum handle's variable-length codec module; a minifloat has none."""
         raise FormatError(f"{self.name} has no variable-length encoding")
 
+    def _refuse_other_widths(self, n: int) -> None:
+        if n != self.width:
+            raise FormatError(f"width {n} conflicts with {self.name}")
+
     def decode_patterns(self, n: int, patterns):
-        """decode_uints(self, patterns); n is its width."""
+        """decode_uints(self, patterns); n must be its width."""
+        self._refuse_other_widths(n)
         return decode_uints(self, patterns)
 
     def closed_form(self, n: int) -> int:
-        """largest_consecutive(self); n is its width."""
+        """largest_consecutive(self); n must be its width."""
+        self._refuse_other_widths(n)
         return largest_consecutive(self)
 
     def precision_profile(self) -> list[tuple[int, int]]:

@@ -3,16 +3,15 @@
 Everything here works by decoding pattern spaces — no shortcuts shared
 with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are plain integers, decoded a width at a
-time by the handle's decode_patterns, at most 24 bits wide, skipping only
-patterns that cannot change an answer: a nonzero integer comes only from
-the halves of integer_patterns(n), zero only from pattern 0.  Posit and
+time by the handle's decode_patterns, at most 24 bits wide.  Posit and
 takum values do not change under appended zeros and ascend with the
-pattern within each half, and so do a minifloat's in its _SignMagnitude
-view, so every question climbs one gap ladder, filtered a width at a time:
-it makes no gap without an integer strictly between its neighbours' values
-one width down, decodes a gap's odd pattern only if a wanted one is inside,
-and ends a run early where a count of patterns proves it.  Every sweep runs
-in the calling process.
+pattern within each sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1, and
+so do a minifloat's in its _SignMagnitude view, so every question climbs
+one gap ladder, filtered a width at a time: it makes no gap without an
+integer strictly between its neighbours' values one width down, decodes a
+gap's odd pattern only if a wanted one is inside, and ends a run early
+where a count of patterns proves it.  Every sweep runs in the calling
+process.
 """
 
 from __future__ import annotations
@@ -81,16 +80,11 @@ class _SignMagnitude(NamedTuple):
     Width-w pattern u is the spec's u << (n - w) below 2^(w-1) and
     sign | (2^w - u) << (n - w) above it, so appended zeros keep its value,
     and as a sign-magnitude value grows with its magnitude, values ascend
-    within each half as a posit's do.  2^(w-1) stands for no pattern (NaR
-    to the ladder), and no view pattern is -0, which has +0's value.
+    within each sign half as a posit's do.  2^(w-1) is the spec's -0; from
+    width 2 on it is even, as 0 is, so neither is ever a gap's u.
     """
 
     spec: minifloat.MinifloatSpec
-
-    def integer_patterns(self, w: int) -> tuple[range, range]:
-        """Every width-w pattern but zero and 2^(w-1): the ladder's halves."""
-        half = 1 << (w - 1)
-        return range(1, half), range(half + 1, half << 1)
 
     def decode_patterns(self, w: int, patterns):
         """The spec's decode_patterns of each width-w view pattern's spec pattern."""
@@ -122,18 +116,18 @@ def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, max_len: int, h
     lo the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf), and
     room = 2^(max_len - width + 1) - 1 max_len-bit patterns lie between the
     zero-extensions of u - 1 and u + 1.  holds(gaps, room) keeps a width's
-    gaps with a wanted m inside; their u in a half of integer_patterns(width)
-    are decoded.  A finite value x inside cuts the gap at floor x and ceil x,
-    dropping a child with no integer inside; after NaR, zero or a value
-    outside, both children keep (lo, hi): none widens its parent, so values
-    out of order could only hide integers.  Width 1's gap is (0, -1, 1).
+    gaps with a wanted m inside, and their u are decoded; past width 1 each
+    u is odd, so neither zero nor NaR.  A finite value x inside cuts the gap
+    at floor x and ceil x, dropping a child with no integer inside, so no
+    gap lies between 0 and ±1; after NaR, zero or a value outside, both
+    children keep (lo, hi): none widens its parent, so values out of order
+    could only hide integers.  Width 1's gap is (0, -1, 1).
     """
     yield 1, _integers(fmt.decode_patterns(1, [g[0] for g in holds([(0, -1, 1)], 1)]))
     gaps = [(1, 0, inf), (3, -inf, 0)]  # 01 and 11: between zero, NaR and zero again
     for width in range(2, max_len + 1):
-        positive, negative = fmt.integer_patterns(width)
         room = (2 << (max_len - width)) - 1
-        live = [g for g in holds(gaps, room) if g[0] in positive or g[0] in negative]
+        live = list(holds(gaps, room))  # read twice below; holds may be a generator
         if width == max_len:  # no width is left to cut gaps for
             yield width, _integers(fmt.decode_patterns(width, (g[0] for g in live)))
             return

@@ -101,7 +101,8 @@ def test_handles_pickle(fmt):
     copy = pickle.loads(pickle.dumps(fmt))
     assert type(copy) is type(fmt) and copy == fmt
     # A minifloat's decode layout is rebuilt by the constructor, not pickled.
-    assert list(copy.decode_patterns(8, range(256))) == list(fmt.decode_patterns(8, range(256)))
+    n = fmt.width or 8
+    assert list(copy.decode_patterns(n, range(256))) == list(fmt.decode_patterns(n, range(256)))
 
 
 def test_format_width():
@@ -205,6 +206,17 @@ def test_minifloat_batch_decode_refuses_what_decode_uint_refuses(u):
     with pytest.raises(FormatError) as batch:
         list(spec.decode_patterns(spec.width, [u]))
     assert str(batch.value) == str(single.value) == f"{u} does not fit in 4 bits"
+
+
+@pytest.mark.parametrize("name,n", [("float16", 8), ("e4m3", 16), ("bfloat16", 15)])
+def test_a_minifloat_refuses_a_width_not_its_own(name, n):
+    # The width is intrinsic to the spec: decoding n-bit patterns or asking
+    # for an n-bit closed form would silently answer for the spec's width.
+    spec = PRESETS[name]
+    with pytest.raises(FormatError, match=f"^width {n} conflicts with {name}$"):
+        spec.decode_patterns(n, [0x3C])
+    with pytest.raises(FormatError, match=f"^width {n} conflicts with {name}$"):
+        spec.closed_form(n)
 
 
 def test_decode_dispatch():

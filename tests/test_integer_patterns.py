@@ -1,20 +1,16 @@
-"""The oracle's integer-bearing pattern halves, and the full enumeration it skips.
+"""The gap ladder's order premise, and the full enumeration it skips.
 
-Posit and takum patterns are ordered like two's-complement integers, so a
-positive integer can only come from the patterns from that of 1 (01 0...0)
-up to the sign bit, and a negative one from those past NaR (10 0...0) up to
-that of -1 (11 0...0); the handle's integer_patterns(n) names the two halves
-and the oracle scans nothing else.  Values do not change under appended
-zeros and ascend with the pattern within each half, so the oracle's posit
-and takum sweeps, at one width or over many, decode only odd patterns, and
-of those only the ones whose neighbours leave room for a wanted integer
-(the gap ladder); the width walk also skips the gaps past a bound that,
-by a count of patterns, its run cannot reach.  A minifloat's patterns are
-put in the same order by the oracle's sign-magnitude view, which the
-ladder climbs in its place.  The reference loops below
-skip nothing: every pattern for representable sets, every odd pattern for
-minimal lengths.  The oracle must give their results exactly, also when a
-decode fault hides or misplaces one pattern.
+Posit and takum values do not change under appended zeros and ascend with
+the pattern within each sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1,
+so the oracle's posit and takum sweeps, at one width or over many, decode
+only odd patterns, and of those only the ones whose neighbours leave room
+for a wanted integer (the gap ladder); the width walk also skips the gaps
+past a bound that, by a count of patterns, its run cannot reach.  A
+minifloat's patterns are put in the same order by the oracle's
+sign-magnitude view, which the ladder climbs in its place.  The reference
+loops below skip nothing: every pattern for representable sets, every odd
+pattern for minimal lengths.  The oracle must give their results exactly,
+also when a decode fault hides or misplaces one pattern.
 """
 
 import random
@@ -23,18 +19,11 @@ from typing import NamedTuple
 
 import pytest
 
-from intrep import PositFormat, TakumFormat, cli, minifloat, oracle, posit, takum
+from intrep import PositFormat, TakumFormat, minifloat, oracle, posit, takum
 from intrep.minifloat import MinifloatSpec, SpecialValues
 
 FAMILIES = [PositFormat(), TakumFormat()]
 IDS = ["posit", "takum"]
-
-
-def nonzero_integer(value) -> int | None:
-    """The integer a decode_uint triple stands for, or None if it is not a nonzero integer."""
-    if value is None or not value[1] or value[2] < 0:
-        return None
-    return value[0] * (value[1] << value[2])
 
 
 def reference_integers(fmt, n: int, window: int) -> set[int]:
@@ -83,44 +72,10 @@ def consecutive_run(found: set[int]) -> int:
     return k
 
 
-def check_pattern(fmt, u: int, n: int) -> None:
-    """A nonzero integer lies in the half of integer_patterns(n) that its sign names."""
-    m = nonzero_integer(fmt.codec.decode_uint(u, n))
-    if m is not None:
-        assert u in fmt.integer_patterns(n)[m < 0], (u, n, m)
-
-
-def check_ends(fmt, n: int) -> None:
-    """The halves run from 1 up to the sign bit and from past NaR to -1."""
-    positive, negative = fmt.integer_patterns(n)
-    assert fmt.codec.decode_uint(positive.start, n) == (1, 1, 0)
-    assert fmt.codec.decode_uint(negative[-1], n) == (-1, 1, 0)
-    assert positive.stop == 1 << (n - 1) == negative.start - 1
-    assert positive.stop - positive.start == negative.stop - negative.start
-
-
-@pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
-def test_every_integer_pattern_up_to_16_bits_is_in_the_range(fmt):
-    for n in range(2, 17):
-        check_ends(fmt, n)
-        for u in range(1 << n):
-            check_pattern(fmt, u, n)
-
-
-@pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
-def test_random_long_integer_patterns_are_in_the_range(fmt):
-    rng = random.Random(2024)
-    for _ in range(20000):
-        n = rng.randint(17, 600)
-        # Clearing a random number of low bits makes integers common: a
-        # uniform pattern this long almost never decodes to one.
-        zeros = rng.randint(0, n)
-        u = rng.getrandbits(n) >> zeros << zeros
-        check_pattern(fmt, u, n)
-        check_ends(fmt, n)
-        for half in fmt.integer_patterns(n):
-            for edge in (half.start - 1, half.stop):
-                check_pattern(fmt, edge, n)
+def sign_halves(n: int) -> tuple[range, range]:
+    """Every n-bit pattern but zero and 2^(n-1), the positive ones first."""
+    half = 1 << (n - 1)
+    return range(1, half), range(half + 1, half << 1)
 
 
 @pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
@@ -145,16 +100,19 @@ def test_values_ascend_with_the_pattern_within_each_half(fmt):
     # zero-extensions of a gap's neighbours can hold the gap's integers.
     decode = fmt.codec.decode_uint
     for n in range(2, 17):
-        for half in fmt.integer_patterns(n):
+        for half in sign_halves(n):
             values = [decode(u, n) for u in half]
             assert all(value is not None and value[1] for value in values), n
             assert all(ascending(a, b) for a, b in pairwise(values)), n
     rng = random.Random(2026)
     for _ in range(20000):
         n = rng.randint(17, 600)
-        half = fmt.integer_patterns(n)[rng.getrandbits(1)]
-        # Runs of equal bits near either end of a half make long regimes common.
-        u = rng.choice([half.start, half.stop - 2, rng.randrange(half.start, half.stop - 1)])
+        half = sign_halves(n)[rng.getrandbits(1)]
+        # Runs of equal bits near either end of a half, and near its middle,
+        # the pattern of 1 or of -1, make long regimes common.
+        middle = (half.start + half.stop) // 2
+        inside = rng.randrange(half.start, half.stop - 1)
+        u = rng.choice([half.start, half.stop - 2, middle, inside])
         u ^= rng.getrandbits(rng.randint(0, n)) & ((1 << (n - 2)) - 1)
         if u in half and u + 1 in half:
             assert ascending(decode(u, n), decode(u + 1, n)), (u, n)
@@ -194,15 +152,16 @@ class PatternSpec(NamedTuple):
 
 
 def test_the_minifloat_view_orders_its_halves_and_keeps_appended_zeros():
-    # oracle._SignMagnitude's width-n halves hold every pattern of the spec
-    # but the two zeros: the positive one ascending, the negative one from
-    # the largest magnitude down, so with the order above its values ascend
-    # within each half as a posit's do.  One width down, u is the view's 2u.
+    # oracle._SignMagnitude's width-n sign halves hold every pattern of the
+    # spec but the two zeros: the positive one ascending, the negative one
+    # from the largest magnitude down, so with the order above its values
+    # ascend within each half as a posit's do.  One width down, u is the
+    # view's 2u.
     for n in range(2, 17):
         view, sign = oracle._SignMagnitude(PatternSpec(n)), 1 << (n - 1)
-        positive, negative = view.integer_patterns(n)
-        assert view.decode_patterns(n, positive) == list(range(1, sign))
-        assert view.decode_patterns(n, negative) == [sign | m for m in range(sign - 1, 0, -1)]
+        assert view.decode_patterns(n, range(1, sign)) == list(range(1, sign))
+        negative = view.decode_patterns(n, range(sign + 1, sign << 1))
+        assert negative == [sign | m for m in range(sign - 1, 0, -1)]
         for w in range(1, n):
             below = [u for u in range(1 << w) if u != 1 << (w - 1)]
             doubled = [2 * u for u in below]
@@ -266,31 +225,6 @@ def test_random_min_length_tables_match_the_full_enumeration(fmt):
         assert oracle.min_length_table(fmt, targets, max_len) == expected, (targets, max_len)
 
 
-@pytest.mark.parametrize("cls", [PositFormat, TakumFormat], ids=IDS)
-@pytest.mark.parametrize("end", ["1", "-1"])
-def test_verify_fails_when_the_range_drops_an_end(capsys, monkeypatch, cls, end):
-    true_range = cls.integer_patterns
-
-    def truncated(self, n):
-        # From width 3 on the ends of each half are even, and the walk decodes
-        # only odd patterns, so the positive half loses its lowest odd pattern
-        # and the negative half its highest.  At width 2 each half is one
-        # pattern, 01 (the only odd pattern of 1) or 11, and goes altogether.
-        positive, negative = true_range(self, n)
-        if end == "1":
-            return range(positive.start + 2, positive.stop), negative
-        return positive, range(negative.start, negative.stop - 2)
-
-    monkeypatch.setattr(cls, "integer_patterns", truncated)
-    code = cli.main(["verify", "--max-n", "8", "--max-m", "16"])
-    out = capsys.readouterr().out
-    assert code == cli.EXIT_VERIFICATION
-    family = cls().family
-    assert f"FAIL  {family} largest-consecutive formula vs oracle, n=5..8: n=5:" in out
-    if end == "1":
-        assert f"FAIL  {family} min-length formula vs oracle, m=1..16: m=1: formula 2, oracle None" in out
-
-
 @pytest.mark.parametrize(
     "module,fmt,calls",
     [(posit, PositFormat(), 4096), (takum, TakumFormat(), 4098)],
@@ -298,7 +232,8 @@ def test_verify_fails_when_the_range_drops_an_end(capsys, monkeypatch, cls, end)
 )
 def test_min_length_table_kernel_calls(decode_fault, module, fmt, calls):
     # Every odd pattern up to the last target would be 192510 and 357374
-    # calls, and the odd patterns of the halves up to it 61440 and 95232.
+    # calls, and the odd patterns up to it from that of 1 to the sign bit and
+    # from past NaR to that of -1 (the integer-bearing halves) 61440 and 95232.
     count = 0
 
     def counting(u, n, value):
@@ -317,8 +252,8 @@ def test_min_length_table_kernel_calls(decode_fault, module, fmt, calls):
     ids=IDS,
 )
 def test_largest_consecutive_kernel_calls(decode_fault, module, fmt, calls):
-    # Pattern 0 and the halves of width 20 would be 524289 calls, and the
-    # gap ladder with the window kept at 2^20 57345 and 53257 calls.
+    # Pattern 0 and the integer-bearing halves of width 20 would be 524289
+    # calls, and the gap ladder with the window kept at 2^20 57345 and 53257.
     count = 0
 
     def counting(u, n, value):
@@ -329,6 +264,30 @@ def test_largest_consecutive_kernel_calls(decode_fault, module, fmt, calls):
     decode_fault(counting, module)
     assert oracle.largest_consecutive(fmt, 20).value == 8192
     assert count == calls
+
+
+@pytest.mark.parametrize("module,fmt", [(posit, PositFormat()), (takum, TakumFormat())], ids=IDS)
+def test_the_ladder_decodes_no_pattern_between_zero_and_one(decode_fault, module, fmt):
+    # A gap is made only with an integer strictly inside it, so past width 1
+    # every decoded pattern lies from that of 1 (01 0...0) up to the sign bit
+    # or from past NaR (10 0...0) up to that of -1 (11 0...0): the patterns
+    # strictly between -1 and 1 need no filter to stay undecoded.
+    decoded = []
+
+    def recording(u, n, value):
+        decoded.append((u, n))
+        return value
+
+    decode_fault(recording, module)
+    oracle.min_length_table(fmt, range(-3000, 3001), 18)
+    oracle.largest_consecutive(fmt, 18)
+    for n in range(fmt.codec.MIN_WIDTH, 19):
+        assert oracle.representable_set(fmt, n, 1 << n)
+    assert decoded
+    for u, n in decoded:
+        if n > 1:
+            quarter = 1 << (n - 2)
+            assert quarter <= u < 2 * quarter or 2 * quarter < u <= 3 * quarter, (u, n)
 
 
 @pytest.mark.parametrize("cls", [PositFormat, TakumFormat], ids=IDS)
@@ -387,10 +346,16 @@ def test_the_gap_ladder_narrows_a_gap_only_on_a_value_inside_it(decode_fault, cl
     [
         (PositFormat, oracle.check_posit_consecutive, 4),  # hidden at width 4, needed from 6
         (PositFormat, oracle.check_posit_consecutive, -3),
+        (PositFormat, oracle.check_posit_consecutive, 1),  # 01 at width 2, the first gap
+        (PositFormat, oracle.check_posit_consecutive, -1),  # 11 at width 2
         (TakumFormat, oracle.check_takum_consecutive, 8),
         (TakumFormat, oracle.check_takum_consecutive, -5),
+        (TakumFormat, oracle.check_takum_consecutive, 1),
+        (TakumFormat, oracle.check_takum_consecutive, -1),
     ],
-    ids=["posit-4", "posit--3", "takum-8", "takum--5"],
+    ids=[
+        "posit-4", "posit--3", "posit-1", "posit--1", "takum-8", "takum--5", "takum-1", "takum--1"
+    ],
 )
 def test_a_hidden_odd_pattern_fails_the_first_width_that_needs_it(decode_fault, cls, check, m):
     # The walk never decodes the even patterns that repeat the hidden one at
@@ -409,10 +374,10 @@ def test_a_hidden_odd_pattern_fails_the_first_width_that_needs_it(decode_fault, 
 # Kernel calls of each suite in verify_all() at the default budgets.  A full
 # enumeration of every width would be 65544, 65544, 131584 and 65512 calls
 # for the first three suites and the negation closure.  The odd patterns of
-# the halves, without the gap ladder, are 32769 per width walk and
-# 61440 + 95232 for the min-length tables.  The width walks' ladders with
-# the window kept at 2^16, not narrowed by counting patterns, are 6145 and
-# 4363.  The minifloats climb the ladder too, in their sign-magnitude view:
+# the integer-bearing halves, without the gap ladder, are 32769 per width
+# walk and 61440 + 95232 for the min-length tables.  The width walks'
+# ladders with the window kept at 2^16, not narrowed by counting patterns,
+# are 6145 and 4363.  The minifloats climb the ladder too, in their sign-magnitude view:
 # 4127 + 551 + 47 + 33 (MINIFLOAT_LADDER_CALLS); pattern 0 and the halves
 # ending at the window were 34816 + 4352 + 144 + 72 and the four zero
 # patterns, 39388, and 68124 without the cut.
