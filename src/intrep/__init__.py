@@ -2,11 +2,16 @@
 
 Decoders and integer encoders for three families of machine number formats,
 closed-form answers to "how many bits does this integer need" and "up to
-where are all integers representable", and a brute-force oracle that verifies
-the closed forms by exhaustive enumeration at small widths.
+where are all integers representable", and a brute-force oracle that checks
+the closed forms against decoded patterns at small widths.
+
+The submodules cli and oracle load on first use, so a decode never pays
+for argparse or the oracle.
 """
 
-from . import cli, formats, minifloat, oracle, posit, takum
+from importlib import import_module
+
+from . import formats, minifloat, posit, takum
 from .core import (
     BitString,
     BudgetError,
@@ -46,3 +51,16 @@ __all__ = [
     "posit",
     "takum",
 ]
+
+_LAZY = ("cli", "oracle")
+
+
+def __getattr__(name: str):
+    # Importing a submodule binds it on the package, so this runs once per name.
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

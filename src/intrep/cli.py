@@ -10,8 +10,17 @@ import argparse
 import sys
 from typing import NamedTuple
 
-from . import core, formats, minifloat, oracle, posit, takum
-from .core import DEFAULT_MAX_BITS, BitString, BudgetError, CapacityError, DomainError, FormatError
+from . import core, formats, minifloat, posit, takum
+from .core import (
+    DEFAULT_MAX_BITS,
+    MAX_ENUM_BITS,
+    MAX_LENGTH_M,
+    BitString,
+    BudgetError,
+    CapacityError,
+    DomainError,
+    FormatError,
+)
 from .formats import PositFormat, TakumFormat
 
 EXIT_OK = 0
@@ -34,9 +43,13 @@ def build_table() -> list[TableRow]:
     """Largest consecutive integers for the standard 8..128-bit formats.
 
     Every row is computed from the closed forms except the OFP8 rows, which
-    come from full enumeration, and the e4m3 reference row, which repeats the
-    widely published (and contradicted) value so the conflict stays visible.
+    come from the brute-force oracle, and the e4m3 reference row, which
+    repeats the widely published (and contradicted) value so the conflict
+    stays visible.
     """
+    # Imported here, not with the module: only table and verify need the oracle.
+    from . import oracle
+
     e4m3 = oracle.largest_consecutive(minifloat.PRESETS["e4m3"]).value
     e5m2 = oracle.largest_consecutive(minifloat.PRESETS["e5m2"]).value
     published, count = oracle.E4M3_PUBLISHED, formats.signed_integer_count(8)
@@ -97,9 +110,10 @@ def _render_table(rows: list[TableRow], exact: bool) -> str:
     for line in body:
         lines.append("  ".join(line[i].ljust(widths[i]) for i in range(3)).rstrip())
     lines.append("")
+    published = next(row.value for row in rows if row.source == "reference")
     computed = next(row.value for row in rows if row.name == "e4m3 (computed)")
     lines.append(
-        f"* published tables commonly list {render_magnitude(oracle.E4M3_PUBLISHED)} for e4m3, "
+        f"* published tables commonly list {render_magnitude(published)} for e4m3, "
         "which presumes 4 fraction bits; E4M3 has 3.  The brute-force oracle over its "
         f"{minifloat.PRESETS['e4m3'].width}-bit patterns gives {computed}."
     )
@@ -180,6 +194,8 @@ def cmd_precision_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     results = oracle.verify_all(args.max_n, args.max_m)
     failures = 0
     for result in results:
@@ -240,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = add("verify", cmd_verify, "run every formula-vs-oracle suite")
-    widest, cap = oracle.MAX_ENUM_BITS, oracle.MAX_LENGTH_M
-    swept = f"largest posit/takum width swept (<= {widest})"
+    swept = f"largest posit/takum width swept (<= {MAX_ENUM_BITS})"
     p.add_argument("--max-n", type=int, default=16, help=swept)
-    p.add_argument("--max-m", type=int, default=4096, help=f"largest m in length checks (<= {cap})")
+    capped = f"largest m in length checks (<= {MAX_LENGTH_M})"
+    p.add_argument("--max-m", type=int, default=4096, help=capped)
 
     return parser
 

@@ -242,6 +242,11 @@ def check_width(n: int, floor: int, family: str) -> None:
 
 DEFAULT_MAX_BITS = 256
 
+# The oracle's budgets, kept here so the command line's help reads them
+# without importing the oracle.
+MAX_ENUM_BITS = 24
+MAX_LENGTH_M = 65535  # larger integers can need more than MAX_ENUM_BITS pattern bits
+
 
 def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> tuple[int, int]:
     """Shortest posit or takum pattern for the integer m, as (u, width): both encoders' frame.

@@ -55,11 +55,18 @@ class _TaperedFormat(FrozenSlots):
         return self.n
 
     def decode_patterns(self, n: int, patterns):
-        """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints."""
+        """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints.
+
+        A sized handle refuses widths above its own; the gap ladder climbs those below.
+        """
+        if self.n is not None and n > self.n:
+            raise FormatError(f"width {n} conflicts with {self.name}")
         return self.codec.decode_uints(patterns, n)
 
     def closed_form(self, n: int) -> int:
-        """The codec's largest_consecutive at width n."""
+        """The codec's largest_consecutive at width n; a sized handle's n must be its width."""
+        if self.n is not None and n != self.n:
+            raise FormatError(f"width {n} conflicts with {self.name}")
         return self.codec.largest_consecutive(n)
 
     def precision_profile(self) -> list[tuple[int, int]]:

@@ -22,11 +22,9 @@ from math import inf
 from typing import NamedTuple
 
 from . import formats, minifloat, takum
-from .core import BudgetError, DomainError, DyadicValue, FormatError
+from .core import MAX_ENUM_BITS, MAX_LENGTH_M, BudgetError, DomainError, DyadicValue, FormatError
 from .formats import FormatSpec, PositFormat, TakumFormat
 
-MAX_ENUM_BITS = 24
-MAX_LENGTH_M = 65535  # larger integers can need more than MAX_ENUM_BITS pattern bits
 MAX_ANALYTIC_N = 64  # widest takum whose Lambert-W exponent is checked
 E4M3_PUBLISHED = 32  # the widely quoted e4m3 largest consecutive integer
 
@@ -198,10 +196,13 @@ def min_length_table(fmt: FormatSpec, targets, max_len: int = MAX_ENUM_BITS) -> 
     Climbs the gap ladder, keeping a width's gaps with a target inside; a
     found one is a pattern's value, which bounds gaps and lies inside none.
     A target 0 is 1 if the 1-bit pattern 0, which every pattern 0 extends,
-    is zero.  Entries left None were not representable within max_len bits.
+    is zero.  Entries left None were not representable within max_len bits,
+    nor within a sized handle's width, past which it has no patterns.
     """
     _check_budget(max_len)
     fmt.codec  # refuses a minifloat, which has no variable-length encoding
+    if fmt.width is not None:
+        max_len = min(max_len, fmt.width)
     targets = list(targets)
     if any(isinstance(m, bool) or not isinstance(m, int) for m in targets):
         raise FormatError("targets must be integers")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import intrep
 from intrep import FormatError, cli, formats, oracle, posit, takum
 
 
@@ -573,31 +574,98 @@ def test_readme_verify_example_lines_are_real_output_lines_in_order(capsys):
 
 # ------------------------------------------------------------ cold start
 
-# Prints the modules that `import intrep` adds, then those that one decode adds
-# on top, each as a set difference taken inside one fresh interpreter, so
-# modules the interpreter loaded at start-up do not count.
+# Modules that a short query must not load: the process pool, dataclasses, and
+# decimal, which only the approximations of large counts need.
+HEAVY = {"dataclasses", "decimal", "multiprocessing", "concurrent.futures.process"}
+
+# Prints, last, the modules that `import intrep` adds, as a set difference
+# taken inside one fresh interpreter, so modules the interpreter loaded at
+# start-up do not count.
 IMPORTED_MODULES = """
 import json, sys
 before = set(sys.modules)
 import intrep
-imported = set(sys.modules) - before
-intrep.cli.main(["decode", "--format", "posit8", "--bits", "011"])
-print(json.dumps([sorted(imported), sorted(set(sys.modules) - before)]))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# Runs `python -m intrep` with the child's arguments, then prints, last, its
+# exit code and the modules it added.
+RUN_MODULE = """
+import json, runpy, sys
+before = set(sys.modules)
+code = None
+try:
+    runpy.run_module("intrep", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
 
-def test_a_query_loads_neither_the_process_pool_nor_dataclasses():
+QUERIES = {
+    "decode": ["--format", "posit8", "--bits", "011"],
+    "encode-int": ["--format", "takum", "--value", "5"],
+    "min-bits": ["--format", "takum", "--value", "10"],
+    "max-consecutive": ["--format", "e4m3"],
+    "figure": ["--n-min", "5", "--n-max", "8"],
+    "precision-profile": ["--format", "posit8"],
+}
+
+
+def fresh_child(script, *args):
+    """A fresh interpreter's stdout lines before the last, and the last read as JSON."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", IMPORTED_MODULES],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    decoded, report = child.stdout.splitlines()
-    assert decoded == "16"
-    imported, ran = map(set, json.loads(report))
-    assert "intrep.cli" in imported
-    heavy = {"dataclasses", "decimal", "multiprocessing", "concurrent.futures.process"}
-    assert heavy & imported == set()
-    assert heavy & ran == set()
+    *output, report = child.stdout.splitlines()
+    return output, json.loads(report)
+
+
+def test_a_query_loads_neither_the_process_pool_nor_dataclasses():
+    _, imported = fresh_child(IMPORTED_MODULES)
+    # cli and oracle load on first use, and argparse only with cli.
+    assert {"intrep.cli", "intrep.oracle", "argparse"} & set(imported) == set()
+    assert HEAVY & set(imported) == set()
+
+
+@pytest.mark.parametrize("command", [*QUERIES, "table", "verify"])
+def test_only_table_and_verify_load_the_oracle(command):
+    output, (code, ran) = fresh_child(RUN_MODULE, command, *QUERIES.get(command, []))
+    assert code == 0 and output
+    assert ("intrep.oracle" in ran) == (command in ("table", "verify"))
+    heavy = HEAVY if command in QUERIES else HEAVY - {"decimal"}  # the table approximates 2^24
+    assert heavy & set(ran) == set()
+
+
+# Reads the lazy submodules before and after their first use: dir(intrep)
+# lists each and sys.modules holds neither, then an attribute loads oracle
+# and a star import loads cli.
+LAZY_SURFACE = """
+import json, sys
+import intrep
+lazy = ("cli", "oracle")
+before = [[name in dir(intrep), f"intrep.{name}" in sys.modules] for name in lazy]
+first = intrep.oracle is sys.modules["intrep.oracle"]
+star = {}
+exec("from intrep import *", star)
+after = [star[name] is getattr(intrep, name) is sys.modules[f"intrep.{name}"] for name in lazy]
+print(json.dumps([before, first, after]))
+"""
+
+
+def test_cli_and_oracle_load_on_first_use():
+    _, (before, first, after) = fresh_child(LAZY_SURFACE)
+    assert before == [[True, False], [True, False]]
+    assert first is True
+    assert after == [True, True]
+
+
+def test_an_unknown_package_attribute_is_the_standard_error():
+    with pytest.raises(AttributeError, match=r"^module 'intrep' has no attribute 'nope'$"):
+        intrep.nope
+    assert not hasattr(intrep, "nope")
+    with pytest.raises(ImportError, match="cannot import name 'nope'"):
+        from intrep import nope  # noqa: F401

@@ -219,6 +219,24 @@ def test_a_minifloat_refuses_a_width_not_its_own(name, n):
         spec.closed_form(n)
 
 
+@pytest.mark.parametrize("name,wider,narrower,run", [("posit8", 16, 5, 16), ("takum12", 13, 7, 64)])
+def test_a_sized_tapered_handle_refuses_a_width_not_its_own(name, wider, narrower, run):
+    # A closed form answers for the handle's width only, and patterns wider
+    # than the handle are not its patterns; narrower ones still decode, as
+    # the gap ladder climbs through them.
+    fmt = parse_format(name)
+    with pytest.raises(FormatError, match=f"^width {wider} conflicts with {name}$"):
+        fmt.decode_patterns(wider, [(1 << (wider - 1)) - 1])
+    for n in (wider, narrower):
+        with pytest.raises(FormatError, match=f"^width {n} conflicts with {name}$"):
+            fmt.closed_form(n)
+    patterns = range(1 << narrower)
+    expected = list(fmt.codec.decode_uints(patterns, narrower))
+    assert list(fmt.decode_patterns(narrower, patterns)) == expected
+    report = oracle.largest_consecutive(fmt)
+    assert (report.value, report.agreement) == (run, True)
+
+
 def test_decode_dispatch():
     assert formats.decode(PositFormat(8), BitString("011")) == DyadicValue.from_mantissa(1, 16, 0)
     assert formats.decode(TakumFormat(12), BitString("0101")) == DyadicValue.from_mantissa(1, 8, 0)

@@ -169,6 +169,17 @@ def test_min_length_not_found_is_none():
     assert oracle.min_length(PositFormat(), 3, max_len=5) is None
 
 
+def test_a_sized_handle_has_no_min_length_past_its_width():
+    # 17 needs 10 posit bits, so no posit8 pattern is 17.
+    assert oracle.min_length(PositFormat(), 17) == 10
+    assert oracle.min_length(PositFormat(8), 17) is None
+    assert oracle.min_length(PositFormat(8), 3) == 6
+    targets = range(-300, 301)
+    assert oracle.min_length_table(TakumFormat(8), targets) == oracle.min_length_table(
+        TakumFormat(), targets, 8
+    )
+
+
 def test_min_length_table_validation():
     assert oracle.min_length_table(PositFormat(), [0, 1]) == {0: 1, 1: 2}
     with pytest.raises(FormatError):
