@@ -19,7 +19,6 @@ from .core import (
     DomainError,
     DyadicValue,
     FormatError,
-    ValueKind,
     integer_profile,
 )
 from .formats import FormatSpec, PositFormat, TakumFormat, parse_format
@@ -40,7 +39,6 @@ __all__ = [
     "PositFormat",
     "SpecialValues",
     "TakumFormat",
-    "ValueKind",
     "__version__",
     "cli",
     "formats",

@@ -151,7 +151,11 @@ def cmd_encode_int(args) -> int:
 
 
 def cmd_min_bits(args) -> int:
-    print(formats.parse_format(args.format).codec.min_length(args.value))
+    fmt = formats.parse_format(args.format)
+    need = fmt.codec.min_length(args.value)
+    if fmt.width is not None and need > fmt.width:
+        raise CapacityError(f"{args.value} needs {need} bits, more than {fmt.name} has")
+    print(need)
     return EXIT_OK
 
 

@@ -7,7 +7,6 @@ nonzero integer, and the encoders' shortest-pattern frame.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 
@@ -134,37 +133,26 @@ class FrozenSlots:
         return self.__class__, self._values()
 
 
-class ValueKind(enum.Enum):
-    ZERO = "zero"
-    NAR = "nar"
-    FINITE = "finite"
-
-
-# The members as module globals: ValueKind.FINITE is a lookup on the enum
-# class, several times slower than a global, and a decode reads a kind two
-# or three times.
-_ZERO, _NAR, _FINITE = ValueKind.ZERO, ValueKind.NAR, ValueKind.FINITE
-
-
 class DyadicValue(NamedTuple):
-    """Exact decoded value: zero, NaR (not a real), or sign*significand*2**exponent2.
+    """Exact decoded value: sign*significand*2**exponent2, zero, or NaR (not a real).
 
-    Finite values are canonical: sign is +1 or -1 and the significand is an
-    odd positive integer, so structurally equal values compare equal.
+    The fields are the decode kernels' triple.  A finite value is canonical:
+    sign is +1 or -1 and the significand is an odd positive integer, so
+    structurally equal values compare equal.  Zero is (1, 0, 0) and NaR is
+    (0, 0, 0), the one value with sign 0.
     """
 
-    kind: ValueKind
-    sign: int = 1
-    significand: int = 0
-    exponent2: int = 0
+    sign: int
+    significand: int
+    exponent2: int
 
     @classmethod
     def zero(cls) -> "DyadicValue":
-        return cls(_ZERO)
+        return cls(1, 0, 0)
 
     @classmethod
     def nar(cls) -> "DyadicValue":
-        return cls(_NAR)
+        return _NAR
 
     @classmethod
     def from_mantissa(cls, sign: int, numerator: int, exponent2: int) -> "DyadicValue":
@@ -172,58 +160,50 @@ class DyadicValue(NamedTuple):
         if sign not in (1, -1) or numerator <= 0:
             raise DomainError("finite values need sign in {1,-1} and numerator > 0")
         shift = trailing_zero_count(numerator)
-        return cls(_FINITE, sign, numerator >> shift, exponent2 + shift)
+        return cls(sign, numerator >> shift, exponent2 + shift)
 
     @classmethod
     def from_triple(cls, triple: tuple[int, int, int] | None) -> "DyadicValue":
-        """Value of a decode_uint result: None is NaR, a zero significand is zero.
+        """Value of a decode_uint result: None is NaR, a triple, already canonical, is taken as is.
 
-        A finite triple is already canonical (odd significand), so it is
-        taken as is, and built by tuple.__new__: the named tuple's own
-        __new__ is a Python function, one more frame per decode.
+        Built by tuple.__new__: the named tuple's own __new__ is a Python
+        function, one more frame per decode.
         """
-        if triple is None:
-            return cls.nar()
-        sign, significand, exponent2 = triple
-        if not significand:
-            return cls.zero()
-        return tuple.__new__(cls, (_FINITE, sign, significand, exponent2))
+        return _NAR if triple is None else tuple.__new__(cls, triple)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind is _ZERO
+        return not self.significand and self.sign == 1
 
     @property
     def is_nar(self) -> bool:
-        return self.kind is _NAR
+        return not self.sign
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is _FINITE
+        return self.significand > 0
 
     def is_integer(self) -> bool:
-        kind = self.kind
-        return kind is _ZERO or (kind is _FINITE and self.exponent2 >= 0)
+        return self.sign != 0 and self.exponent2 >= 0
 
     def as_integer(self) -> int:
-        kind, sign, significand, exponent2 = self
-        if kind is _FINITE and exponent2 >= 0:
-            return sign * (significand << exponent2)
-        if kind is _ZERO:
-            return 0
+        sign, significand, exponent2 = self
+        if sign and exponent2 >= 0:
+            return sign * (significand << exponent2)  # zero's (1, 0, 0) gives 0
         raise DomainError(f"{self} is not an integer")
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         if self.is_nar:
             return "NaR"
-        # Small enough integers print in decimal; everything else stays in
-        # the exact significand*2^exponent form.
+        # Small enough integers, zero among them, print in decimal; everything
+        # else stays in the exact significand*2^exponent form.
         if self.exponent2 >= 0 and self.significand.bit_length() + self.exponent2 <= 128:
             return str(self.as_integer())
         sign = "-" if self.sign < 0 else ""
         return f"{sign}{decimal_text(self.significand)}*2^{self.exponent2}"
+
+
+_NAR = DyadicValue(0, 0, 0)
 
 
 def integer_profile(m: int) -> tuple[int, int]:

@@ -144,10 +144,9 @@ PRESETS: dict[str, MinifloatSpec] = {
 
 
 def decode_uint(spec: MinifloatSpec, u: int) -> tuple[int, int, int] | None:
-    """Exact value of the pattern u in the given format, as DyadicValue's triple.
+    """Exact value of the pattern u: a DyadicValue's fields, or None for NaR.
 
-    Returns (sign, odd significand, exponent2), (1, 0, 0) for either zero,
-    or None for NaR (infinities and NaNs alike).
+    Both zeros decode to zero, and infinities and NaNs alike to NaR.
     """
     return _decode(u, *spec._layout)
 

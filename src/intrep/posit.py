@@ -38,11 +38,7 @@ MIN_WIDTH = 3
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
-    """Exact value of the n-bit posit pattern u, as DyadicValue's canonical triple.
-
-    Returns (sign, odd significand, exponent2), (1, 0, 0) for zero, or None
-    for NaR.
-    """
+    """Exact value of the n-bit posit pattern u: a DyadicValue's fields, or None for NaR."""
     if n < 1:
         raise FormatError(f"{u} does not fit in {n} bits")
     return _decode(u, n - 1, (1 << (n - 1)) - 1)

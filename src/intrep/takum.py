@@ -44,11 +44,7 @@ LAMBERT_W0_ITERATIONS = 100  # Halley steps before lambert_w0 gives up
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
-    """Exact value of the n-bit takum pattern u, as DyadicValue's canonical triple.
-
-    Returns (sign, odd significand, exponent2), (1, 0, 0) for zero, or None
-    for NaR.
-    """
+    """Exact value of the n-bit takum pattern u: a DyadicValue's fields, or None for NaR."""
     if n < 1:
         raise FormatError(f"{u} does not fit in {n} bits")
     if n < 12:

@@ -137,6 +137,25 @@ def test_min_bits_takum_out_of_range(capsys, value):
     assert "takum exponent range" in err
 
 
+@pytest.mark.parametrize("name", ["posit8", "takum8", "posit10", "takum16"])
+def test_min_bits_answers_a_sized_handle_only_within_its_width(capsys, name):
+    handle = formats.parse_format(name)
+    # Each power of two up to 2^17 and its neighbours, of either sign: from
+    # the values every width holds to ones that need more bits than it has.
+    values = sorted({s * ((1 << k) + d) for s in (1, -1) for k in range(18) for d in (-1, 0, 1)})
+    table = oracle.min_length_table(handle, values)
+    for m in values:
+        code, out, err = run(capsys, ["min-bits", "--format", name, "--value", str(m)])
+        if table[m] is None:  # past the handle's width: as encode-int, exit 3
+            need = handle.codec.min_length(m)
+            assert (code, out) == (3, ""), m
+            assert err == f"error: {m} needs {need} bits, more than {name} has\n"
+            assert run(capsys, ["encode-int", "--format", name, "--value", str(m)])[0] == 3
+        else:
+            assert (code, out, err) == (0, f"{table[m]}\n", ""), m
+    assert run(capsys, ["min-bits", "--format", "posit", "--value", "100000"]) == (0, "20\n", "")
+
+
 @pytest.mark.parametrize("value", ["3", "0"])
 @pytest.mark.parametrize("command", ["encode-int", "min-bits"])
 def test_variable_length_commands_reject_minifloat_text(capsys, command, value):

@@ -86,8 +86,8 @@ def reference_minifloat(spec, u: int) -> DyadicValue:
 
 
 def triple(value: DyadicValue):
-    """The decode_uint result a kernel must give for this value."""
-    return None if value.is_nar else (value.sign, value.significand, value.exponent2)
+    """The decode_uint result a kernel must give for this value: the value, None for NaR."""
+    return None if value.is_nar else value
 
 
 FAMILIES = [
@@ -98,9 +98,11 @@ FAMILIES = [
 
 def assert_family_agrees(module, reference, u, n):
     bits = BitString.from_uint(u, n)
-    expected = reference(u, n)
-    assert module.decode_uint(u, n) == triple(expected), str(bits)
-    assert module.decode(bits) == expected, str(bits)
+    expected, kernel, value = reference(u, n), module.decode_uint(u, n), module.decode(bits)
+    assert kernel == triple(expected), str(bits)
+    assert value == expected, str(bits)
+    # The decoded value is the kernel's triple, and NaR exactly where the kernel says None.
+    assert triple(value) == kernel, str(bits)
 
 
 @pytest.mark.parametrize("module,reference", FAMILIES)
@@ -133,10 +135,11 @@ def test_every_minifloat_pattern(name):
     batch = minifloat.decode_uints(spec, range(1 << spec.width))
     for u, decoded in zip(range(1 << spec.width), batch, strict=True):
         bits = BitString.from_uint(u, spec.width)
-        expected = reference_minifloat(spec, u)
+        expected, value = reference_minifloat(spec, u), minifloat.decode(spec, bits)
         assert minifloat.decode_uint(spec, u) == triple(expected), str(bits)
         assert decoded == triple(expected), str(bits)
-        assert minifloat.decode(spec, bits) == expected, str(bits)
+        assert value == expected, str(bits)
+        assert triple(value) == decoded, str(bits)
 
 
 @pytest.mark.parametrize("name", [p for p, s in PRESETS.items() if s.width > 16])

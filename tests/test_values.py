@@ -24,6 +24,16 @@ def test_constructors_and_kinds():
     assert one.is_finite and one.sign == 1 and one.significand == 1 and one.exponent2 == 0
 
 
+def test_a_value_is_the_kernels_named_triple():
+    assert DyadicValue._fields == ("sign", "significand", "exponent2")
+    zero, nar = DyadicValue.zero(), DyadicValue.nar()
+    assert (zero, nar) == ((1, 0, 0), (0, 0, 0))  # NaR is the one value with sign 0
+    assert zero != nar and hash(zero) != hash(nar) and str(zero) != str(nar)
+    assert DyadicValue.from_triple(None) == nar and DyadicValue.from_triple((1, 0, 0)) == zero
+    assert DyadicValue.from_triple((-1, 3, -2)) == DyadicValue.from_mantissa(-1, 12, -4) == (-1, 3, -2)
+    assert not nar.is_zero and not zero.is_nar
+
+
 def test_canonical_odd_significand():
     v = DyadicValue.from_mantissa(1, 12, -1)  # 12 * 2^-1 = 3 * 2^1
     assert (v.significand, v.exponent2) == (3, 1)
