@@ -60,7 +60,7 @@ def build_table() -> list[TableRow]:
     ]
 
     def closed_form(fmt: formats.FormatSpec) -> TableRow:
-        value = formats.largest_consecutive(fmt)
+        value = fmt.closed_form()
         ratio = value / formats.signed_integer_count(fmt.width)
         return TableRow(fmt.name, value, ratio, "closed_form")
 
@@ -160,7 +160,7 @@ def cmd_min_bits(args) -> int:
 
 
 def cmd_max_consecutive(args) -> int:
-    value = formats.largest_consecutive(formats.parse_format(args.format), args.n)
+    value = formats.parse_format(args.format).closed_form(args.n)
     print(render_magnitude(value, args.exact))
     return EXIT_OK
 

@@ -5,10 +5,12 @@ takum handles may carry a width or stand for the whole family (width None);
 minifloat widths are intrinsic to the spec.  Every handle carries its
 family's operations (name, width, codec, decode_patterns, closed_form,
 precision_profile), so callers do not branch on the handle's type.
-decode_patterns(n, patterns) is the batch decode: the family's decode_uint
-of each n-bit pattern, lazily and in order, with the width's masks and
-shifts worked out once for the whole batch, and the only operation the
-oracle's gap ladder asks of a handle.
+A handle answers for its own width: closed_form(n=None) works at
+resolve_width(handle, n), and every width a sized handle refuses is refused
+in one text, "width N conflicts with NAME".  decode_patterns(n, patterns)
+is the batch decode: the family's decode_uint of each n-bit pattern, lazily
+and in order, with the width's masks and shifts worked out once for the
+whole batch, and the only operation the oracle's gap ladder asks of a handle.
 """
 
 from __future__ import annotations
@@ -63,11 +65,9 @@ class _TaperedFormat(FrozenSlots):
             raise FormatError(f"width {n} conflicts with {self.name}")
         return self.codec.decode_uints(patterns, n)
 
-    def closed_form(self, n: int) -> int:
-        """The codec's largest_consecutive at width n; a sized handle's n must be its width."""
-        if self.n is not None and n != self.n:
-            raise FormatError(f"width {n} conflicts with {self.name}")
-        return self.codec.largest_consecutive(n)
+    def closed_form(self, n: int | None = None) -> int:
+        """The codec's largest_consecutive at resolve_width(self, n)."""
+        return self.codec.largest_consecutive(resolve_width(self, n))
 
     def precision_profile(self) -> list[tuple[int, int]]:
         """(exponent, non-fraction bits) for each coded exponent at the width.
@@ -134,13 +134,8 @@ def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:
     if isinstance(fmt, MinifloatSpec):
         return minifloat.decode(fmt, bits)
     if fmt.n is not None and bits.width > fmt.n:
-        raise FormatError(f"{bits.width} bits do not fit {fmt.name}")
+        raise FormatError(f"width {bits.width} conflicts with {fmt.name}")
     return fmt.codec.decode(bits)
-
-
-def largest_consecutive(fmt: FormatSpec, n: int | None = None) -> int:
-    """Closed-form largest consecutive integer for the format at width n."""
-    return fmt.closed_form(resolve_width(fmt, n))
 
 
 def signed_integer_count(width: int) -> int:

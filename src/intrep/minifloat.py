@@ -92,12 +92,9 @@ class MinifloatSpec(FrozenSlots):
     @property
     def max_normal_exponent(self) -> int:
         """Largest unbiased exponent of a finite normal number."""
-        top = (1 << self.exponent_bits) - 1
-        if self.special is SpecialValues.IEEE:
-            top -= 1
-        elif self.special is SpecialValues.E4M3 and self.fraction_bits == 0:
-            top -= 1  # with no fraction bits the lone NaN eats the top exponent
-        return top - self.bias
+        _, _, all_ones, _, nar_from, _, _ = self._layout
+        # The all-ones exponent field is lost only if every fraction under it is NaR.
+        return all_ones - (nar_from == 0) - self.bias
 
     @property
     def name(self) -> str:
@@ -112,8 +109,8 @@ class MinifloatSpec(FrozenSlots):
         """A posit or takum handle's variable-length codec module; a minifloat has none."""
         raise FormatError(f"{self.name} has no variable-length encoding")
 
-    def _refuse_other_widths(self, n: int) -> None:
-        if n != self.width:
+    def _refuse_other_widths(self, n: int | None) -> None:
+        if n is not None and n != self.width:
             raise FormatError(f"width {n} conflicts with {self.name}")
 
     def decode_patterns(self, n: int, patterns):
@@ -121,8 +118,8 @@ class MinifloatSpec(FrozenSlots):
         self._refuse_other_widths(n)
         return decode_uints(self, patterns)
 
-    def closed_form(self, n: int) -> int:
-        """largest_consecutive(self); n must be its width."""
+    def closed_form(self, n: int | None = None) -> int:
+        """largest_consecutive(self); n, if given, must be its width."""
         self._refuse_other_widths(n)
         return largest_consecutive(self)
 
@@ -194,8 +191,7 @@ def _decode(
 
 def decode(spec: MinifloatSpec, bits: BitString) -> DyadicValue:
     """Exact value of a bit string in the given minifloat format."""
-    if bits.width != spec.width:
-        raise FormatError(f"need exactly {spec.width} bits, got {bits.width}")
+    spec._refuse_other_widths(bits.width)
     return DyadicValue.from_triple(decode_uint(spec, bits.uint))
 
 

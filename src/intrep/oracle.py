@@ -107,26 +107,26 @@ def _integers_at_width(fmt: FormatSpec, n: int, window: int) -> set[int]:
     return {m for _, integers in ladder for m in integers if -window <= m <= window}
 
 
-def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, max_len: int, holds):
-    """(width, integers of the patterns decoded at width) for width = 1..max_len.
+def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, n: int, holds):
+    """(width, integers of the patterns decoded at width) for width = 1..n.
 
-    A gap (u, lo, hi) holds the odd pattern u and the integers lo < m < hi,
-    lo the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf), and
-    room = 2^(max_len - width + 1) - 1 max_len-bit patterns lie between the
+    A gap (u, lo, hi) holds the odd pattern u and the integers lo < m < hi, lo
+    the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf), and
+    room = 2^(n - width + 1) - 1 n-bit patterns lie between the
     zero-extensions of u - 1 and u + 1.  holds(gaps, room) keeps a width's
-    gaps with a wanted m inside, and their u are decoded; past width 1 each
-    u is odd, so neither zero nor NaR.  A finite value x inside cuts the gap
-    at floor x and ceil x, dropping a child with no integer inside, so no
-    gap lies between 0 and ±1; after NaR, zero or a value outside, both
-    children keep (lo, hi): none widens its parent, so values out of order
-    could only hide integers.  Width 1's gap is (0, -1, 1).
+    gaps with a wanted m inside, and their u are decoded; past width 1 each u
+    is odd, so neither zero nor NaR.  A finite value x inside cuts the gap at
+    floor x and ceil x, dropping a child with no integer inside, so no gap
+    lies between 0 and ±1; after NaR, zero or a value outside, both children
+    keep (lo, hi): none widens its parent, so values out of order could only
+    hide integers.  Width 1's gap is (0, -1, 1).
     """
     yield 1, _integers(fmt.decode_patterns(1, [g[0] for g in holds([(0, -1, 1)], 1)]))
     gaps = [(1, 0, inf), (3, -inf, 0)]  # 01 and 11: between zero, NaR and zero again
-    for width in range(2, max_len + 1):
-        room = (2 << (max_len - width)) - 1
+    for width in range(2, n + 1):
+        room = (2 << (n - width)) - 1
         live = list(holds(gaps, room))  # read twice below; holds may be a generator
-        if width == max_len:  # no width is left to cut gaps for
+        if width == n:  # no width is left to cut gaps for
             yield width, _integers(fmt.decode_patterns(width, (g[0] for g in live)))
             return
         gaps, integers = [], []
@@ -156,13 +156,13 @@ def _consecutive_run(found: set[int], k: int) -> int:
 
 
 def representable_set(
-    fmt: FormatSpec, n: int | None = None, window: int | None = None, workers: int | None = None
+    fmt: FormatSpec, n: int | None = None, window: int | None = None
 ) -> tuple[int, ...]:
     """The representable integers in [-window, window] at width n, ascending.
 
     The gap ladder climbs to width n (a minifloat's: its own width, in its
     _SignMagnitude view) and decodes only the odd patterns with an integer
-    of the window between their neighbours.  workers is ignored.
+    of the window between their neighbours.
     """
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
@@ -190,35 +190,34 @@ def largest_consecutive(
     return ConsecutiveReport(fmt, width, k, exponent, "oracle", agreement)
 
 
-def min_length_table(fmt: FormatSpec, targets, max_len: int = MAX_ENUM_BITS) -> dict[int, int | None]:
+def min_length_table(fmt: FormatSpec, targets) -> dict[int, int | None]:
     """Minimal representation lengths for many integers in one sweep.
 
     Climbs the gap ladder, keeping a width's gaps with a target inside; a
-    found one is a pattern's value, which bounds gaps and lies inside none.
-    A target 0 is 1 if the 1-bit pattern 0, which every pattern 0 extends,
-    is zero.  Entries left None were not representable within max_len bits,
-    nor within a sized handle's width, past which it has no patterns.
+    found one is a pattern's value, which bounds gaps and lies inside none,
+    so once every target is found the widths left decode nothing.  A target
+    0 is 1 if the 1-bit pattern 0, which every pattern 0 extends, is zero.
+    Entries left None have no pattern within the enumeration budget, nor
+    within a sized handle's width, past which it has no patterns.
     """
-    _check_budget(max_len)
     fmt.codec  # refuses a minifloat, which has no variable-length encoding
-    if fmt.width is not None:
-        max_len = min(max_len, fmt.width)
     targets = list(targets)
     if any(isinstance(m, bool) or not isinstance(m, int) for m in targets):
         raise FormatError("targets must be integers")
     lengths: dict[int, int | None] = dict.fromkeys(targets)
     wanted = sorted(lengths)
     holds = lambda gaps, _: [g for g in gaps if bisect_right(wanted, g[1]) < bisect_left(wanted, g[2])]
-    for width, integers in _gap_ladder(fmt, max_len, holds):
+    top = min(fmt.width or MAX_ENUM_BITS, MAX_ENUM_BITS)  # a sized handle has no wider patterns
+    for width, integers in _gap_ladder(fmt, top, holds):
         for m in integers:
             if m in lengths and lengths[m] is None:
                 lengths[m] = width
     return lengths
 
 
-def min_length(fmt: FormatSpec, m: int, max_len: int = MAX_ENUM_BITS) -> int | None:
-    """Minimal bits representing m exactly, or None if max_len does not suffice."""
-    return min_length_table(fmt, [m], max_len)[m]
+def min_length(fmt: FormatSpec, m: int) -> int | None:
+    """Minimal bits representing m exactly, or None as min_length_table leaves it."""
+    return min_length_table(fmt, [m])[m]
 
 
 class CheckResult(NamedTuple):
@@ -282,7 +281,7 @@ def check_minifloat_consecutive() -> CheckResult:
     """Every preset the enumeration budget admits, whatever max_n."""
     specs = {p: s for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS}
     name = f"minifloat largest-consecutive vs oracle ({', '.join(specs)})"
-    answers = ((p, largest_consecutive(s).value, s.closed_form(s.width)) for p, s in specs.items())
+    answers = ((p, largest_consecutive(s).value, s.closed_form()) for p, s in specs.items())
     return _check_consecutive(name, answers)
 
 
@@ -294,11 +293,11 @@ def _check_max_m(max_m: int, cap: float = inf) -> None:
 
 
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
-    """The sweep ends at the longest formula length: an m still missing there disagrees anyway."""
+    """The formula against the oracle's table for m = 1..max_m; the table takes no bound from it."""
     name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
     _check_max_m(max_m, MAX_LENGTH_M)
     formula = {m: fmt.codec.min_length(m) for m in range(1, max_m + 1)}
-    table = min_length_table(fmt, formula, min(max(formula.values()), MAX_ENUM_BITS))
+    table = min_length_table(fmt, formula)
     for m, expected in formula.items():
         if table[m] != expected:
             return CheckResult(name, False, f"m={m}: formula {expected}, oracle {table[m]}")

@@ -40,10 +40,14 @@ def test_decode(capsys, fmt, bits, expected):
     assert out == expected + "\n"
 
 
-def test_decode_rejects_oversized_pattern(capsys):
-    code, _, err = run(capsys, ["decode", "--format", "posit8", "--bits", "010000000"])
-    assert code == 1
-    assert "error:" in err
+@pytest.mark.parametrize(
+    "fmt,width", [("posit8", 9), ("takum5", 6), ("e4m3", 4), ("float16", 17)]
+)
+def test_decode_refuses_a_width_not_its_own(capsys, fmt, width):
+    # Posit and takum refuse patterns wider than the handle, a minifloat any
+    # width but its own: in the text a handle gives for a width not its own.
+    argv = ["decode", "--format", fmt, "--bits", "01" + "0" * (width - 2)]
+    assert run(capsys, argv) == (1, "", f"error: width {width} conflicts with {fmt}\n")
 
 
 # ------------------------------------------------------------ encode-int

@@ -130,13 +130,13 @@ def test_resolve_width():
     "entry",
     [
         formats.resolve_width,
-        formats.largest_consecutive,
+        lambda fmt, n: fmt.closed_form(n),
         oracle.largest_consecutive,
         lambda fmt, n: oracle.representable_set(fmt, n, window=10),
     ],
     ids=[
         "resolve_width",
-        "formats.largest_consecutive",
+        "closed_form",
         "oracle.largest_consecutive",
         "oracle.representable_set",
     ],
@@ -247,24 +247,24 @@ def test_decode_dispatch():
 
 
 def test_decode_polices_width():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^width 9 conflicts with posit8$"):
         formats.decode(PositFormat(8), BitString("010000000"))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^width 6 conflicts with takum5$"):
         formats.decode(TakumFormat(5), BitString("010011"))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^width 4 conflicts with e4m3$"):
         formats.decode(PRESETS["e4m3"], BitString("0111"))
 
 
-def test_largest_consecutive_dispatch():
-    assert formats.largest_consecutive(PositFormat(8)) == 16
-    assert formats.largest_consecutive(PositFormat(), 8) == 16
-    assert formats.largest_consecutive(TakumFormat(), 12) == 64
-    assert formats.largest_consecutive(PRESETS["e4m3"]) == 16
-    assert formats.largest_consecutive(PRESETS["e4m3"], 8) == 16
+def test_closed_form_resolves_the_handles_width():
+    assert PositFormat(8).closed_form() == 16
+    assert PositFormat().closed_form(8) == 16
+    assert TakumFormat().closed_form(12) == 64
+    assert PRESETS["e4m3"].closed_form() == 16
+    assert PRESETS["e4m3"].closed_form(8) == 16
     with pytest.raises(FormatError):
-        formats.largest_consecutive(PRESETS["e4m3"], 9)
-    with pytest.raises(FormatError):
-        formats.largest_consecutive(PositFormat())
+        PRESETS["e4m3"].closed_form(9)
+    with pytest.raises(FormatError, match="^posit needs an explicit width$"):
+        PositFormat().closed_form()
 
 
 @pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])

@@ -215,14 +215,25 @@ def test_min_length_tables_match_the_full_enumeration(fmt, targets, reference_le
 
 @pytest.mark.parametrize("fmt", FAMILIES, ids=IDS)
 def test_random_min_length_tables_match_the_full_enumeration(fmt):
+    # A sized handle's width bounds its table: it has no wider patterns.
     rng = random.Random(8)
     candidates = [m for m in range(-600, 601) if m]
     for _ in range(40):
-        max_len = rng.randint(2, 12)
+        bound = rng.randint(fmt.codec.MIN_WIDTH, 12)
         targets = rng.sample(candidates, rng.randint(1, 30))
         targets += targets[: rng.randint(0, 2)]  # repeats are one entry
-        expected = reference_min_length_table(fmt, targets, max_len)
-        assert oracle.min_length_table(fmt, targets, max_len) == expected, (targets, max_len)
+        expected = reference_min_length_table(fmt, targets, bound)
+        assert oracle.min_length_table(type(fmt)(bound), targets) == expected, (targets, bound)
+
+
+def test_a_sized_handle_has_no_min_length_past_its_width():
+    # 17 needs 10 posit bits, so no posit8 pattern is 17.
+    assert oracle.min_length(PositFormat(), 17) == 10
+    assert oracle.min_length(PositFormat(8), 17) is None
+    assert oracle.min_length(PositFormat(8), 3) == 6
+    targets = [m for m in range(-300, 301) if m]  # the reference decodes odd patterns only
+    expected = reference_min_length_table(TakumFormat(), targets, 8)
+    assert oracle.min_length_table(TakumFormat(8), targets) == expected
 
 
 @pytest.mark.parametrize(
@@ -279,7 +290,7 @@ def test_the_ladder_decodes_no_pattern_between_zero_and_one(decode_fault, module
         return value
 
     decode_fault(recording, module)
-    oracle.min_length_table(fmt, range(-3000, 3001), 18)
+    oracle.min_length_table(type(fmt)(18), range(-3000, 3001))
     oracle.largest_consecutive(fmt, 18)
     for n in range(fmt.codec.MIN_WIDTH, 19):
         assert oracle.representable_set(fmt, n, 1 << n)
@@ -336,7 +347,7 @@ def test_the_gap_ladder_narrows_a_gap_only_on_a_value_inside_it(decode_fault, cl
     targets = [a for a in range(-64, 65) if a]
     expected = reference_min_length_table(fmt, targets, 12)
     assert expected[m] is None
-    assert oracle.min_length_table(fmt, targets, 12) == expected
+    assert oracle.min_length_table(cls(12), targets) == expected
     walk = dict(oracle._consecutive_walk(fmt, 12))
     assert walk == {n: consecutive_run(reference_integers(fmt, n, 1 << 12)) for n in range(2, 13)}
 
