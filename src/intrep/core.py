@@ -23,7 +23,7 @@ class FormatError(ValueError):
 
 
 class BudgetError(ValueError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An oracle question would decode more patterns than its budget allows."""
 
 
 def decimal_text(m: int) -> str:
@@ -133,18 +133,33 @@ class FrozenSlots:
         return self.__class__, self._values()
 
 
-class DyadicValue(NamedTuple):
+class _Triple(NamedTuple):
+    sign: int
+    significand: int
+    exponent2: int
+
+
+class DyadicValue(_Triple):
     """Exact decoded value: sign*significand*2**exponent2, zero, or NaR (not a real).
 
     The fields are the decode kernels' triple.  A finite value is canonical:
     sign is +1 or -1 and the significand is an odd positive integer, so
     structurally equal values compare equal.  Zero is (1, 0, 0) and NaR is
-    (0, 0, 0), the one value with sign 0.
+    (0, 0, 0), the one value with sign 0.  The constructor refuses any other
+    triple with DomainError.
     """
 
-    sign: int
-    significand: int
-    exponent2: int
+    __slots__ = ()
+
+    def __new__(cls, sign: int, significand: int, exponent2: int):
+        finite = sign in (1, -1) and significand > 0 and significand & 1
+        if not (finite or significand == exponent2 == 0 and sign in (1, 0)):
+            raise DomainError(f"({sign}, {significand}, {exponent2}) is not a canonical value")
+        return super().__new__(cls, sign, significand, exponent2)
+
+    @classmethod
+    def _make(cls, iterable) -> "DyadicValue":  # so _replace checks too
+        return cls(*iterable)
 
     @classmethod
     def zero(cls) -> "DyadicValue":
@@ -166,8 +181,8 @@ class DyadicValue(NamedTuple):
     def from_triple(cls, triple: tuple[int, int, int] | None) -> "DyadicValue":
         """Value of a decode_uint result: None is NaR, a triple, already canonical, is taken as is.
 
-        Built by tuple.__new__: the named tuple's own __new__ is a Python
-        function, one more frame per decode.
+        Built by tuple.__new__, unchecked: the checking __new__ would cost a
+        Python frame per decode.
         """
         return _NAR if triple is None else tuple.__new__(cls, triple)
 
@@ -221,11 +236,6 @@ def check_width(n: int, floor: int, family: str) -> None:
 
 
 DEFAULT_MAX_BITS = 256
-
-# The oracle's budgets, kept here so the command line's help reads them
-# without importing the oracle.
-MAX_ENUM_BITS = 24
-MAX_LENGTH_M = 65535  # larger integers can need more than MAX_ENUM_BITS pattern bits
 
 
 def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> tuple[int, int]:

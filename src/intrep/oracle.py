@@ -3,13 +3,13 @@
 Everything here works by decoding pattern spaces — no shortcuts shared
 with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are plain integers, decoded a width at a
-time by the handle's decode_patterns, at most 24 bits wide.  Posit and
-takum values do not change under appended zeros and ascend with the
-pattern within each sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1, and
-so do a minifloat's in its _SignMagnitude view, so every question climbs
-one gap ladder, filtered a width at a time: it makes no gap without an
-integer strictly between its neighbours' values one width down, decodes a
-gap's odd pattern only if a wanted one is inside, and ends a run early
+time by the handle's decode_patterns, at most MAX_DECODES per question.
+Posit and takum values do not change under appended zeros and ascend with
+the pattern within each sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1,
+and so do a minifloat's in its _SignMagnitude view, so every question
+climbs one gap ladder, filtered a width at a time: it makes no gap without
+an integer strictly between its neighbours' values one width down, decodes
+a gap's odd pattern only if a wanted one is inside, and ends a run early
 where a count of patterns proves it.  Every sweep runs in the calling
 process.
 """
@@ -22,19 +22,14 @@ from math import inf
 from typing import NamedTuple
 
 from . import formats, minifloat, takum
-from .core import MAX_ENUM_BITS, MAX_LENGTH_M, BudgetError, DomainError, DyadicValue, FormatError
+from .core import DEFAULT_MAX_BITS, BudgetError, DomainError, DyadicValue, FormatError
 from .formats import FormatSpec, PositFormat, TakumFormat
 
-MAX_ANALYTIC_N = 64  # widest takum whose Lambert-W exponent is checked
+MAX_DECODES = 1 << 24  # patterns one question may decode: a full 24-bit enumeration
+MAX_ANALYTIC_N = 265  # widest takum whose consecutive integer is 2^consecutive_exponent(n)
 E4M3_PUBLISHED = 32  # the widely quoted e4m3 largest consecutive integer
-
-
-def _check_budget(n: int) -> int:
-    if n < 1:
-        raise FormatError(f"width must be positive, got {n}")
-    if n > MAX_ENUM_BITS:
-        raise BudgetError(f"enumeration of {n}-bit patterns exceeds the {MAX_ENUM_BITS}-bit budget")
-    return n
+# The presets whose walk fits the budget: float32's would decode about 2^25 patterns.
+MINIFLOAT_CHECKED = ("float16", "bfloat16", "e4m3", "e5m2")
 
 
 class ConsecutiveReport(NamedTuple):
@@ -119,18 +114,28 @@ def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, n: int, holds):
     floor x and ceil x, dropping a child with no integer inside, so no gap
     lies between 0 and ±1; after NaR, zero or a value outside, both children
     keep (lo, hi): none widens its parent, so values out of order could only
-    hide integers.  Width 1's gap is (0, -1, 1).
+    hide integers.  Width 1's gap is (0, -1, 1).  The climb ends early once
+    no gap is live, and raises BudgetError before decoding past MAX_DECODES
+    patterns in all.
     """
-    yield 1, _integers(fmt.decode_patterns(1, [g[0] for g in holds([(0, -1, 1)], 1)]))
+    live = list(holds([(0, -1, 1)], 1))
+    spent = len(live)
+    yield 1, _integers(fmt.decode_patterns(1, (g[0] for g in live)))
     gaps = [(1, 0, inf), (3, -inf, 0)]  # 01 and 11: between zero, NaR and zero again
     for width in range(2, n + 1):
         room = (2 << (n - width)) - 1
         live = list(holds(gaps, room))  # read twice below; holds may be a generator
+        if not live:
+            return
+        spent += len(live)
+        if spent > MAX_DECODES:
+            raise BudgetError(f"{spent} decodes to width {width}, over the budget of {MAX_DECODES}")
+        values = fmt.decode_patterns(width, (g[0] for g in live))
         if width == n:  # no width is left to cut gaps for
-            yield width, _integers(fmt.decode_patterns(width, (g[0] for g in live)))
+            yield width, _integers(values)
             return
         gaps, integers = [], []
-        for (u, lo, hi), value in zip(live, fmt.decode_patterns(width, (g[0] for g in live))):
+        for (u, lo, hi), value in zip(live, values):
             if value is not None:
                 x, e = value[0] * value[1], value[2]
                 if e >= 0:
@@ -166,8 +171,7 @@ def representable_set(
     """
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise FormatError(f"window must be a positive integer, got {window}")
-    width = _check_budget(formats.resolve_width(fmt, n))
-    return tuple(sorted(_integers_at_width(fmt, width, window)))
+    return tuple(sorted(_integers_at_width(fmt, formats.resolve_width(fmt, n), window)))
 
 
 def largest_consecutive(
@@ -179,7 +183,7 @@ def largest_consecutive(
     _consecutive_walk to width n (a minifloat's in its _SignMagnitude view).
     workers is ignored.
     """
-    width = _check_budget(formats.resolve_width(fmt, n))
+    width = formats.resolve_width(fmt, n)
     *_, (_, k) = _consecutive_walk(_ladder_handle(fmt), width)
     try:
         closed = fmt.closed_form(width)
@@ -197,8 +201,8 @@ def min_length_table(fmt: FormatSpec, targets) -> dict[int, int | None]:
     found one is a pattern's value, which bounds gaps and lies inside none,
     so once every target is found the widths left decode nothing.  A target
     0 is 1 if the 1-bit pattern 0, which every pattern 0 extends, is zero.
-    Entries left None have no pattern within the enumeration budget, nor
-    within a sized handle's width, past which it has no patterns.
+    Entries left None have no pattern within a sized handle's width, past
+    which it has no patterns, or within DEFAULT_MAX_BITS for a bare one.
     """
     fmt.codec  # refuses a minifloat, which has no variable-length encoding
     targets = list(targets)
@@ -207,8 +211,7 @@ def min_length_table(fmt: FormatSpec, targets) -> dict[int, int | None]:
     lengths: dict[int, int | None] = dict.fromkeys(targets)
     wanted = sorted(lengths)
     holds = lambda gaps, _: [g for g in gaps if bisect_right(wanted, g[1]) < bisect_left(wanted, g[2])]
-    top = min(fmt.width or MAX_ENUM_BITS, MAX_ENUM_BITS)  # a sized handle has no wider patterns
-    for width, integers in _gap_ladder(fmt, top, holds):
+    for width, integers in _gap_ladder(fmt, fmt.width or DEFAULT_MAX_BITS, holds):
         for m in integers:
             if m in lengths and lengths[m] is None:
                 lengths[m] = width
@@ -230,8 +233,6 @@ class CheckResult(NamedTuple):
 
 
 def _check_max_n(max_n: int) -> None:
-    if max_n > MAX_ENUM_BITS:
-        raise BudgetError(f"max_n {max_n} exceeds the {MAX_ENUM_BITS}-bit enumeration budget")
     if max_n < takum.MIN_WIDTH:
         raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
 
@@ -278,24 +279,22 @@ def check_takum_consecutive(max_n: int = 16) -> CheckResult:
 
 
 def check_minifloat_consecutive() -> CheckResult:
-    """Every preset the enumeration budget admits, whatever max_n."""
-    specs = {p: s for p, s in minifloat.PRESETS.items() if s.width <= MAX_ENUM_BITS}
-    name = f"minifloat largest-consecutive vs oracle ({', '.join(specs)})"
-    answers = ((p, largest_consecutive(s).value, s.closed_form()) for p, s in specs.items())
+    """Every preset of MINIFLOAT_CHECKED, whatever max_n."""
+    name = f"minifloat largest-consecutive vs oracle ({', '.join(MINIFLOAT_CHECKED)})"
+    specs = ((p, minifloat.PRESETS[p]) for p in MINIFLOAT_CHECKED)
+    answers = ((p, largest_consecutive(s).value, s.closed_form()) for p, s in specs)
     return _check_consecutive(name, answers)
 
 
-def _check_max_m(max_m: int, cap: float = inf) -> None:
+def _check_max_m(max_m: int) -> None:
     if max_m < 1:
         raise FormatError(f"max_m must be positive, got {max_m}")
-    if max_m > cap:
-        raise BudgetError(f"min-length verification capped at m <= {cap}, got {max_m}")
 
 
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
     """The formula against the oracle's table for m = 1..max_m; the table takes no bound from it."""
     name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
-    _check_max_m(max_m, MAX_LENGTH_M)
+    _check_max_m(max_m)
     formula = {m: fmt.codec.min_length(m) for m in range(1, max_m + 1)}
     table = min_length_table(fmt, formula)
     for m, expected in formula.items():
@@ -318,9 +317,13 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
     the first width, p runs over 0, the odd patterns and 2^(n-1) only: an
     even pair 2q, -2q mod 2^n is the (n-1)-bit pair q, -q mod 2^(n-1)
     zero-extended, checked one width before.  A failure names the least p
-    whose -p mod 2^n does not decode to _negated(decode(p)).
+    whose -p mod 2^n does not decode to _negated(decode(p)).  It decodes
+    every pattern, so it refuses 2^max_n > MAX_DECODES before any decode.
     """
     _check_max_n(max_n)
+    if 1 << max_n > MAX_DECODES:
+        detail = f"decodes 2^{max_n} patterns, past the budget of {MAX_DECODES}"
+        raise BudgetError(f"negation closure to n={max_n} {detail}")
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
     for fmt in (PositFormat(), TakumFormat()):
         for n in range(takum.MIN_WIDTH, max_n + 1):
@@ -388,7 +391,7 @@ def known_discrepancies() -> list[CheckResult]:
 def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
     """Every formula-vs-oracle suite at the given budgets."""
     _check_max_n(max_n)
-    _check_max_m(max_m, MAX_LENGTH_M)
+    _check_max_m(max_m)
     return [
         check_posit_consecutive(max_n),
         check_takum_consecutive(max_n),

@@ -470,22 +470,29 @@ def test_verify_reports_a_lambert_w0_that_does_not_converge(capsys, monkeypatch)
     assert out.splitlines()[-1] == "1 of 8 checks failed"
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failures) == 1
-    assert "Lambert-W, n=5..64: n=5: lambert_w0 did not converge" in failures[0]
+    assert "Lambert-W, n=5..265: n=5: lambert_w0 did not converge" in failures[0]
 
 
-def test_verify_refuses_max_m_before_any_check(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(oracle, "largest_consecutive", lambda *args, **kw: calls.append(args))
-    code, out, err = run(capsys, ["verify", "--max-n", "24", "--max-m", "70000"])
-    assert (code, out, calls) == (3, "", [])
-    assert err == "error: min-length verification capped at m <= 65535, got 70000\n"
-    assert "(<= 65535)" in run(capsys, ["verify", "--help"])[1]
+def test_verify_catches_a_lambert_w_exponent_off_at_n_100(capsys, monkeypatch):
+    true_analytic = takum.consecutive_exponent_analytic
+    off_at_100 = lambda n: true_analytic(n) + (n == 100)
+    monkeypatch.setattr(takum, "consecutive_exponent_analytic", off_at_100)
+    code, out, _ = run(capsys, ["verify", "--max-n", "5", "--max-m", "4"])
+    assert code == 2
+    exact = takum.consecutive_exponent(100)
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failures == [
+        "FAIL  takum consecutive exponent, exact search vs Lambert-W, n=5..265: "
+        f"n=100: exact {exact}, analytic {exact + 1}"
+    ]
 
 
-def test_verify_budget_cap(capsys):
-    code, _, err = run(capsys, ["verify", "--max-n", "25"])
-    assert code == 3
-    assert "error:" in err
+def test_verify_budget_cap(capsys, monkeypatch):
+    # Past the budget verify prints nothing and exits 3; 300 decodes end the first walk.
+    monkeypatch.setattr(oracle, "MAX_DECODES", 300)
+    code, out, err = run(capsys, ["verify", "--max-n", "25"])
+    assert (code, out) == (3, "")
+    assert err == "error: 465 decodes to width 11, over the budget of 300\n"
 
 
 def test_verify_reports_mutated_formula(capsys, monkeypatch):

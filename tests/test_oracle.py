@@ -54,8 +54,8 @@ def test_representable_set_validation():
         oracle.representable_set(PositFormat(), 8, 0)
     with pytest.raises(FormatError):
         oracle.representable_set(PositFormat(), 5, window=True)
-    with pytest.raises(BudgetError):
-        oracle.representable_set(PositFormat(), 25, 10)
+    # No width cap: a narrow window costs a few decodes a width, however wide.
+    assert oracle.representable_set(PositFormat(), 64, 10) == tuple(range(-10, 11))
 
 
 @pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
@@ -140,9 +140,81 @@ def test_a_hidden_float16_pattern_fails_the_minifloat_suite(decode_fault):
     assert result.detail == "float16: closed form 2048, oracle 999"
 
 
-def test_largest_consecutive_budget():
-    with pytest.raises(BudgetError):
+def test_largest_consecutive_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DECODES", 300)
+    with pytest.raises(BudgetError, match=r"^\d+ decodes to width \d+, over the budget of 300$"):
         oracle.largest_consecutive(PositFormat(), 25)
+
+
+@pytest.mark.parametrize(
+    "question",
+    [
+        lambda: oracle.largest_consecutive(PositFormat(), 20),
+        lambda: oracle.largest_consecutive(TakumFormat(), 20),
+        lambda: oracle.min_length_table(TakumFormat(), range(1, 4097)),
+        lambda: oracle.representable_set(PRESETS["float16"], window=5000),
+    ],
+    ids=["posit-walk", "takum-walk", "min-length", "float16-window"],
+)
+def test_the_budget_admits_exactly_the_decodes_a_question_makes(
+    monkeypatch, decode_fault, question
+):
+    count = 0
+
+    def counting(u, n, value):
+        nonlocal count
+        count += 1
+        return value
+
+    decode_fault(counting, posit, takum, minifloat)
+    answer, spent = question(), count
+    monkeypatch.setattr(oracle, "MAX_DECODES", spent)
+    assert question() == answer
+    monkeypatch.setattr(oracle, "MAX_DECODES", spent - 1)
+    refusal = rf"^{spent} decodes to width \d+, over the budget of {spent - 1}$"
+    with pytest.raises(BudgetError, match=refusal):
+        question()
+
+
+@pytest.mark.parametrize(
+    "fmt,max_n",
+    [(PositFormat(), 20), (TakumFormat(), 20)]
+    + [(PRESETS[p], PRESETS[p].width) for p in oracle.MINIFLOAT_CHECKED],
+    ids=["posit", "takum", *oracle.MINIFLOAT_CHECKED],
+)
+def test_the_walk_yields_every_width(fmt, max_n):
+    # The ladder ends once no gap is live; the walk's window never empties.
+    walk = oracle._consecutive_walk(oracle._ladder_handle(fmt), max_n)
+    assert [n for n, _ in walk] == list(range(2, max_n + 1))
+
+
+@pytest.mark.parametrize(
+    "fmt",
+    [PositFormat(64), TakumFormat(64), PositFormat(128), TakumFormat(128)],
+    ids=lambda fmt: fmt.name,
+)
+def test_representable_set_answers_a_wide_format(fmt):
+    assert oracle.representable_set(fmt, window=1000) == tuple(range(-1000, 1001))
+
+
+@pytest.mark.parametrize("m", [65537, 2**40 + 1, 2**200 + 1], ids=["2^16+1", "2^40+1", "2^200+1"])
+@pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
+def test_min_length_table_reaches_past_24_bits(fmt, m):
+    assert oracle.min_length_table(fmt, [m, -m]) == dict.fromkeys([m, -m], fmt.codec.min_length(m))
+
+
+def test_a_bare_takum_has_no_min_length_from_2_255():
+    # Its gap below NaR never dies, so the climb stops at DEFAULT_MAX_BITS.
+    assert oracle.min_length(TakumFormat(), 2**255) is None
+
+
+def test_min_length_table_stops_once_no_gap_is_live(monkeypatch):
+    widths = []
+    true_batch = posit.decode_uints
+    recording = lambda patterns, n: widths.append(n) or true_batch(patterns, n)
+    monkeypatch.setattr(posit, "decode_uints", recording)
+    assert oracle.min_length_table(PositFormat(), [3]) == {3: 6}
+    assert widths == [1, 2, 3, 4, 5, 6]  # width 1's batch is empty: 0 is no target
 
 
 def test_min_length_examples():
@@ -192,14 +264,10 @@ def test_min_length_table_stops_at_last_target(decode_fault):
 
 
 def test_verify_all_validation():
-    with pytest.raises(BudgetError):
-        oracle.verify_all(max_n=25)
     with pytest.raises(FormatError):
         oracle.verify_all(max_n=4)
     with pytest.raises(FormatError):
         oracle.verify_all(max_m=0)
-    with pytest.raises(BudgetError):
-        oracle.check_min_length(PositFormat(), 65536)
 
 
 @pytest.mark.parametrize(
@@ -211,14 +279,6 @@ def test_verify_all_validation():
 def test_length_checks_refuse_an_empty_range(check, max_m):
     with pytest.raises(FormatError, match=f"max_m must be positive, got {max_m}"):
         check(max_m)
-
-
-def test_verify_all_checks_every_budget_before_any_check(monkeypatch):
-    calls = []
-    monkeypatch.setattr(oracle, "largest_consecutive", lambda *args, **kw: calls.append(args))
-    with pytest.raises(BudgetError):
-        oracle.verify_all(max_n=24, max_m=65536)
-    assert calls == []
 
 
 WIDTH_SWEEPS = [
@@ -234,17 +294,15 @@ def test_width_sweeps_refuse_an_empty_range(check):
         check(4)
 
 
-@pytest.mark.parametrize("check", WIDTH_SWEEPS, ids=["posit", "takum", "negation"])
-def test_width_sweeps_refuse_an_over_budget_range_before_any_decode(
-    monkeypatch, decode_fault, check
-):
+@pytest.mark.parametrize("check", [oracle.check_negation_closure], ids=["negation"])
+def test_width_sweeps_refuse_an_over_budget_range_before_any_decode(decode_fault, check):
     def refuse(*args):
         # Raising, not recording: the first decode ends what would be a 2^25-pattern sweep.
         raise AssertionError(f"enumeration started: {args}")
 
-    monkeypatch.setattr(oracle, "largest_consecutive", refuse)
     decode_fault(refuse, posit, takum)
-    with pytest.raises(BudgetError, match="^max_n 25 exceeds the 24-bit enumeration budget$"):
+    detail = r"decodes 2\^25 patterns, past the budget of 16777216"
+    with pytest.raises(BudgetError, match=f"^negation closure to n=25 {detail}$"):
         check(25)
 
 
@@ -265,10 +323,10 @@ def test_check_min_length_catches_mutated_formula(monkeypatch, fmt):
     assert "m=7" in result.detail
 
 
-def test_check_min_length_stops_at_the_longest_formula_length(decode_fault):
+def test_check_min_length_climbs_a_missing_target_to_the_256_bit_ceiling(decode_fault):
     # 011 is the only odd pattern of 16, so with it hidden no width has 16;
-    # the sweep ends at width 8, the longest formula length for m <= 16,
-    # after the 64 odd patterns of the positive halves up to it.
+    # the table takes no bound from the formula, so it climbs to
+    # DEFAULT_MAX_BITS: 21 decodes to width 8, then two gaps round 16 a width.
     calls = 0
 
     def hiding(u, n, value):
@@ -280,7 +338,7 @@ def test_check_min_length_stops_at_the_longest_formula_length(decode_fault):
     result = oracle.check_min_length(PositFormat(), 16)
     assert result.detail == "m=16: formula 3, oracle None"
     assert not result.passed
-    assert calls <= 64
+    assert calls == 21 + 2 * (256 - 8)
 
 
 @pytest.mark.parametrize(

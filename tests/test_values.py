@@ -34,6 +34,27 @@ def test_a_value_is_the_kernels_named_triple():
     assert not nar.is_zero and not zero.is_nar
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [(-1, 0, 0), (2, 3, 0), (0, 5, 1), (1, 12, 0)],
+    ids=["negative-zero", "sign-2", "nar-with-fields", "even-significand"],
+)
+def test_the_constructor_refuses_a_non_canonical_triple(triple):
+    # Each would print as 0, 6, NaR or 12 yet equal no value of that name.
+    with pytest.raises(DomainError, match="is not a canonical value$"):
+        DyadicValue(*triple)
+    with pytest.raises(DomainError, match="is not a canonical value$"):
+        DyadicValue._make(triple)
+    with pytest.raises(DomainError, match="is not a canonical value$"):
+        DyadicValue.zero()._replace(**dict(zip(DyadicValue._fields, triple)))
+
+
+def test_the_constructor_takes_every_canonical_triple():
+    assert DyadicValue(1, 0, 0) == DyadicValue.zero() and DyadicValue(0, 0, 0) == DyadicValue.nar()
+    assert DyadicValue(-1, 3, -2) == DyadicValue.from_mantissa(-1, 12, -4)
+    assert repr(DyadicValue(1, 3, 0)) == "DyadicValue(sign=1, significand=3, exponent2=0)"
+
+
 def test_canonical_odd_significand():
     v = DyadicValue.from_mantissa(1, 12, -1)  # 12 * 2^-1 = 3 * 2^1
     assert (v.significand, v.exponent2) == (3, 1)
