@@ -2,7 +2,8 @@
 
 Shared ground for the codec modules: an immutable MSB-first bit string, an
 exact value type built on Python integers, the bit-level profile of a
-nonzero integer, and the encoders' shortest-pattern frame.
+nonzero integer, the encoders' shortest-pattern frame, check_int, the one
+check of every width and budget, and resolve_width, a handle's width.
 """
 
 from __future__ import annotations
@@ -229,10 +230,27 @@ def integer_profile(m: int) -> tuple[int, int]:
     return a.bit_length(), (a & -a).bit_length() - 1  # trailing_zero_count(a), one call fewer
 
 
-def check_width(n: int, floor: int, family: str) -> None:
-    """DomainError unless n reaches the family's width floor."""
-    if n < floor:
-        raise DomainError(f"{family} width must be at least {floor}, got {n}")
+def check_int(value, floor: int, name: str) -> int:
+    """value, if an int (not a bool) of at least floor, else FormatError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise FormatError(f"{name} must be at least {floor}, got {value}")
+    return value
+
+
+def resolve_width(fmt, n: int | None = None) -> int:
+    """The width a format handle works at: n, which a sized handle must match, or its own."""
+    intrinsic = fmt.width
+    if n is None:
+        if intrinsic is None:
+            raise FormatError(f"{fmt.name} needs an explicit width")
+        return intrinsic
+    if intrinsic is None:
+        return type(fmt)(n).n  # a bare posit/takum handle: the width meets its floor
+    if check_int(n, 1, "width") != intrinsic:
+        raise FormatError(f"width {n} conflicts with {fmt.name}")
+    return n
 
 
 DEFAULT_MAX_BITS = 256

@@ -6,11 +6,12 @@ minifloat widths are intrinsic to the spec.  Every handle carries its
 family's operations (name, width, codec, decode_patterns, closed_form,
 precision_profile), so callers do not branch on the handle's type.
 A handle answers for its own width: closed_form(n=None) works at
-resolve_width(handle, n), and every width a sized handle refuses is refused
-in one text, "width N conflicts with NAME".  decode_patterns(n, patterns)
-is the batch decode: the family's decode_uint of each n-bit pattern, lazily
-and in order, with the width's masks and shifts worked out once for the
-whole batch, and the only operation the oracle's gap ladder asks of a handle.
+resolve_width(handle, n), from core so that a minifloat spec uses it too,
+and every width a sized handle refuses is refused in one text, "width N
+conflicts with NAME".  decode_patterns(n, patterns) is the batch decode:
+the family's decode_uint of each n-bit pattern, lazily and in order, with
+the width's masks and shifts worked out once for the whole batch, and the
+only operation the oracle's gap ladder asks of a handle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from types import ModuleType
 from typing import ClassVar, Union
 
 from . import minifloat, posit, takum
-from .core import BitString, DyadicValue, FormatError, FrozenSlots
+from .core import BitString, DyadicValue, FormatError, FrozenSlots, check_int, resolve_width
 from .minifloat import PRESETS, MinifloatSpec
 
 
@@ -39,10 +40,9 @@ class _TaperedFormat(FrozenSlots):
     profile_width: ClassVar[int | None] = None
 
     def __init__(self, n: int | None = None):
+        if n is not None:
+            check_int(n, self.codec.MIN_WIDTH, f"{self.family} width")
         super().__init__(n)
-        floor = self.codec.MIN_WIDTH
-        if n is not None and n < floor:
-            raise FormatError(f"{self.family} width must be at least {floor}, got {n}")
 
     @property
     def family(self) -> str:
@@ -109,20 +109,6 @@ def parse_format(text: str) -> FormatSpec:
         return PRESETS[name]
     known = ", ".join(["posit[N]", "takum[N]", *PRESETS])
     raise FormatError(f"unknown format {text!r} (known: {known})")
-
-
-def resolve_width(fmt: FormatSpec, n: int | None = None) -> int:
-    """The concrete bit width to work at, from the handle and/or override."""
-    intrinsic = fmt.width
-    if n is None:
-        if intrinsic is None:
-            raise FormatError(f"{fmt.name} needs an explicit width")
-        return intrinsic
-    if intrinsic is None:
-        return type(fmt)(n).n  # a bare posit/takum handle: the width meets its floor
-    if intrinsic != n:
-        raise FormatError(f"width {n} conflicts with {fmt.name}")
-    return n
 
 
 def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:

@@ -26,6 +26,7 @@ from .core import (
     DyadicValue,
     FormatError,
     FrozenSlots,
+    resolve_width,
 )
 
 
@@ -109,18 +110,14 @@ class MinifloatSpec(FrozenSlots):
         """A posit or takum handle's variable-length codec module; a minifloat has none."""
         raise FormatError(f"{self.name} has no variable-length encoding")
 
-    def _refuse_other_widths(self, n: int | None) -> None:
-        if n is not None and n != self.width:
-            raise FormatError(f"width {n} conflicts with {self.name}")
-
     def decode_patterns(self, n: int, patterns):
         """decode_uints(self, patterns); n must be its width."""
-        self._refuse_other_widths(n)
+        resolve_width(self, n)
         return decode_uints(self, patterns)
 
     def closed_form(self, n: int | None = None) -> int:
         """largest_consecutive(self); n, if given, must be its width."""
-        self._refuse_other_widths(n)
+        resolve_width(self, n)
         return largest_consecutive(self)
 
     def precision_profile(self) -> list[tuple[int, int]]:
@@ -191,7 +188,7 @@ def _decode(
 
 def decode(spec: MinifloatSpec, bits: BitString) -> DyadicValue:
     """Exact value of a bit string in the given minifloat format."""
-    spec._refuse_other_widths(bits.width)
+    resolve_width(spec, bits.width)
     return DyadicValue.from_triple(decode_uint(spec, bits.uint))
 
 

@@ -21,8 +21,16 @@ from itertools import chain, tee
 from math import inf
 from typing import NamedTuple
 
-from . import formats, minifloat, takum
-from .core import DEFAULT_MAX_BITS, BudgetError, DomainError, DyadicValue, FormatError
+from . import minifloat, takum
+from .core import (
+    DEFAULT_MAX_BITS,
+    BudgetError,
+    DomainError,
+    DyadicValue,
+    FormatError,
+    check_int,
+    resolve_width,
+)
 from .formats import FormatSpec, PositFormat, TakumFormat
 
 MAX_DECODES = 1 << 24  # patterns one question may decode: a full 24-bit enumeration
@@ -169,9 +177,8 @@ def representable_set(
     _SignMagnitude view) and decodes only the odd patterns with an integer
     of the window between their neighbours.
     """
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
-        raise FormatError(f"window must be a positive integer, got {window}")
-    return tuple(sorted(_integers_at_width(fmt, formats.resolve_width(fmt, n), window)))
+    check_int(window, 1, "window")
+    return tuple(sorted(_integers_at_width(fmt, resolve_width(fmt, n), window)))
 
 
 def largest_consecutive(
@@ -183,7 +190,7 @@ def largest_consecutive(
     _consecutive_walk to width n (a minifloat's in its _SignMagnitude view).
     workers is ignored.
     """
-    width = formats.resolve_width(fmt, n)
+    width = resolve_width(fmt, n)
     *_, (_, k) = _consecutive_walk(_ladder_handle(fmt), width)
     try:
         closed = fmt.closed_form(width)
@@ -232,11 +239,6 @@ class CheckResult(NamedTuple):
     note: bool = False  # informational line, never counted as a failure
 
 
-def _check_max_n(max_n: int) -> None:
-    if max_n < takum.MIN_WIDTH:
-        raise FormatError(f"max_n must be at least {takum.MIN_WIDTH}, got {max_n}")
-
-
 def _consecutive_walk(fmt: PositFormat | TakumFormat | _SignMagnitude, max_n: int):
     """(n, largest consecutive integer at width n) for n = 2..max_n, in one pass.
 
@@ -262,7 +264,7 @@ def _check_consecutive(name: str, answers) -> CheckResult:
 
 
 def _check_tapered_consecutive(handle: type[PositFormat | TakumFormat], max_n: int) -> CheckResult:
-    _check_max_n(max_n)
+    check_int(max_n, takum.MIN_WIDTH, "max_n")
     fmt = handle()
     name = f"{fmt.family} largest-consecutive formula vs oracle, n={takum.MIN_WIDTH}..{max_n}"
     walk = _consecutive_walk(fmt, max_n)
@@ -286,15 +288,10 @@ def check_minifloat_consecutive() -> CheckResult:
     return _check_consecutive(name, answers)
 
 
-def _check_max_m(max_m: int) -> None:
-    if max_m < 1:
-        raise FormatError(f"max_m must be positive, got {max_m}")
-
-
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
     """The formula against the oracle's table for m = 1..max_m; the table takes no bound from it."""
     name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
-    _check_max_m(max_m)
+    check_int(max_m, 1, "max_m")
     formula = {m: fmt.codec.min_length(m) for m in range(1, max_m + 1)}
     table = min_length_table(fmt, formula)
     for m, expected in formula.items():
@@ -320,7 +317,7 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
     whose -p mod 2^n does not decode to _negated(decode(p)).  It decodes
     every pattern, so it refuses 2^max_n > MAX_DECODES before any decode.
     """
-    _check_max_n(max_n)
+    check_int(max_n, takum.MIN_WIDTH, "max_n")
     if 1 << max_n > MAX_DECODES:
         detail = f"decodes 2^{max_n} patterns, past the budget of {MAX_DECODES}"
         raise BudgetError(f"negation closure to n={max_n} {detail}")
@@ -346,7 +343,7 @@ def check_round_trip(max_m: int = 4096) -> CheckResult:
     and decode_uint; a value is built only to name a failing decode.
     """
     name = f"encode/decode round trip with minimal width, |m|<={max_m}"
-    _check_max_m(max_m)
+    check_int(max_m, 1, "max_m")
     for fmt in (PositFormat(), TakumFormat()):
         encode, decode = fmt.codec.encode_uint, fmt.codec.decode_uint
         for a in range(max_m + 1):
@@ -390,8 +387,8 @@ def known_discrepancies() -> list[CheckResult]:
 
 def verify_all(max_n: int = 16, max_m: int = 4096) -> list[CheckResult]:
     """Every formula-vs-oracle suite at the given budgets."""
-    _check_max_n(max_n)
-    _check_max_m(max_m)
+    check_int(max_n, takum.MIN_WIDTH, "max_n")
+    check_int(max_m, 1, "max_m")
     return [
         check_posit_consecutive(max_n),
         check_takum_consecutive(max_n),

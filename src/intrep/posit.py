@@ -29,7 +29,7 @@ from .core import (
     BitString,
     DyadicValue,
     FormatError,
-    check_width,
+    check_int,
     encode_shortest,
     integer_profile,
 )
@@ -131,7 +131,7 @@ def _head(v: int) -> tuple[int, int]:
 
 def largest_consecutive(n: int) -> int:
     """Largest k such that every integer in [-k, k] fits in an n-bit posit."""
-    check_width(n, MIN_WIDTH, "posit")
+    check_int(n, MIN_WIDTH, "posit width")
     return 1 << (4 * (n - 3) // 5)
 
 
@@ -153,6 +153,6 @@ def exponent_range(n: int) -> range:
     Some exponents in between have no n-bit pattern: posit8 has none at 21,
     22, -22 and -23.
     """
-    check_width(n, MIN_WIDTH, "posit")
+    check_int(n, MIN_WIDTH, "posit width")
     top = 4 * n - 8
     return range(-top - 1, top + 1)

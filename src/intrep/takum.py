@@ -31,7 +31,7 @@ from .core import (
     DomainError,
     DyadicValue,
     FormatError,
-    check_width,
+    check_int,
     encode_shortest,
     integer_profile,
     trailing_zero_count,
@@ -155,7 +155,7 @@ def consecutive_exponent(n: int) -> int:
     The paper's formula.  From n = 266 on, v reaches 255, past the takum
     exponent range, so largest_consecutive is no longer 2^v there.
     """
-    check_width(n, MIN_WIDTH, "takum")
+    check_int(n, MIN_WIDTH, "takum width")
     bound = 1 << (n - 3)
     v = 1
     while (v + 1) << (v + 1) < bound:
@@ -203,7 +203,7 @@ def consecutive_exponent_analytic(n: int) -> int:
     9, 14, 23, 40, ...), so results within 1e-9 above an integer snap down to
     it; W0 is evaluated far more accurately than that.
     """
-    check_width(n, MIN_WIDTH, "takum")
+    check_int(n, MIN_WIDTH, "takum width")
     x = math.log(2.0) * math.pow(2.0, n - 3)
     if math.isinf(x):
         raise DomainError(f"2^(n-3) overflows double precision for n={n}")
@@ -231,7 +231,7 @@ def exponent_range(n: int) -> range:
     c = 254 from n = 12 on.  Below 12 bits, some exponents in between have no
     n-bit pattern: takum8 reaches 156 of the 480 in [-240, 239].
     """
-    check_width(n, MIN_WIDTH, "takum")
+    check_int(n, MIN_WIDTH, "takum width")
     # c is the characteristic of the largest pattern 0 1^(n-1), zero-extended to 12 bits.
     c = MAX_EXPONENT + 1 - (1 << max(12 - n, 0))
     return range(-(c + 1), c + 1)

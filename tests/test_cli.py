@@ -473,20 +473,6 @@ def test_verify_reports_a_lambert_w0_that_does_not_converge(capsys, monkeypatch)
     assert "Lambert-W, n=5..265: n=5: lambert_w0 did not converge" in failures[0]
 
 
-def test_verify_catches_a_lambert_w_exponent_off_at_n_100(capsys, monkeypatch):
-    true_analytic = takum.consecutive_exponent_analytic
-    off_at_100 = lambda n: true_analytic(n) + (n == 100)
-    monkeypatch.setattr(takum, "consecutive_exponent_analytic", off_at_100)
-    code, out, _ = run(capsys, ["verify", "--max-n", "5", "--max-m", "4"])
-    assert code == 2
-    exact = takum.consecutive_exponent(100)
-    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failures == [
-        "FAIL  takum consecutive exponent, exact search vs Lambert-W, n=5..265: "
-        f"n=100: exact {exact}, analytic {exact + 1}"
-    ]
-
-
 def test_verify_budget_cap(capsys, monkeypatch):
     # Past the budget verify prints nothing and exits 3; 300 decodes end the first walk.
     monkeypatch.setattr(oracle, "MAX_DECODES", 300)

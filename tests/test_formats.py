@@ -21,6 +21,8 @@ from intrep import (
     minifloat,
     oracle,
     parse_format,
+    posit,
+    takum,
 )
 
 
@@ -123,6 +125,10 @@ def test_resolve_width():
         formats.resolve_width(PositFormat())
     with pytest.raises(FormatError):
         formats.resolve_width(PRESETS["e4m3"], 9)
+    # No handle has a width below 1, so that is refused before any comparison.
+    for fmt in (PositFormat(8), PRESETS["e4m3"]):
+        with pytest.raises(FormatError, match="^width must be at least 1, got 0$"):
+            formats.resolve_width(fmt, 0)
 
 
 @pytest.mark.parametrize("fmt,n", [(PositFormat(), 2), (TakumFormat(), 4)], ids=["posit", "takum"])
@@ -133,12 +139,16 @@ def test_resolve_width():
         lambda fmt, n: fmt.closed_form(n),
         oracle.largest_consecutive,
         lambda fmt, n: oracle.representable_set(fmt, n, window=10),
+        lambda fmt, n: fmt.codec.largest_consecutive(n),
+        lambda fmt, n: fmt.codec.exponent_range(n),
     ],
     ids=[
         "resolve_width",
         "closed_form",
         "oracle.largest_consecutive",
         "oracle.representable_set",
+        "codec.largest_consecutive",
+        "codec.exponent_range",
     ],
 )
 def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
@@ -149,6 +159,44 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
     with pytest.raises(FormatError) as given:
         entry(fmt, n)
     assert str(given.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "call,name,value",
+    [
+        pytest.param(lambda: PositFormat(8.0), "posit width", 8.0, id="PositFormat-float"),
+        pytest.param(lambda: TakumFormat(16.5), "takum width", 16.5, id="TakumFormat-float"),
+        pytest.param(lambda: PositFormat("8"), "posit width", "8", id="PositFormat-str"),
+        pytest.param(lambda: PositFormat(True), "posit width", True, id="PositFormat-bool"),
+        pytest.param(
+            lambda: formats.resolve_width(PositFormat(8), 8.0), "width", 8.0, id="resolve_width"
+        ),
+        pytest.param(lambda: PRESETS["e4m3"].closed_form(8.0), "width", 8.0, id="e4m3.closed_form"),
+        pytest.param(lambda: oracle.check_round_trip(True), "max_m", True, id="check_round_trip"),
+        pytest.param(
+            lambda: oracle.check_min_length(PositFormat(), 2.5), "max_m", 2.5, id="check_min_length"
+        ),
+        pytest.param(lambda: oracle.verify_all(max_n=16.0), "max_n", 16.0, id="verify_all"),
+        pytest.param(
+            lambda: oracle.check_negation_closure(5.0), "max_n", 5.0, id="check_negation_closure"
+        ),
+        pytest.param(
+            lambda: oracle.representable_set(PositFormat(8), window=2.0),
+            "window",
+            2.0,
+            id="representable_set",
+        ),
+        pytest.param(
+            lambda: posit.largest_consecutive(8.0), "posit width", 8.0, id="posit.largest_consecutive"
+        ),
+        pytest.param(lambda: takum.exponent_range(5.0), "takum width", 5.0, id="takum.exponent_range"),
+    ],
+)
+def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call, name, value):
+    # Before any work, and in one text naming the argument: a float or a
+    # bool would otherwise name a handle "posit8.0" or bound a range by True.
+    with pytest.raises(FormatError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call()
 
 
 TAPERED = pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])

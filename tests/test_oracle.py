@@ -277,7 +277,7 @@ def test_verify_all_validation():
 )
 @pytest.mark.parametrize("max_m", [0, -1])
 def test_length_checks_refuse_an_empty_range(check, max_m):
-    with pytest.raises(FormatError, match=f"max_m must be positive, got {max_m}"):
+    with pytest.raises(FormatError, match=f"^max_m must be at least 1, got {max_m}$"):
         check(max_m)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intrep import BitString, CapacityError, DomainError, DyadicValue, oracle, posit
+from intrep import BitString, CapacityError, DyadicValue, FormatError, oracle, posit
 from intrep.formats import PositFormat
 
 
@@ -113,7 +113,7 @@ def test_largest_consecutive(n, expected):
 
 
 def test_largest_consecutive_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         posit.largest_consecutive(2)
 
 

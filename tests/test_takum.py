@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intrep import BitString, CapacityError, DomainError, DyadicValue, oracle, posit, takum
+from intrep import (
+    BitString,
+    CapacityError,
+    DomainError,
+    DyadicValue,
+    FormatError,
+    oracle,
+    posit,
+    takum,
+)
 from intrep.formats import TakumFormat
 
 
@@ -146,7 +155,7 @@ def test_largest_consecutive(n, expected):
 
 
 def test_largest_consecutive_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(FormatError):
         takum.largest_consecutive(4)
 
 
