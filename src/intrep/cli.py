@@ -11,14 +11,7 @@ import sys
 from typing import NamedTuple
 
 from . import core, formats, minifloat, posit, takum
-from .core import (
-    DEFAULT_MAX_BITS,
-    BitString,
-    BudgetError,
-    CapacityError,
-    DomainError,
-    FormatError,
-)
+from .core import BitString, BudgetError, CapacityError, DomainError, FormatError
 from .formats import PositFormat, TakumFormat
 
 EXIT_OK = 0
@@ -137,28 +130,27 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _needed_bits(fmt: formats.FormatSpec, m: int) -> int:
+    """The codec's min_length(m), or CapacityError past a sized format's width."""
+    need = fmt.codec.min_length(m)  # a minifloat's codec refuses it here
+    if fmt.width is not None and need > fmt.width:
+        raise CapacityError(f"{m} needs {need} bits, more than {fmt.name} has")
+    return need
+
+
 def cmd_encode_int(args) -> int:
     fmt = formats.parse_format(args.format)
-    codec = fmt.codec  # a minifloat is refused before its width is compared
-    if fmt.width is not None:
-        max_bits = formats.resolve_width(fmt, args.max_n)
-    else:
-        max_bits = args.max_n if args.max_n is not None else DEFAULT_MAX_BITS
-    print(codec.encode_integer(args.value, max_bits))
+    print(fmt.codec.encode_integer(args.value, _needed_bits(fmt, args.value)))
     return EXIT_OK
 
 
 def cmd_min_bits(args) -> int:
-    fmt = formats.parse_format(args.format)
-    need = fmt.codec.min_length(args.value)
-    if fmt.width is not None and need > fmt.width:
-        raise CapacityError(f"{args.value} needs {need} bits, more than {fmt.name} has")
-    print(need)
+    print(_needed_bits(formats.parse_format(args.format), args.value))
     return EXIT_OK
 
 
 def cmd_max_consecutive(args) -> int:
-    value = formats.parse_format(args.format).closed_form(args.n)
+    value = formats.parse_format(args.format).closed_form()
     print(render_magnitude(value, args.exact))
     return EXIT_OK
 
@@ -231,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("encode-int", cmd_encode_int, "shortest bit string for an integer")
     p.add_argument("--format", required=True, help="posit[N] or takum[N]")
     p.add_argument("--value", required=True, type=int, help="integer to encode")
-    p.add_argument("--max-n", type=int, default=None, help="bit budget (default: width or 256)")
 
     p = add("min-bits", cmd_min_bits, "minimal representation length of an integer")
     p.add_argument("--format", required=True, help="posit or takum")
@@ -239,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("max-consecutive", cmd_max_consecutive, "largest consecutive representable integer")
     p.add_argument("--format", required=True, help="posit[N], takum[N], or a minifloat preset")
-    p.add_argument("--n", type=int, default=None, help="width for bare posit/takum")
     p.add_argument("--exact", action="store_true", help="print the exact decimal value")
 
     p = add("table", cmd_table, "summary table across the standard formats")

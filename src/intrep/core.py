@@ -260,10 +260,13 @@ def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> tup
     """Shortest posit or takum pattern for the integer m, as (u, width): both encoders' frame.
 
     (0, 1) for m = 0, CapacityError when the shortest pattern, min_length(m)
-    bits, exceeds max_bits.  head(v) is the (value, width) of the bits before
-    the fraction of a positive integer with bit length v.  A result not
-    min_length(m) wide, zero's one bit included, raises ArithmeticError.
+    bits, exceeds max_bits, and FormatError when max_bits is not an int.
+    head(v) is the (value, width) of the bits before the fraction of a
+    positive integer with bit length v.  A result not min_length(m) wide,
+    zero's one bit included, raises ArithmeticError.
     """
+    if type(max_bits) is not int:
+        check_int(max_bits, 0, "max_bits")
     need = min_length(m)
     if need > max_bits:
         raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")

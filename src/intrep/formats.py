@@ -7,11 +7,13 @@ family's operations (name, width, codec, decode_patterns, closed_form,
 precision_profile), so callers do not branch on the handle's type.
 A handle answers for its own width: closed_form(n=None) works at
 resolve_width(handle, n), from core so that a minifloat spec uses it too,
-and every width a sized handle refuses is refused in one text, "width N
-conflicts with NAME".  decode_patterns(n, patterns) is the batch decode:
-the family's decode_uint of each n-bit pattern, lazily and in order, with
-the width's masks and shifts worked out once for the whole batch, and the
-only operation the oracle's gap ladder asks of a handle.
+and precision_profile() at resolve_width(handle), which refuses a bare
+posit or takum in one text, "NAME needs an explicit width"; every width a
+sized handle refuses is refused in one text, "width N conflicts with NAME".
+decode_patterns(n, patterns) is the batch decode: the family's decode_uint
+of each n-bit pattern, lazily and in order, with the width's masks and
+shifts worked out once for the whole batch, and the only operation the
+oracle's gap ladder asks of a handle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .minifloat import PRESETS, MinifloatSpec
 class _TaperedFormat(FrozenSlots):
     """A posit or takum handle: width n, or the whole family when n is None.
 
+    A bare handle decodes at any width; one width's questions need it given.
+
     The family's codec module is a ClassVar, not a field: a handle compares,
     hashes and pickles by its fields, and a module does not pickle.
     """
@@ -36,8 +40,6 @@ class _TaperedFormat(FrozenSlots):
     n: int | None
 
     codec: ClassVar[ModuleType]
-    # Width whose exponents a bare family handle profiles; None if it needs one.
-    profile_width: ClassVar[int | None] = None
 
     def __init__(self, n: int | None = None):
         if n is not None:
@@ -75,10 +77,8 @@ class _TaperedFormat(FrozenSlots):
         The rows span the smallest to the largest coded exponent (the codec's
         exponent_range), so some exponents in between have no pattern of the width.
         """
-        n = self.n or self.profile_width
-        if n is None:
-            raise FormatError(f"{self.name} precision profile needs a width, e.g. {self.name}32")
-        return [(e, self.codec.non_fraction_bits(e)) for e in self.codec.exponent_range(n)]
+        exponents = self.codec.exponent_range(resolve_width(self))
+        return [(e, self.codec.non_fraction_bits(e)) for e in exponents]
 
 
 class PositFormat(_TaperedFormat):
@@ -89,7 +89,6 @@ class PositFormat(_TaperedFormat):
 class TakumFormat(_TaperedFormat):
     __slots__ = ()
     codec = takum
-    profile_width = 12  # the first width that reaches the whole takum exponent range
 
 
 FormatSpec = Union[PositFormat, TakumFormat, MinifloatSpec]

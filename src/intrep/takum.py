@@ -45,6 +45,8 @@ LAMBERT_W0_ITERATIONS = 100  # Halley steps before lambert_w0 gives up
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     """Exact value of the n-bit takum pattern u: a DyadicValue's fields, or None for NaR."""
+    if type(n) is not int:
+        check_int(n, 1, "width")
     if n < 1:
         raise FormatError(f"{u} does not fit in {n} bits")
     if n < 12:
@@ -54,6 +56,8 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
 
 def decode_uints(patterns, n: int):
     """decode_uint of each n-bit pattern, lazily and in order: the layout is worked out once."""
+    if type(n) is not int:
+        check_int(n, 1, "width")
     if n < 1:
         return map(decode_uint, patterns, repeat(n))  # refuses each pattern as decode_uint does
     if n < 12:

@@ -68,19 +68,12 @@ def test_encode_int(capsys, fmt, value, expected):
 
 
 def test_encode_int_respects_width_budget(capsys):
-    code, _, err = run(capsys, ["encode-int", "--format", "posit", "--value", "3", "--max-n", "5"])
+    code, _, err = run(capsys, ["encode-int", "--format", "posit5", "--value", "3"])
     assert code == 3
     assert "error:" in err
-    code, out, _ = run(capsys, ["encode-int", "--format", "posit", "--value", "3", "--max-n", "6"])
+    code, out, _ = run(capsys, ["encode-int", "--format", "posit6", "--value", "3"])
     assert code == 0
     assert out == "010011\n"
-
-
-@pytest.mark.parametrize("fmt", ["posit", "takum"])
-def test_encode_int_of_zero_respects_the_budget(capsys, fmt):
-    argv = ["encode-int", "--format", fmt, "--value", "0", "--max-n"]
-    assert run(capsys, [*argv, "0"]) == (3, "", f"error: 0 needs 1 {fmt} bits, more than max_bits=0\n")
-    assert run(capsys, [*argv, "1"]) == (0, "0\n", "")
 
 
 def test_encode_int_uses_format_width_as_budget(capsys):
@@ -89,17 +82,18 @@ def test_encode_int_uses_format_width_as_budget(capsys):
     assert "error:" in err
 
 
-def test_encode_int_refuses_a_budget_that_conflicts_with_the_width(capsys):
-    argv = ["encode-int", "--format", "posit8", "--value", "1000000", "--max-n", "300"]
-    assert run(capsys, argv) == (1, "", "error: width 300 conflicts with posit8\n")
-    argv = ["encode-int", "--format", "posit8", "--value", "3", "--max-n", "8"]
-    assert run(capsys, argv) == (0, "010011\n", "")
-
-
-def test_encode_int_budget_for_a_bare_family(capsys):
-    # Without a width in the name, --max-n is the budget, even below the width floor.
-    argv = ["encode-int", "--format", "posit", "--max-n", "2", "--value", "1"]
-    assert run(capsys, argv) == (0, "01\n", "")
+@pytest.mark.parametrize(
+    "fmt,m", [("posit", 2**300 + 1), ("takum", 2**254 + 1)], ids=["posit", "takum"]
+)
+def test_a_bare_family_encodes_past_256_bits(capsys, fmt, m):
+    # A bare family has no cap: the pattern is as long as min-bits says.
+    code, out, err = run(capsys, ["encode-int", "--format", fmt, "--value", str(m)])
+    assert (code, err) == (0, "")
+    codec = formats.parse_format(fmt).codec
+    bits = out.removesuffix("\n")
+    assert len(bits) == codec.min_length(m) > 256
+    assert codec.decode(intrep.BitString(bits)).as_integer() == m
+    assert run(capsys, ["min-bits", "--format", fmt, "--value", str(m)]) == (0, f"{len(bits)}\n", "")
 
 
 def test_encode_int_rejects_minifloat(capsys):
@@ -186,10 +180,18 @@ def test_minifloat_variable_length_refusal_is_one_text(capsys, preset):
         assert str(info.value) == text
 
 
+@pytest.mark.parametrize("name", ["posit8", "takum8"])
+def test_a_too_narrow_sized_format_is_refused_in_one_text(capsys, name):
+    need = formats.parse_format(name).codec.min_length(100000)
+    text = f"error: 100000 needs {need} bits, more than {name} has\n"
+    for command in ("encode-int", "min-bits"):
+        assert run(capsys, [command, "--format", name, "--value", "100000"]) == (3, "", text)
+
+
 # ------------------------------------------------------- max-consecutive
 
 def test_max_consecutive_small_value_is_exact(capsys):
-    code, out, _ = run(capsys, ["max-consecutive", "--format", "takum", "--n", "12"])
+    code, out, _ = run(capsys, ["max-consecutive", "--format", "takum12"])
     assert code == 0
     assert out == "2^6 = 64\n"
 
@@ -208,7 +210,7 @@ def test_max_consecutive_exact_flag(capsys):
 
 def test_max_consecutive_takum_cap(capsys):
     # 2^255 - 1 is not a power of two, so it prints without one.
-    code, out, _ = run(capsys, ["max-consecutive", "--format", "takum", "--n", "266"])
+    code, out, _ = run(capsys, ["max-consecutive", "--format", "takum266"])
     assert (code, out) == (0, "~ 5.8e+76\n")
 
 
@@ -219,7 +221,7 @@ def test_max_consecutive_minifloat(capsys):
 
 
 def test_max_consecutive_beyond_the_digit_limit(capsys):
-    code, out, err = run(capsys, ["max-consecutive", "--format", "posit", "--n", "20000"])
+    code, out, err = run(capsys, ["max-consecutive", "--format", "posit20000"])
     assert (code, out, err) == (0, "2^15997 (~ 3.8e+4815)\n", "")
 
 
@@ -243,9 +245,7 @@ def digit_limit():
 
 
 def test_exact_decimals_past_the_digit_limit_are_refused(capsys, digit_limit):
-    code, out, err = run(
-        capsys, ["max-consecutive", "--format", "posit", "--n", "20000", "--exact"]
-    )
+    code, out, err = run(capsys, ["max-consecutive", "--format", "posit20000", "--exact"])
     assert (code, out) == (3, "")
     assert err.startswith("error: exact decimal of a 15998-bit integer: ")
     rng = random.Random(16001)
@@ -448,6 +448,12 @@ def test_precision_profile_needs_posit_width(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("family", ["posit", "takum"])
+def test_precision_profile_of_a_bare_family_needs_a_width(capsys, family):
+    argv = ["precision-profile", "--format", family]
+    assert run(capsys, argv) == (1, "", f"error: {family} needs an explicit width\n")
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_small_budget(capsys):
@@ -517,12 +523,25 @@ def test_figure_reports_mutated_posit_formula(capsys, monkeypatch):
 # ----------------------------------------------------------- usage errors
 
 @pytest.mark.parametrize("family,n,floor", [("posit", 2, 3), ("takum", 4, 5)])
-def test_width_below_floor_is_a_usage_error_either_way(capsys, family, n, floor):
+def test_width_below_floor_is_a_usage_error(capsys, family, n, floor):
     named = run(capsys, ["max-consecutive", "--format", f"{family}{n}"])
-    given = run(capsys, ["max-consecutive", "--format", family, "--n", str(n)])
-    assert given == named
     assert named[0] == 1
     assert named[2] == f"error: {family} width must be at least {floor}, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["max-consecutive", "--format", "posit", "--n", "8"],
+        ["max-consecutive", "--format", "takum12", "--n", "12"],
+        ["encode-int", "--format", "posit", "--value", "3", "--max-n", "8"],
+        ["encode-int", "--format", "posit8", "--value", "3", "--max-n", "8"],
+    ],
+)
+def test_a_width_is_given_only_in_the_name(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 @pytest.mark.parametrize(

@@ -190,6 +190,21 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
             lambda: posit.largest_consecutive(8.0), "posit width", 8.0, id="posit.largest_consecutive"
         ),
         pytest.param(lambda: takum.exponent_range(5.0), "takum width", 5.0, id="takum.exponent_range"),
+        pytest.param(lambda: posit.decode_uint(1, 8.0), "width", 8.0, id="posit.decode_uint"),
+        pytest.param(lambda: takum.decode_uint(1, True), "width", True, id="takum.decode_uint"),
+        pytest.param(
+            lambda: list(posit.decode_uints([1], 8.0)), "width", 8.0, id="posit.decode_uints"
+        ),
+        pytest.param(
+            lambda: list(TakumFormat().decode_patterns(8.0, [1])),
+            "width",
+            8.0,
+            id="TakumFormat.decode_patterns",
+        ),
+        pytest.param(lambda: posit.encode_uint(3, 7.5), "max_bits", 7.5, id="posit.encode_uint"),
+        pytest.param(
+            lambda: takum.encode_integer(3, True), "max_bits", True, id="takum.encode_integer"
+        ),
     ],
 )
 def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call, name, value):
