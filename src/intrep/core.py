@@ -224,17 +224,19 @@ _NAR = DyadicValue(0, 0, 0)
 
 def integer_profile(m: int) -> tuple[int, int]:
     """(v, w) of a nonzero integer, sign ignored: v bits up to the leading 1, w trailing zeros."""
+    if type(m) is not int:
+        check_int(m, None, "m")
     if m == 0:
         raise DomainError("0 has no integer profile")
     a = abs(m)
     return a.bit_length(), (a & -a).bit_length() - 1  # trailing_zero_count(a), one call fewer
 
 
-def check_int(value, floor: int, name: str) -> int:
-    """value, if an int (not a bool) of at least floor, else FormatError naming it."""
+def check_int(value, floor: int | None, name: str) -> int:
+    """value, if an int (not a bool) of at least floor (None: any int), else FormatError naming it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{name} must be an integer, got {value!r}")
-    if value < floor:
+    if floor is not None and value < floor:
         raise FormatError(f"{name} must be at least {floor}, got {value}")
     return value
 
@@ -260,10 +262,13 @@ def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> tup
     """Shortest posit or takum pattern for the integer m, as (u, width): both encoders' frame.
 
     (0, 1) for m = 0, CapacityError when the shortest pattern, min_length(m)
-    bits, exceeds max_bits, and FormatError when max_bits is not an int.
-    head(v) is the (value, width) of the bits before the fraction of a
-    positive integer with bit length v.  A result not min_length(m) wide,
-    zero's one bit included, raises ArithmeticError.
+    bits, exceeds max_bits, and FormatError when max_bits, or m (which
+    min_length refuses), is not an int.  head(v) is the (value, width) of the
+    bits before the fraction of a positive integer with bit length v.  The
+    fraction, m's odd part less its leading 1, ends in a 1, so only a power
+    of two, whose pattern is its head alone, has trailing zeros to drop.  A
+    result not min_length(m) wide, zero's one bit included, raises
+    ArithmeticError.
     """
     if type(max_bits) is not int:
         check_int(max_bits, 0, "max_bits")
@@ -276,13 +281,15 @@ def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> tup
         a = abs(m)
         v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
         fraction_bits = v - w - 1  # explicit significand bits below the leading 1
-        value, width = head(v)
-        u = (value << fraction_bits) | ((a >> w) ^ (1 << fraction_bits))  # the leading 1 cleared
+        u, width = head(v)
         # Appended zeros never change a value, so the shortest pattern drops them all.
-        # A positive pattern starts "01", so at least two bits stay.
-        drop = (u & -u).bit_length() - 1  # trailing_zero_count(u)
-        u >>= drop
-        width += fraction_bits - drop
+        if fraction_bits:  # the fraction, the leading 1 cleared, ends in a 1: none to drop
+            u = (u << fraction_bits) | ((a >> w) ^ (1 << fraction_bits))
+            width += fraction_bits
+        else:  # a power of two: the head, less its trailing zeros; "01" stays
+            drop = (u & -u).bit_length() - 1  # trailing_zero_count(u)
+            u >>= drop
+            width -= drop
     if m < 0:
         u = -u & ((1 << width) - 1)
     if width != need:

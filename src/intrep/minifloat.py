@@ -165,7 +165,9 @@ def _decode(
     The layout is the sign's shift, the fraction bits, the all-ones exponent
     field and fraction mask, the least fraction that is NaR under an
     all-ones exponent field (past the mask when none is), the hidden bit,
-    and bias + fraction_bits.
+    and bias + fraction_bits.  An odd numerator, which every odd pattern with
+    a fraction bit has, is canonical as it stands; only an even one moves its
+    trailing zeros into the exponent.
     """
     s = u >> sign_shift
     if s >> 1:  # u < 0 or u >= 2^width: the sign "bit" is neither 0 nor 1
@@ -182,6 +184,8 @@ def _decode(
         exponent = 1 - offset
     else:
         return (1, 0, 0)
+    if numer & 1:  # canonical already: no zeros to move into the exponent
+        return (-1 if s else 1), numer, exponent
     shift = (numer & -numer).bit_length() - 1  # trailing_zero_count(numer), one call fewer
     return (-1 if s else 1), numer >> shift, exponent + shift
 

@@ -16,7 +16,7 @@ process.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import chain, tee
 from math import inf
 from typing import NamedTuple
@@ -216,8 +216,8 @@ def min_length_table(fmt: FormatSpec, targets) -> dict[int, int | None]:
     if any(isinstance(m, bool) or not isinstance(m, int) for m in targets):
         raise FormatError("targets must be integers")
     lengths: dict[int, int | None] = dict.fromkeys(targets)
-    wanted = sorted(lengths)
-    holds = lambda gaps, _: [g for g in gaps if bisect_right(wanted, g[1]) < bisect_left(wanted, g[2])]
+    wanted = [*sorted(lengths), inf]  # the sentinel: every lo has a least wanted above it
+    holds = lambda gaps, _: [g for g in gaps if wanted[bisect_right(wanted, g[1])] < g[2]]
     for width, integers in _gap_ladder(fmt, fmt.width or DEFAULT_MAX_BITS, holds):
         for m in integers:
             if m in lengths and lengths[m] is None:

@@ -31,7 +31,6 @@ from .core import (
     FormatError,
     check_int,
     encode_shortest,
-    integer_profile,
 )
 
 MIN_WIDTH = 3
@@ -59,7 +58,9 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
     """decode_uint's arithmetic, given the layout of the width n: n - 1 and 2^(n-1) - 1.
 
     The regime run is the leading-bit count of the pattern after the sign,
-    XOR-ed with its first bit so that either run reads as zeros.
+    XOR-ed with its first bit so that either run reads as zeros.  An odd
+    numerator, which every odd pattern with a fraction bit has, is canonical
+    as it stands; only an even one moves its trailing zeros into the exponent.
     """
     s = u >> body_bits
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
@@ -89,6 +90,8 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
     else:
         numer = (1 << p) + frac
         exponent = 4 * regime + exp_field - p
+    if numer & 1:  # canonical already: no zeros to move into the exponent
+        return (-1 if s else 1), numer, exponent
     shift = (numer & -numer).bit_length() - 1  # trailing_zero_count(numer), one call fewer
     return (-1 if s else 1), numer >> shift, exponent + shift
 
@@ -99,10 +102,16 @@ def decode(bits: BitString) -> DyadicValue:
 
 
 def min_length(m: int) -> int:
-    """Fewest posit bits that represent the integer m exactly: 1 for m = 0, the pattern "0"."""
+    """Fewest posit bits that represent the integer m exactly: 1 for m = 0, the pattern "0".
+
+    FormatError when m is not an int.
+    """
+    if type(m) is not int:
+        check_int(m, None, "m")
     if m == 0:
         return 1
-    v, w = integer_profile(m)
+    a = abs(m)
+    v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
     length = (5 * (v + 3)) // 4 - w
     if w == v - 1:
         # No fraction bits: the exponent field's trailing zeros go too.

@@ -33,7 +33,6 @@ from .core import (
     FormatError,
     check_int,
     encode_shortest,
-    integer_profile,
     trailing_zero_count,
 )
 
@@ -75,7 +74,10 @@ def _decode(
     A pattern shorter than the 12-bit header (sign, direction, regime and
     up to 7 characteristic bits) is zero-extended to it first, by pad bits.
     The layout is n - 1, pad, then the header's shift and the mask of the
-    bits after the sign at the extended width max(n, 12).
+    bits after the sign at the extended width max(n, 12).  An odd numerator,
+    which every odd pattern of 12 bits or more with a fraction bit has, is
+    canonical as it stands; only an even one moves its trailing zeros into
+    the exponent.
     """
     s = u >> sign_shift
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
@@ -99,6 +101,8 @@ def _decode(
     else:
         numer = (1 << p) + frac
         exponent = characteristic - p
+    if numer & 1:  # canonical already: no zeros to move into the exponent
+        return (-1 if s else 1), numer, exponent
     shift = (numer & -numer).bit_length() - 1  # trailing_zero_count(numer), one call fewer
     return (-1 if s else 1), numer >> shift, exponent + shift
 
@@ -109,10 +113,16 @@ def decode(bits: BitString) -> DyadicValue:
 
 
 def min_length(m: int) -> int:
-    """Fewest takum bits that represent the integer m exactly: 1 for m = 0, the pattern "0"."""
+    """Fewest takum bits that represent the integer m exactly: 1 for m = 0, the pattern "0".
+
+    FormatError when m is not an int, DomainError when |m| >= 2^255.
+    """
+    if type(m) is not int:
+        check_int(m, None, "m")
     if m == 0:
         return 1
-    v, w = integer_profile(m)
+    a = abs(m)
+    v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
     # An integer of bit length v has exponent v - 1, and the characteristic
     # reaches MAX_EXPONENT, so |m| < 2^255 is in range with enough fraction bits.
     if v > MAX_EXPONENT + 1:
@@ -157,11 +167,13 @@ def consecutive_exponent(n: int) -> int:
     """Largest v with v * 2^v < 2^(n-3), by exact big-integer search.
 
     The paper's formula.  From n = 266 on, v reaches 255, past the takum
-    exponent range, so largest_consecutive is no longer 2^v there.
+    exponent range, so largest_consecutive is no longer 2^v there.  The
+    search starts at v = n - 3 - L, L the bit length of n - 3, or at 1: there
+    log2 v < L, so v * 2^v < 2^(n-3) already, and a few steps remain.
     """
     check_int(n, MIN_WIDTH, "takum width")
     bound = 1 << (n - 3)
-    v = 1
+    v = max(1, n - 3 - (n - 3).bit_length())
     while (v + 1) << (v + 1) < bound:
         v += 1
     assert (v << v) < bound <= ((v + 1) << (v + 1))

@@ -3,8 +3,8 @@
 The reference decoders below read a pattern's text (format(u, f"0{n}b"))
 field by field, following the layouts in the posit, takum and minifloat
 module docstrings; a field that runs past the end is completed with ghost
-zeros by ljust.  Both the kernels (decode_uint) and the BitString wrappers
-(decode) must agree with them on every pattern tested.
+zeros by ljust.  The kernels (decode_uint, and the batch decode_uints) and
+the BitString wrappers (decode) must agree with them on every pattern tested.
 """
 
 import random
@@ -108,8 +108,11 @@ def assert_family_agrees(module, reference, u, n):
 @pytest.mark.parametrize("module,reference", FAMILIES)
 def test_every_pattern_up_to_16_bits(module, reference):
     for n in range(1, 17):
-        for u in range(1 << n):
+        # decode_uints, the batch the oracle reads, against decode_uint one by one.
+        batch = module.decode_uints(range(1 << n), n)
+        for u, decoded in zip(range(1 << n), batch, strict=True):
             assert_family_agrees(module, reference, u, n)
+            assert decoded == module.decode_uint(u, n), format(u, f"0{n}b")
 
 
 @pytest.mark.parametrize("module,reference", FAMILIES)
@@ -117,7 +120,9 @@ def test_random_long_patterns(module, reference):
     rng = random.Random(20241229)
     for _ in range(20000):
         n = rng.randint(17, 600)
-        assert_family_agrees(module, reference, rng.getrandbits(n), n)
+        u = rng.getrandbits(n)
+        assert_family_agrees(module, reference, u, n)
+        assert [*module.decode_uints([u], n)] == [module.decode_uint(u, n)], format(u, f"0{n}b")
 
 
 @pytest.mark.parametrize("module,reference", FAMILIES)

@@ -18,6 +18,7 @@ from intrep import (
     PositFormat,
     TakumFormat,
     formats,
+    integer_profile,
     minifloat,
     oracle,
     parse_format,
@@ -205,6 +206,13 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
         pytest.param(
             lambda: takum.encode_integer(3, True), "max_bits", True, id="takum.encode_integer"
         ),
+        pytest.param(lambda: posit.min_length(True), "m", True, id="posit.min_length-bool"),
+        pytest.param(lambda: takum.min_length(2.0), "m", 2.0, id="takum.min_length-float"),
+        pytest.param(lambda: posit.min_length(0.0), "m", 0.0, id="posit.min_length-zero-float"),
+        pytest.param(lambda: posit.encode_uint(True), "m", True, id="posit.encode_uint-m"),
+        pytest.param(lambda: posit.encode_uint(2.0), "m", 2.0, id="posit.encode_uint-m-float"),
+        pytest.param(lambda: takum.encode_integer(2.0), "m", 2.0, id="takum.encode_integer-m"),
+        pytest.param(lambda: integer_profile(2.0), "m", 2.0, id="integer_profile"),
     ],
 )
 def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call, name, value):
