@@ -51,6 +51,8 @@ class BitString:
     __slots__ = ("_value", "_width")
 
     def __init__(self, bits: str):
+        if not isinstance(bits, str):
+            raise FormatError(f"not a bit string: {bits!r}")
         text = bits.strip().removeprefix("0b")
         text = text.replace(" ", "").replace("_", "")
         if not text or text.strip("01"):
@@ -60,7 +62,17 @@ class BitString:
 
     @classmethod
     def from_uint(cls, value: int, width: int) -> "BitString":
-        if width < 1 or value < 0 or value >> width:
+        """The width-bit string of the unsigned integer value.
+
+        FormatError when either is not an int, or value is negative or has
+        more than width bits: a bit-length test, which builds no shifted copy
+        of a wide value.
+        """
+        if type(value) is not int:
+            check_int(value, None, "value")
+        if type(width) is not int:
+            check_int(width, None, "width")
+        if width < 1 or value < 0 or value.bit_length() > width:
             raise FormatError(f"{value} does not fit in {width} bits")
         self = object.__new__(cls)
         self._value = value
@@ -147,14 +159,16 @@ class DyadicValue(_Triple):
     sign is +1 or -1 and the significand is an odd positive integer, so
     structurally equal values compare equal.  Zero is (1, 0, 0) and NaR is
     (0, 0, 0), the one value with sign 0.  The constructor refuses any other
-    triple with DomainError.
+    triple, a field that is not an int (a bool or a float) among them, with
+    DomainError.
     """
 
     __slots__ = ()
 
     def __new__(cls, sign: int, significand: int, exponent2: int):
-        finite = sign in (1, -1) and significand > 0 and significand & 1
-        if not (finite or significand == exponent2 == 0 and sign in (1, 0)):
+        typed = type(sign) is type(significand) is type(exponent2) is int
+        finite = typed and sign in (1, -1) and significand > 0 and significand & 1
+        if not (finite or typed and significand == exponent2 == 0 and sign in (1, 0)):
             raise DomainError(f"({sign}, {significand}, {exponent2}) is not a canonical value")
         return super().__new__(cls, sign, significand, exponent2)
 
@@ -258,40 +272,48 @@ def resolve_width(fmt, n: int | None = None) -> int:
 DEFAULT_MAX_BITS = 256
 
 
-def encode_shortest(m: int, max_bits: int, family: str, min_length, head) -> tuple[int, int]:
+def encode_shortest(m: int, max_bits: int, family: str, length, head) -> tuple[int, int]:
     """Shortest posit or takum pattern for the integer m, as (u, width): both encoders' frame.
 
-    (0, 1) for m = 0, CapacityError when the shortest pattern, min_length(m)
-    bits, exceeds max_bits, and FormatError when max_bits, or m (which
-    min_length refuses), is not an int.  head(v) is the (value, width) of the
-    bits before the fraction of a positive integer with bit length v.  The
-    fraction, m's odd part less its leading 1, ends in a 1, so only a power
-    of two, whose pattern is its head alone, has trailing zeros to drop.  A
-    result not min_length(m) wide, zero's one bit included, raises
-    ArithmeticError.
+    m is profiled once, as (v, w): its bit length and trailing zeros, (0, -1)
+    for zero.  length(v, w, m) is the family's closed form, the one its
+    min_length reads, so the pattern is checked against min_length(m), zero's
+    one bit included: a result of another width raises ArithmeticError.
+    length refuses m (DomainError) where the family has no pattern for it,
+    and m only names the integer in that refusal.  (0, 1) for m = 0,
+    CapacityError when the shortest pattern exceeds max_bits, and
+    FormatError when max_bits or m is not an int.
+
+    head(v) is the (value, width) of the bits before the fraction of a
+    positive integer with bit length v.  The fraction, m's odd part a >> w
+    less its leading 1, ends in a 1, so it is appended as
+    ((head - 1) << f) + (a >> w), and only a power of two, whose pattern is
+    its head alone, has trailing zeros to drop.  A negative m's pattern is
+    the two's complement 2^width - u.
     """
     if type(max_bits) is not int:
         check_int(max_bits, 0, "max_bits")
-    need = min_length(m)
+    if type(m) is not int:
+        check_int(m, None, "m")
+    a = abs(m)
+    v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
+    need = length(v, w, m)
     if need > max_bits:
         raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")
-    if m == 0:
-        u, width = 0, 1
-    else:
-        a = abs(m)
-        v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
-        fraction_bits = v - w - 1  # explicit significand bits below the leading 1
+    fraction_bits = v - w - 1  # explicit significand bits below the leading 1
+    if fraction_bits:
         u, width = head(v)
-        # Appended zeros never change a value, so the shortest pattern drops them all.
-        if fraction_bits:  # the fraction, the leading 1 cleared, ends in a 1: none to drop
-            u = (u << fraction_bits) | ((a >> w) ^ (1 << fraction_bits))
-            width += fraction_bits
-        else:  # a power of two: the head, less its trailing zeros; "01" stays
-            drop = (u & -u).bit_length() - 1  # trailing_zero_count(u)
-            u >>= drop
-            width -= drop
+        u = ((u - 1) << fraction_bits) + (a >> w)
+        width += fraction_bits
+    elif v:  # a power of two: the head, less its trailing zeros; "01" stays
+        u, width = head(v)
+        drop = (u & -u).bit_length() - 1  # trailing_zero_count(u)
+        u >>= drop
+        width -= drop
+    else:
+        u, width = 0, 1
     if m < 0:
-        u = -u & ((1 << width) - 1)
+        u = (1 << width) - u
     if width != need:
         raise ArithmeticError(f"{family} encoding of {m} has {width} bits, not {need}")
     return u, width

@@ -26,6 +26,7 @@ from .core import (
     DyadicValue,
     FormatError,
     FrozenSlots,
+    check_int,
     resolve_width,
 )
 
@@ -215,8 +216,11 @@ def non_fraction_bits(spec: MinifloatSpec, exponent: int) -> int:
     """Bits spent on sign and exponent at a given value exponent.
 
     Constant 1 + exponent_bits over the normal range; below it each step into
-    the subnormals costs one leading fraction zero.
+    the subnormals costs one leading fraction zero.  FormatError when the
+    exponent is not an int or lies outside exponent_domain(spec).
     """
+    if type(exponent) is not int:
+        check_int(exponent, None, "exponent")
     lo, hi = exponent_domain(spec)
     if not lo <= exponent <= hi:
         raise FormatError(f"exponent {exponent} outside [{lo}, {hi}] for {spec}")

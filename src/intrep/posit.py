@@ -58,9 +58,12 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
     """decode_uint's arithmetic, given the layout of the width n: n - 1 and 2^(n-1) - 1.
 
     The regime run is the leading-bit count of the pattern after the sign,
-    XOR-ed with its first bit so that either run reads as zeros.  An odd
-    numerator, which every odd pattern with a fraction bit has, is canonical
-    as it stands; only an even one moves its trailing zeros into the exponent.
+    XOR-ed with its first bit so that either run reads as zeros.  The p
+    fraction bits after a run of k are masked by body_mask >> (k + 3), which
+    is 2^p - 1: the body less the run, its termination bit and the two
+    exponent bits.  An odd numerator, which every odd pattern with a
+    fraction bit has, is canonical as it stands; only an even one moves its
+    trailing zeros into the exponent.
     """
     s = u >> body_bits
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
@@ -79,7 +82,7 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
     if rest >= 2:
         p = rest - 2
         exp_field = (u >> p) & 3
-        frac = u & ((1 << p) - 1)
+        frac = u & (body_mask >> (k + 3))
     else:
         p = frac = 0
         exp_field = (u << (2 - rest)) & 3  # ghost zeros complete the field
@@ -98,27 +101,39 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
 
 def decode(bits: BitString) -> DyadicValue:
     """Exact value of a posit bit string of any length >= 1."""
-    return DyadicValue.from_triple(decode_uint(bits.uint, bits.width))
+    # The slots, not the uint and width properties, each of which is a
+    # Python function call per read.
+    return DyadicValue.from_triple(decode_uint(bits._value, bits._width))
 
 
 def min_length(m: int) -> int:
     """Fewest posit bits that represent the integer m exactly: 1 for m = 0, the pattern "0".
 
-    FormatError when m is not an int.
+    The closed form on m's profile (v, w), the one the encoder checks its
+    pattern against.  FormatError when m is not an int.
     """
     if type(m) is not int:
         check_int(m, None, "m")
-    if m == 0:
-        return 1
     a = abs(m)
-    v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
+    return _length(a.bit_length(), (a & -a).bit_length() - 1, m)  # integer_profile(m), inline
+
+
+def _length(v: int, w: int, m: int) -> int:
+    """min_length of an integer with bit length v and w trailing zeros, (0, -1) for zero.
+
+    The shared closed form of min_length and encode_uint; m, the integer
+    itself, is unused, as every integer has a posit.
+    """
     length = (5 * (v + 3)) // 4 - w
-    if w == v - 1:
-        # No fraction bits: the exponent field's trailing zeros go too.
-        if v % 4 == 1:
-            length -= 3  # termination bit and both exponent bits
-        elif v % 4 == 3:
-            length -= 1  # low exponent bit only
+    if w != v - 1:
+        return length
+    # No fraction bits: the exponent field's trailing zeros go too.
+    if not v:
+        return 1  # zero, the pattern "0"
+    if v % 4 == 1:
+        length -= 3  # termination bit and both exponent bits
+    elif v % 4 == 3:
+        length -= 1  # low exponent bit only
     return length
 
 
@@ -128,7 +143,7 @@ def encode_uint(m: int, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, int]:
     Returns (0, 1), the pattern "0", for m = 0.  Raises CapacityError when
     the shortest representation would exceed max_bits.
     """
-    return encode_shortest(m, max_bits, "posit", min_length, _head)
+    return encode_shortest(m, max_bits, "posit", _length, _head)
 
 
 def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
@@ -152,8 +167,11 @@ def non_fraction_bits(exponent: int) -> int:
     """Bits an n-large posit spends on sign, regime, termination, and exponent.
 
     For coded exponent e the regime needs k = floor(e/4) + 1 bits when e >= 0
-    and k = -floor(e/4) bits when e < 0; the fixed overhead is 4.
+    and k = -floor(e/4) bits when e < 0; the fixed overhead is 4.  FormatError
+    when e is not an int.
     """
+    if type(exponent) is not int:
+        check_int(exponent, None, "exponent")
     k = exponent // 4 + 1 if exponent >= 0 else -(exponent // 4)
     return 4 + k
 

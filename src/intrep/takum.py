@@ -23,6 +23,7 @@ and encode_integer(m) wraps it in a BitString.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import repeat
 
 from .core import (
@@ -39,7 +40,8 @@ from .core import (
 MIN_EXPONENT = -255
 MAX_EXPONENT = 254
 MIN_WIDTH = 5
-LAMBERT_W0_ITERATIONS = 100  # Halley steps before lambert_w0 gives up
+LAMBERT_W0_ITERATIONS = 100  # Halley or Newton steps before lambert_w0 gives up
+LAMBERT_W0_LOG_FORM_ABOVE = 1e300  # lambert_w0's residual is taken in log form above this x
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
@@ -74,10 +76,12 @@ def _decode(
     A pattern shorter than the 12-bit header (sign, direction, regime and
     up to 7 characteristic bits) is zero-extended to it first, by pad bits.
     The layout is n - 1, pad, then the header's shift and the mask of the
-    bits after the sign at the extended width max(n, 12).  An odd numerator,
-    which every odd pattern of 12 bits or more with a fraction bit has, is
-    canonical as it stands; only an even one moves its trailing zeros into
-    the exponent.
+    bits after the sign at the extended width max(n, 12).  The p fraction
+    bits after a characteristic of r bits are masked by body_mask >> (4 + r),
+    which is 2^p - 1: the body less the direction, regime and characteristic
+    bits.  An odd numerator, which every odd pattern of 12 bits or more with
+    a fraction bit has, is canonical as it stands; only an even one moves
+    its trailing zeros into the exponent.
     """
     s = u >> sign_shift
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
@@ -94,7 +98,7 @@ def _decode(
         characteristic = 1 - (2 << r)
     characteristic += (header >> (7 - r)) & ((1 << r) - 1)
     p = header_shift + 7 - r  # the extended width less 5 + r header bits
-    frac = u & ((1 << p) - 1)
+    frac = u & (body_mask >> (4 + r))
     if s:
         numer = (2 << p) - frac
         exponent = -(characteristic + 1) - p
@@ -109,36 +113,49 @@ def _decode(
 
 def decode(bits: BitString) -> DyadicValue:
     """Exact value of a takum bit string of any length >= 1."""
-    return DyadicValue.from_triple(decode_uint(bits.uint, bits.width))
+    # The slots, not the uint and width properties, each of which is a
+    # Python function call per read.
+    return DyadicValue.from_triple(decode_uint(bits._value, bits._width))
 
 
 def min_length(m: int) -> int:
     """Fewest takum bits that represent the integer m exactly: 1 for m = 0, the pattern "0".
 
-    FormatError when m is not an int, DomainError when |m| >= 2^255.
+    The closed form on m's profile (v, w), the one the encoder checks its
+    pattern against.  FormatError when m is not an int, DomainError when
+    |m| >= 2^255.
     """
     if type(m) is not int:
         check_int(m, None, "m")
-    if m == 0:
-        return 1
     a = abs(m)
-    v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
+    return _length(a.bit_length(), (a & -a).bit_length() - 1, m)  # integer_profile(m), inline
+
+
+def _length(v: int, w: int, m: int) -> int:
+    """min_length of the integer m, with bit length v and w trailing zeros, (0, -1) for zero.
+
+    The shared closed form of min_length and encode_uint; m only names the
+    integer when it is out of range.
+    """
     # An integer of bit length v has exponent v - 1, and the characteristic
     # reaches MAX_EXPONENT, so |m| < 2^255 is in range with enough fraction bits.
     if v > MAX_EXPONENT + 1:
         raise DomainError(f"|m| >= 2^{MAX_EXPONENT + 1} exceeds the takum exponent range: {m}")
     r = v.bit_length() - 1  # floor(log2 v)
     length = 4 + v - w + r
-    if w == v - 1:
-        # No fraction bits; trailing zeros of the characteristic go too.
-        characteristic = v - (1 << r)
-        if characteristic == 0:
-            # All r characteristic bits are zero, and the regime's own
-            # trailing zeros (all 3 bits when r = 0) come off as well.
-            length -= r
-            length -= 3 if r == 0 else trailing_zero_count(r)
-        else:
-            length -= trailing_zero_count(characteristic)
+    if w != v - 1:
+        return length
+    # No fraction bits; trailing zeros of the characteristic go too.
+    if not v:
+        return 1  # zero, the pattern "0"
+    characteristic = v - (1 << r)
+    if characteristic == 0:
+        # All r characteristic bits are zero, and the regime's own
+        # trailing zeros (all 3 bits when r = 0) come off as well.
+        length -= r
+        length -= 3 if r == 0 else trailing_zero_count(r)
+    else:
+        length -= trailing_zero_count(characteristic)
     return length
 
 
@@ -149,7 +166,7 @@ def encode_uint(m: int, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, int]:
     |m| >= 2^255 and CapacityError when the shortest representation would
     exceed max_bits.
     """
-    return encode_shortest(m, max_bits, "takum", min_length, _head)
+    return encode_shortest(m, max_bits, "takum", _length, _head)
 
 
 def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
@@ -194,20 +211,32 @@ def lambert_w0(x: float) -> float:
 
     Returns w once |w * e^w - x| <= 1e-12 * max(1, x), else raises ArithmeticError.
     Seeded with log(x) - log(log(x)) for x > e and with x itself below that.
+    Above LAMBERT_W0_LOG_FORM_ABOVE, where w * e^w could overflow, the same
+    relative bound is met in log form, |w + log(w) - log(x)| <= 1e-12, by
+    Newton steps on that residual; so every finite x converges.
     """
     if x < 0 or math.isnan(x):
         raise DomainError(f"lambert_w0 needs x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     tolerance = 1e-12 * max(1.0, x)
-    w = math.log(x) - math.log(math.log(x)) if x > math.e else x
+    log_x = math.log(x)
+    w = log_x - math.log(log_x) if x > math.e else x
+    log_form = x > LAMBERT_W0_LOG_FORM_ABOVE
     for _ in range(LAMBERT_W0_ITERATIONS):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tolerance:
-            return w
-        # Halley's method for f(w) = w e^w - x.
-        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        if log_form:
+            f = w + math.log(w) - log_x
+            if abs(f) <= 1e-12:
+                return w
+            # Newton's method for f(w) = w + log(w) - log(x).
+            w -= f * w / (w + 1.0)
+        else:
+            ew = math.exp(w)
+            f = w * ew - x
+            if abs(f) <= tolerance:
+                return w
+            # Halley's method for f(w) = w e^w - x.
+            w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
     raise ArithmeticError(f"lambert_w0 did not converge for x={x}")
 
 
@@ -217,12 +246,13 @@ def consecutive_exponent_analytic(n: int) -> int:
     Double-precision cross-check of consecutive_exponent: the argument of the
     ceiling is an exact integer whenever 2^(n-3) equals some v * 2^v (n = 6,
     9, 14, 23, 40, ...), so results within 1e-9 above an integer snap down to
-    it; W0 is evaluated far more accurately than that.
+    it; W0 is evaluated far more accurately than that.  DomainError from
+    n = 1027 on, where 2^(n-3) is past double range.
     """
     check_int(n, MIN_WIDTH, "takum width")
-    x = math.log(2.0) * math.pow(2.0, n - 3)
-    if math.isinf(x):
+    if n - 3 >= sys.float_info.max_exp:
         raise DomainError(f"2^(n-3) overflows double precision for n={n}")
+    x = math.log(2.0) * math.pow(2.0, n - 3)
     t = lambert_w0(x) / math.log(2.0) - 1.0
     return math.ceil(t - 1e-9)
 
@@ -232,8 +262,10 @@ def non_fraction_bits(exponent: int) -> int:
 
     For coded exponent e the characteristic field has r = floor(log2(e+1))
     bits when e >= 0 (r = 0 for e = 0) and r = floor(log2(-e)) bits when
-    e < 0; the fixed overhead is 5.
+    e < 0; the fixed overhead is 5.  FormatError when e is not an int.
     """
+    if type(exponent) is not int:
+        check_int(exponent, None, "exponent")
     if not MIN_EXPONENT <= exponent <= MAX_EXPONENT:
         raise DomainError(f"takum exponent out of range: {exponent}")
     magnitude = exponent + 1 if exponent >= 0 else -exponent

@@ -12,7 +12,7 @@ def test_parse_and_str():
     assert BitString("0001").width == 4
 
 
-@pytest.mark.parametrize("bad", ["", "0b", "012", "abc", "1.0", "0 b 1"])
+@pytest.mark.parametrize("bad", ["", "0b", "012", "abc", "1.0", "0 b 1", 5, b"01", None])
 def test_parse_rejects(bad):
     with pytest.raises(FormatError):
         BitString(bad)
@@ -26,6 +26,10 @@ def test_from_uint_bounds():
         BitString.from_uint(-1, 4)
     with pytest.raises(FormatError):
         BitString.from_uint(0, 0)
+    for width in (300, 301, 512, 1000):
+        assert str(BitString.from_uint((1 << width) - 1, width)) == "1" * width
+        with pytest.raises(FormatError, match=f"does not fit in {width} bits$"):
+            BitString.from_uint(1 << width, width)
 
 
 def test_equality_includes_width():

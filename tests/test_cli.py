@@ -499,9 +499,13 @@ def test_verify_reports_mutated_formula(capsys, monkeypatch):
 
 def test_verify_reports_wrong_min_length(capsys, monkeypatch):
     # The encoder refuses a pattern that is not min_length(m) wide; verify
-    # reports that as a round-trip failure instead of crashing.
-    true_length = posit.min_length
-    monkeypatch.setattr(posit, "min_length", lambda m: true_length(m) + (abs(m) == 5))
+    # reports that as a round-trip failure instead of crashing.  min_length
+    # and the encoder share one closed form on the profile (v, w), so the
+    # fault goes there: (3, 0) is 5 and 7, and the round trip meets 5 first.
+    true_length = posit._length
+    monkeypatch.setattr(
+        posit, "_length", lambda v, w, m: true_length(v, w, m) + ((v, w) == (3, 0))
+    )
     code, out, _ = run(capsys, ["verify", "--max-n", "5", "--max-m", "16"])
     assert code == 2
     assert "2 of 8 checks failed" in out
@@ -605,6 +609,25 @@ def test_readme_verify_example_lines_are_real_output_lines_in_order(capsys):
     for line in output.splitlines():
         if line != "...":
             assert line in real, line  # consumes real up to the match, so order counts
+
+
+# -------------------------------------------------------- golden outputs
+
+GOLDEN = {
+    "table": "table.txt",
+    "table --exact": "table--exact.txt",
+    "figure --n-max 1024": "figure--n-max-1024.txt",
+    "verify": "verify.txt",
+}
+
+
+def test_stdout_is_byte_identical_to_the_golden_files(capsys):
+    # The files in tests/golden hold the stdout these commands printed when
+    # they were stored; a speed-up must leave every byte of it alone.
+    golden = Path(__file__).parent / "golden"
+    for command, name in GOLDEN.items():
+        expected = (golden / name).read_text()
+        assert run(capsys, shlex.split(command)) == (0, expected, ""), command
 
 
 # ------------------------------------------------------------ cold start

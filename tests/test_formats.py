@@ -213,6 +213,28 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
         pytest.param(lambda: posit.encode_uint(2.0), "m", 2.0, id="posit.encode_uint-m-float"),
         pytest.param(lambda: takum.encode_integer(2.0), "m", 2.0, id="takum.encode_integer-m"),
         pytest.param(lambda: integer_profile(2.0), "m", 2.0, id="integer_profile"),
+        pytest.param(lambda: BitString.from_uint(1, True), "width", True, id="from_uint-width"),
+        pytest.param(lambda: BitString.from_uint(1.0, 8), "value", 1.0, id="from_uint-value"),
+        pytest.param(lambda: BitString.from_uint(True, 8), "value", True, id="from_uint-bool"),
+        pytest.param(lambda: BitString.from_uint(1, 8.0), "width", 8.0, id="from_uint-width-float"),
+        pytest.param(
+            lambda: posit.non_fraction_bits(1.5), "exponent", 1.5, id="posit.non_fraction_bits"
+        ),
+        pytest.param(
+            lambda: posit.non_fraction_bits(True),
+            "exponent",
+            True,
+            id="posit.non_fraction_bits-bool",
+        ),
+        pytest.param(
+            lambda: minifloat.non_fraction_bits(PRESETS["e4m3"], 1.5),
+            "exponent",
+            1.5,
+            id="minifloat.non_fraction_bits",
+        ),
+        pytest.param(
+            lambda: takum.non_fraction_bits(1.5), "exponent", 1.5, id="takum.non_fraction_bits"
+        ),
     ],
 )
 def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call, name, value):

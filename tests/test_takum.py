@@ -186,7 +186,8 @@ def test_lambert_w0_known_points():
 
 
 @pytest.mark.parametrize(
-    "x", [1e-12, 0.25, 1.0, 2.5, math.e, 3.0, 100.0, 1e6, 1e18, 1e30]
+    "x",
+    [1e-12, 0.25, 1.0, 2.5, math.e, 3.0, 100.0, 1e6, 1e18, 1e30, 1e300, 1e301, 1e308, 1.7e308],
 )
 def test_lambert_w0_matches_mpmath(x):
     w = takum.lambert_w0(x)
@@ -198,6 +199,15 @@ def test_lambert_w0_matches_mpmath(x):
 def test_analytic_consecutive_exponent():
     for n in range(5, 65):
         assert takum.consecutive_exponent_analytic(n) == takum.consecutive_exponent(n), n
+
+
+def test_analytic_consecutive_exponent_at_the_end_of_double_range():
+    # 2^(n-3) ln 2 is about 3.1e307 and 6.2e307 at n = 1025 and 1026, where
+    # w * e^w overflows while lambert_w0 iterates; 2^1024 is no double.
+    for n in (1025, 1026):
+        assert takum.consecutive_exponent_analytic(n) == takum.consecutive_exponent(n), n
+    with pytest.raises(DomainError, match="n=1027$"):
+        takum.consecutive_exponent_analytic(1027)
 
 
 def test_analytic_consecutive_exponent_exact_boundaries():

@@ -36,11 +36,30 @@ def test_a_value_is_the_kernels_named_triple():
 
 @pytest.mark.parametrize(
     "triple",
-    [(-1, 0, 0), (2, 3, 0), (0, 5, 1), (1, 12, 0)],
-    ids=["negative-zero", "sign-2", "nar-with-fields", "even-significand"],
+    [
+        (-1, 0, 0),
+        (2, 3, 0),
+        (0, 5, 1),
+        (1, 12, 0),
+        (1, True, 0),
+        (1.0, 1, 0),
+        (1, 1, 0.5),
+        (1, 1.5, 0),
+    ],
+    ids=[
+        "negative-zero",
+        "sign-2",
+        "nar-with-fields",
+        "even-significand",
+        "bool-significand",
+        "float-sign",
+        "float-exponent",
+        "float-significand",
+    ],
 )
 def test_the_constructor_refuses_a_non_canonical_triple(triple):
-    # Each would print as 0, 6, NaR or 12 yet equal no value of that name.
+    # The first four would print as 0, 6, NaR or 12 yet equal no value of
+    # that name; the last four hold a field that is not an int.
     with pytest.raises(DomainError, match="is not a canonical value$"):
         DyadicValue(*triple)
     with pytest.raises(DomainError, match="is not a canonical value$"):
@@ -118,8 +137,9 @@ def test_integer_profile_structure(odd_seed, w):
 @pytest.mark.parametrize("codec", [posit, takum], ids=["posit", "takum"])
 def test_encoders_check_their_width_against_min_length(monkeypatch, codec, delta):
     # The check is a raise, not an assert, so it also runs under python -O.
-    true_length = codec.min_length
-    monkeypatch.setattr(codec, "min_length", lambda m: true_length(m) + delta)
+    # min_length and the encoder share one closed form on the profile (v, w).
+    true_length = codec._length
+    monkeypatch.setattr(codec, "_length", lambda v, w, m: true_length(v, w, m) + delta)
     for m in (0, 5, -12, (1 << 40) + 3):
         with pytest.raises(ArithmeticError):
             codec.encode_integer(m)
@@ -153,3 +173,19 @@ def test_encode_uint_is_encode_integer_as_plain_ints(codec):
     assert attempt(codec.encode_uint, 3, 5)[0] is CapacityError
     if codec is takum:
         assert attempt(codec.encode_uint, 1 << 255, 322)[0] is DomainError
+
+
+@pytest.mark.parametrize("codec,max_v", [(posit, 320), (takum, 255)], ids=["posit", "takum"])
+def test_every_profile_round_trips_at_min_length(codec, max_v):
+    # Every bit length v and trailing-zero count w < v, one seeded odd part
+    # each, both signs: the encoder's one profile of m drives both its
+    # pattern and its width, so each branch of the closed form meets it.
+    rng = random.Random(f"profiles/{max_v}")
+    for v in range(1, max_v + 1):
+        for w in range(v):
+            odd_bits = v - w
+            odd = 1 if odd_bits == 1 else (1 << (odd_bits - 1)) | rng.getrandbits(odd_bits - 1) | 1
+            for m in (odd << w, -(odd << w)):
+                bits = codec.encode_integer(m, max_bits=512)
+                assert bits.width == codec.min_length(m), m
+                assert codec.decode(bits).as_integer() == m, m
