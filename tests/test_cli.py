@@ -618,6 +618,8 @@ GOLDEN = {
     "table --exact": "table--exact.txt",
     "figure --n-max 1024": "figure--n-max-1024.txt",
     "verify": "verify.txt",
+    "precision-profile --format posit64": "precision-profile--format-posit64.txt",
+    "precision-profile --format takum64": "precision-profile--format-takum64.txt",
 }
 
 
