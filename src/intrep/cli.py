@@ -11,7 +11,7 @@ import sys
 from typing import NamedTuple
 
 from . import core, formats, minifloat, posit, takum
-from .core import BitString, BudgetError, CapacityError, DomainError, FormatError
+from .core import BitString, BudgetError, CapacityError, DomainError, FormatError, int_text
 from .formats import PositFormat, TakumFormat
 
 EXIT_OK = 0
@@ -134,7 +134,7 @@ def _needed_bits(fmt: formats.FormatSpec, m: int) -> int:
     """The codec's min_length(m), or CapacityError past a sized format's width."""
     need = fmt.codec.min_length(m)  # a minifloat's codec refuses it here
     if fmt.width is not None and need > fmt.width:
-        raise CapacityError(f"{m} needs {need} bits, more than {fmt.name} has")
+        raise CapacityError(f"{int_text(m)} needs {need} bits, more than {fmt.name} has")
     return need
 
 

@@ -27,6 +27,18 @@ class BudgetError(ValueError):
     """An oracle question would decode more patterns than its budget allows."""
 
 
+def int_text(m) -> str:
+    """m as a refusal prints it: str(m), or its bit length past the int-to-str digit limit.
+
+    A refusal that printed the decimal of so long an integer would raise an
+    untyped ValueError in place of its own error.
+    """
+    try:
+        return str(m)
+    except ValueError:
+        return f"a {'negative ' if m < 0 else ''}{m.bit_length()}-bit integer"
+
+
 def decimal_text(m: int) -> str:
     """str(m), or DomainError past the interpreter's limit on int-to-str digits."""
     try:
@@ -73,7 +85,7 @@ class BitString:
         if type(width) is not int:
             check_int(width, None, "width")
         if width < 1 or value < 0 or value.bit_length() > width:
-            raise FormatError(f"{value} does not fit in {width} bits")
+            raise FormatError(f"{int_text(value)} does not fit in {int_text(width)} bits")
         self = object.__new__(cls)
         self._value = value
         self._width = width
@@ -169,7 +181,8 @@ class DyadicValue(_Triple):
         typed = type(sign) is type(significand) is type(exponent2) is int
         finite = typed and sign in (1, -1) and significand > 0 and significand & 1
         if not (finite or typed and significand == exponent2 == 0 and sign in (1, 0)):
-            raise DomainError(f"({sign}, {significand}, {exponent2}) is not a canonical value")
+            fields = ", ".join(map(int_text, (sign, significand, exponent2)))
+            raise DomainError(f"({fields}) is not a canonical value")
         return super().__new__(cls, sign, significand, exponent2)
 
     @classmethod
@@ -251,7 +264,7 @@ def check_int(value, floor: int | None, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{name} must be an integer, got {value!r}")
     if floor is not None and value < floor:
-        raise FormatError(f"{name} must be at least {floor}, got {value}")
+        raise FormatError(f"{name} must be at least {floor}, got {int_text(value)}")
     return value
 
 
@@ -265,14 +278,14 @@ def resolve_width(fmt, n: int | None = None) -> int:
     if intrinsic is None:
         return type(fmt)(n).n  # a bare posit/takum handle: the width meets its floor
     if check_int(n, 1, "width") != intrinsic:
-        raise FormatError(f"width {n} conflicts with {fmt.name}")
+        raise FormatError(f"width {int_text(n)} conflicts with {fmt.name}")
     return n
 
 
 DEFAULT_MAX_BITS = 256
 
 
-def encode_shortest(m: int, max_bits: int, family: str, length, head) -> tuple[int, int]:
+def encode_shortest(m: int, max_bits: int, family: str, length, code) -> tuple[int, int]:
     """Shortest posit or takum pattern for the integer m, as (u, width): both encoders' frame.
 
     m is profiled once, as (v, w): its bit length and trailing zeros, (0, -1)
@@ -284,12 +297,13 @@ def encode_shortest(m: int, max_bits: int, family: str, length, head) -> tuple[i
     CapacityError when the shortest pattern exceeds max_bits, and
     FormatError when max_bits or m is not an int.
 
-    head(v) is the (value, width) of the bits before the fraction of a
-    positive integer with bit length v.  The fraction, m's odd part a >> w
-    less its leading 1, ends in a 1, so it is appended as
-    ((head - 1) << f) + (a >> w), and only a power of two, whose pattern is
-    its head alone, has trailing zeros to drop.  A negative m's pattern is
-    the two's complement 2^width - u.
+    code(e) is the (bits, length) between the sign and the fraction of a
+    value with coded exponent e; a positive integer with bit length v has
+    e = v - 1, and its sign bit 0 adds one to the width and nothing to the
+    value.  The fraction, m's odd part a >> w less its leading 1, ends in a
+    1, so it is appended as ((code - 1) << f) + (a >> w), and only a power
+    of two, whose pattern is its code alone, has trailing zeros to drop.  A
+    negative m's pattern is the two's complement 2^width - u.
     """
     if type(max_bits) is not int:
         check_int(max_bits, 0, "max_bits")
@@ -299,21 +313,22 @@ def encode_shortest(m: int, max_bits: int, family: str, length, head) -> tuple[i
     v, w = a.bit_length(), (a & -a).bit_length() - 1  # integer_profile(m), inline
     need = length(v, w, m)
     if need > max_bits:
-        raise CapacityError(f"{m} needs {need} {family} bits, more than max_bits={max_bits}")
+        text = int_text(m)
+        raise CapacityError(f"{text} needs {need} {family} bits, more than max_bits={max_bits}")
     fraction_bits = v - w - 1  # explicit significand bits below the leading 1
     if fraction_bits:
-        u, width = head(v)
+        u, width = code(v - 1)
         u = ((u - 1) << fraction_bits) + (a >> w)
-        width += fraction_bits
-    elif v:  # a power of two: the head, less its trailing zeros; "01" stays
-        u, width = head(v)
+        width += 1 + fraction_bits
+    elif v:  # a power of two: the code, less its trailing zeros; "01" stays
+        u, width = code(v - 1)
         drop = (u & -u).bit_length() - 1  # trailing_zero_count(u)
         u >>= drop
-        width -= drop
+        width += 1 - drop
     else:
         u, width = 0, 1
     if m < 0:
         u = (1 << width) - u
     if width != need:
-        raise ArithmeticError(f"{family} encoding of {m} has {width} bits, not {need}")
+        raise ArithmeticError(f"{family} encoding of {int_text(m)} has {width} bits, not {need}")
     return u, width

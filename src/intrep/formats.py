@@ -22,8 +22,16 @@ import re
 from types import ModuleType
 from typing import ClassVar, Union
 
-from . import minifloat, posit, takum
-from .core import BitString, DyadicValue, FormatError, FrozenSlots, check_int, resolve_width
+from . import posit, takum
+from .core import (
+    BitString,
+    DyadicValue,
+    FormatError,
+    FrozenSlots,
+    check_int,
+    int_text,
+    resolve_width,
+)
 from .minifloat import PRESETS, MinifloatSpec
 
 
@@ -64,7 +72,7 @@ class _TaperedFormat(FrozenSlots):
         A sized handle refuses widths above its own; the gap ladder climbs those below.
         """
         if self.n is not None and n > self.n:
-            raise FormatError(f"width {n} conflicts with {self.name}")
+            raise FormatError(f"width {int_text(n)} conflicts with {self.name}")
         return self.codec.decode_uints(patterns, n)
 
     def closed_form(self, n: int | None = None) -> int:
@@ -113,14 +121,11 @@ def parse_format(text: str) -> FormatSpec:
 def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:
     """Decode bits in the given format.
 
-    Minifloats require their exact width; posit/takum accept any length up
-    to the handle's width (appended zeros never change the value).
+    The handle's batch decode of the one pattern: minifloats require their
+    exact width; posit/takum accept any length up to the handle's width
+    (appended zeros never change the value).
     """
-    if isinstance(fmt, MinifloatSpec):
-        return minifloat.decode(fmt, bits)
-    if fmt.n is not None and bits.width > fmt.n:
-        raise FormatError(f"width {bits.width} conflicts with {fmt.name}")
-    return fmt.codec.decode(bits)
+    return DyadicValue.from_triple(next(fmt.decode_patterns(bits.width, (bits.uint,))))
 
 
 def signed_integer_count(width: int) -> int:

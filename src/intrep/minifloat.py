@@ -27,6 +27,7 @@ from .core import (
     FormatError,
     FrozenSlots,
     check_int,
+    int_text,
     resolve_width,
 )
 
@@ -172,7 +173,7 @@ def _decode(
     """
     s = u >> sign_shift
     if s >> 1:  # u < 0 or u >= 2^width: the sign "bit" is neither 0 nor 1
-        raise FormatError(f"{u} does not fit in {sign_shift + 1} bits")
+        raise FormatError(f"{int_text(u)} does not fit in {sign_shift + 1} bits")
     exp_field = (u >> fraction_bits) & all_ones
     frac = u & frac_mask
     if exp_field == all_ones and frac >= nar_from:
@@ -223,7 +224,7 @@ def non_fraction_bits(spec: MinifloatSpec, exponent: int) -> int:
         check_int(exponent, None, "exponent")
     lo, hi = exponent_domain(spec)
     if not lo <= exponent <= hi:
-        raise FormatError(f"exponent {exponent} outside [{lo}, {hi}] for {spec}")
+        raise FormatError(f"exponent {int_text(exponent)} outside [{lo}, {hi}] for {spec}")
     fixed = 1 + spec.exponent_bits
     if exponent >= spec.min_normal_exponent:
         return fixed

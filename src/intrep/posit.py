@@ -17,7 +17,10 @@ decode_uint(u, n) decodes an n-bit pattern held as a plain integer, and
 decode_uints(patterns, n) decodes many patterns of one width; both run the
 one decode body, _decode, and decode(BitString) wraps decode_uint.
 encode_uint(m) gives the shortest pattern of the integer m as (u, width),
-and encode_integer(m) wraps it in a BitString.
+and encode_integer(m) wraps it in a BitString.  _code(e), the regime run,
+termination bit and exponent field that code the exponent e, is the one
+statement of the layout outside _decode: the encoder builds its patterns
+from it, and non_fraction_bits counts it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .core import (
     FormatError,
     check_int,
     encode_shortest,
+    int_text,
 )
 
 MIN_WIDTH = 3
@@ -41,7 +45,7 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     if type(n) is not int:
         check_int(n, 1, "width")
     if n < 1:
-        raise FormatError(f"{u} does not fit in {n} bits")
+        raise FormatError(f"{int_text(u)} does not fit in {n} bits")
     return _decode(u, n - 1, (1 << (n - 1)) - 1)
 
 
@@ -67,7 +71,7 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
     """
     s = u >> body_bits
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
-        raise FormatError(f"{u} does not fit in {body_bits + 1} bits")
+        raise FormatError(f"{int_text(u)} does not fit in {body_bits + 1} bits")
     body = u & body_mask
     if not body:
         return None if s else (1, 0, 0)
@@ -143,7 +147,7 @@ def encode_uint(m: int, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, int]:
     Returns (0, 1), the pattern "0", for m = 0.  Raises CapacityError when
     the shortest representation would exceed max_bits.
     """
-    return encode_shortest(m, max_bits, "posit", _length, _head)
+    return encode_shortest(m, max_bits, "posit", _length, _code)
 
 
 def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
@@ -151,10 +155,16 @@ def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
     return BitString.from_uint(*encode_uint(m, max_bits))
 
 
-def _head(v: int) -> tuple[int, int]:
-    """0 | 1^k | 0 | exponent field of a positive integer with bit length v."""
-    k = (v + 3) // 4
-    return (((1 << k) - 1) << 3) | (v + 3) % 4, 4 + k
+def _code(e: int) -> tuple[int, int]:
+    """(bits, length) between the sign and the fraction of a posit with coded exponent e.
+
+    The regime run of k = e // 4 + 1 ones for e >= 0, or of k = -(e // 4)
+    zeros for e < 0, its termination bit and the exponent field e mod 4.
+    """
+    if e >= 0:
+        k = e // 4 + 1
+        return (((1 << k) - 1) << 3) | e % 4, k + 3
+    return 4 | e % 4, 3 - e // 4
 
 
 def largest_consecutive(n: int) -> int:
@@ -166,14 +176,12 @@ def largest_consecutive(n: int) -> int:
 def non_fraction_bits(exponent: int) -> int:
     """Bits an n-large posit spends on sign, regime, termination, and exponent.
 
-    For coded exponent e the regime needs k = floor(e/4) + 1 bits when e >= 0
-    and k = -floor(e/4) bits when e < 0; the fixed overhead is 4.  FormatError
-    when e is not an int.
+    The sign and the exponent's code, _code(e).  FormatError when e is not
+    an int.
     """
     if type(exponent) is not int:
         check_int(exponent, None, "exponent")
-    k = exponent // 4 + 1 if exponent >= 0 else -(exponent // 4)
-    return 4 + k
+    return 1 + _code(exponent)[1]
 
 
 def exponent_range(n: int) -> range:

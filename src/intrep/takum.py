@@ -17,7 +17,10 @@ decode_uint(u, n) decodes an n-bit pattern held as a plain integer, and
 decode_uints(patterns, n) decodes many patterns of one width; both run the
 one decode body, _decode, and decode(BitString) wraps decode_uint.
 encode_uint(m) gives the shortest pattern of the integer m as (u, width),
-and encode_integer(m) wraps it in a BitString.
+and encode_integer(m) wraps it in a BitString.  _code(e), the direction,
+regime and characteristic bits that code the exponent e, is the one
+statement of the layout outside _decode: the encoder builds its patterns
+from it, and non_fraction_bits counts it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .core import (
     FormatError,
     check_int,
     encode_shortest,
+    int_text,
     trailing_zero_count,
 )
 
@@ -49,7 +53,7 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     if type(n) is not int:
         check_int(n, 1, "width")
     if n < 1:
-        raise FormatError(f"{u} does not fit in {n} bits")
+        raise FormatError(f"{int_text(u)} does not fit in {n} bits")
     if n < 12:
         return _decode(u, n - 1, 12 - n, 0, 0x7FF)
     return _decode(u, n - 1, 0, n - 12, (1 << (n - 1)) - 1)
@@ -85,7 +89,7 @@ def _decode(
     """
     s = u >> sign_shift
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
-        raise FormatError(f"{u} does not fit in {sign_shift + 1} bits")
+        raise FormatError(f"{int_text(u)} does not fit in {sign_shift + 1} bits")
     u <<= pad
     if not u & body_mask:
         return None if s else (1, 0, 0)
@@ -140,7 +144,9 @@ def _length(v: int, w: int, m: int) -> int:
     # An integer of bit length v has exponent v - 1, and the characteristic
     # reaches MAX_EXPONENT, so |m| < 2^255 is in range with enough fraction bits.
     if v > MAX_EXPONENT + 1:
-        raise DomainError(f"|m| >= 2^{MAX_EXPONENT + 1} exceeds the takum exponent range: {m}")
+        raise DomainError(
+            f"|m| >= 2^{MAX_EXPONENT + 1} exceeds the takum exponent range: {int_text(m)}"
+        )
     r = v.bit_length() - 1  # floor(log2 v)
     length = 4 + v - w + r
     if w != v - 1:
@@ -166,7 +172,7 @@ def encode_uint(m: int, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, int]:
     |m| >= 2^255 and CapacityError when the shortest representation would
     exceed max_bits.
     """
-    return encode_shortest(m, max_bits, "takum", _length, _head)
+    return encode_shortest(m, max_bits, "takum", _length, _code)
 
 
 def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
@@ -174,10 +180,18 @@ def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
     return BitString.from_uint(*encode_uint(m, max_bits))
 
 
-def _head(v: int) -> tuple[int, int]:
-    """0 | 1 | regime | characteristic of a positive integer with bit length v."""
-    r = v.bit_length() - 1
-    return ((8 | r) << r) | (v - (1 << r)), 5 + r
+def _code(e: int) -> tuple[int, int]:
+    """(bits, length) between the sign and the fraction of a takum with coded exponent e.
+
+    The direction bit, the 3-bit regime and the r characteristic bits, r the
+    floor of log2(e + 1) for e >= 0 and of log2(-e) for e < 0.  The code of
+    e = -255 is 11 zeros, so no pattern is 2^-255: behind a 0 sign bit it is 0.
+    """
+    if e >= 0:
+        r = (e + 1).bit_length() - 1
+        return ((8 | r) << r) | (e + 1 - (1 << r)), 4 + r
+    r = (-e).bit_length() - 1
+    return ((7 - r) << r) | (e + (2 << r) - 1), 4 + r
 
 
 def consecutive_exponent(n: int) -> int:
@@ -260,17 +274,14 @@ def consecutive_exponent_analytic(n: int) -> int:
 def non_fraction_bits(exponent: int) -> int:
     """Bits a takum spends on sign, direction, regime, and characteristic.
 
-    For coded exponent e the characteristic field has r = floor(log2(e+1))
-    bits when e >= 0 (r = 0 for e = 0) and r = floor(log2(-e)) bits when
-    e < 0; the fixed overhead is 5.  FormatError when e is not an int.
+    The sign and the exponent's code, _code(e).  FormatError when e is not
+    an int, DomainError when it lies outside [-255, 254].
     """
     if type(exponent) is not int:
         check_int(exponent, None, "exponent")
     if not MIN_EXPONENT <= exponent <= MAX_EXPONENT:
-        raise DomainError(f"takum exponent out of range: {exponent}")
-    magnitude = exponent + 1 if exponent >= 0 else -exponent
-    r = magnitude.bit_length() - 1
-    return 5 + r
+        raise DomainError(f"takum exponent out of range: {int_text(exponent)}")
+    return 1 + _code(exponent)[1]
 
 
 def exponent_range(n: int) -> range:

@@ -2,6 +2,7 @@ import ast
 import pickle
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import intrep
 from intrep import (
     PRESETS,
     BitString,
+    CapacityError,
     DomainError,
     DyadicValue,
     FormatError,
@@ -242,6 +244,68 @@ def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call,
     # bool would otherwise name a handle "posit8.0" or bound a range by True.
     with pytest.raises(FormatError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
         call()
+
+
+HUGE = 1 << 20000  # 6,021 decimal digits, past CPython's default limit of 4,300
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int-to-str limit, whatever PYTHONINTMAXSTRDIGITS says."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "call,error,article",
+    [
+        pytest.param(lambda: takum.min_length(HUGE), DomainError, "a", id="takum.min_length"),
+        pytest.param(lambda: posit.encode_uint(HUGE), CapacityError, "a", id="posit.encode_uint"),
+        pytest.param(
+            lambda: takum.encode_integer(-HUGE), DomainError, "a negative", id="takum.encode_integer"
+        ),
+        pytest.param(lambda: BitString.from_uint(HUGE, 8), FormatError, "a", id="from_uint"),
+        pytest.param(lambda: posit.decode_uint(HUGE, 8), FormatError, "a", id="posit.decode_uint"),
+        pytest.param(lambda: takum.decode_uint(HUGE, 8), FormatError, "a", id="takum.decode_uint"),
+        pytest.param(
+            lambda: minifloat.decode_uint(PRESETS["e4m3"], HUGE),
+            FormatError,
+            "a",
+            id="minifloat.decode_uint",
+        ),
+        pytest.param(lambda: PositFormat(-HUGE), FormatError, "a negative", id="PositFormat"),
+        pytest.param(
+            lambda: posit.largest_consecutive(-HUGE),
+            FormatError,
+            "a negative",
+            id="posit.largest_consecutive",
+        ),
+        pytest.param(
+            lambda: formats.resolve_width(PositFormat(8), HUGE),
+            FormatError,
+            "a",
+            id="resolve_width",
+        ),
+        pytest.param(lambda: DyadicValue(1, HUGE, 0), DomainError, "a", id="DyadicValue"),
+        pytest.param(
+            lambda: intrep.cli._needed_bits(PositFormat(8), HUGE),
+            CapacityError,
+            "a",
+            id="cli._needed_bits",
+        ),
+    ],
+)
+def test_a_refusal_of_an_integer_past_the_digit_limit_keeps_its_type(
+    digit_limit, call, error, article
+):
+    # The refusal names the integer by its bit length where its decimal would
+    # raise an untyped ValueError of its own.
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert type(refusal.value) is error
+    assert f"{article} 20001-bit integer" in str(refusal.value)
 
 
 TAPERED = pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])

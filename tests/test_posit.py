@@ -126,6 +126,14 @@ def test_non_fraction_bits():
     assert posit.non_fraction_bits(-5) == 6
 
 
+def test_every_exponent_code_decodes_to_its_power_of_two():
+    # A 0 sign bit and the code of e, with no fraction bits, is exactly 2^e:
+    # the negative exponents' codes are checked here and nowhere else.
+    for e in range(-1000, 1001):
+        bits, length = posit._code(e)
+        assert posit.decode_uint(bits, 1 + length) == (1, 1, e), e
+
+
 def test_exponent_range():
     assert posit.exponent_range(8) == range(-25, 25)
 

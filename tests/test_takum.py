@@ -231,6 +231,17 @@ def test_non_fraction_bits():
         takum.non_fraction_bits(-256)
 
 
+def test_every_exponent_code_decodes_to_its_power_of_two():
+    # A 0 sign bit and the code of e, with no fraction bits, is exactly 2^e:
+    # the negative exponents' codes are checked here and nowhere else.
+    for e in range(-254, 255):
+        bits, length = takum._code(e)
+        assert takum.decode_uint(bits, 1 + length) == (1, 1, e), e
+    # 2^-255 is no takum: its code is all zeros, so the pattern is zero.
+    assert takum._code(-255) == (0, 11)
+    assert takum.decode_uint(0, 12) == (1, 0, 0)
+
+
 def test_exponent_range():
     assert takum.exponent_range(12) == range(-255, 255)
     assert takum.exponent_range(64) == range(-255, 255)

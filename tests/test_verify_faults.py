@@ -110,6 +110,18 @@ FAULTS = [
         marks=item(10, "no verify suite decodes the precision profile"),
     ),
     pytest.param(
+        formula_fault(posit, "_code", lambda e, code: (code[0] ^ (e == 7), code[1])),
+        re.escape("encode/decode round trip with minimal width, |m|<=4096"),
+        re.escape("posit encoding of 128 has 5 bits, not 6"),
+        id="posit-code-low-bit-flipped-e7",
+    ),
+    pytest.param(
+        formula_fault(takum, "_code", lambda e, code: (code[0] ^ (e == 7), code[1])),
+        re.escape("encode/decode round trip with minimal width, |m|<=4096"),
+        re.escape("takum encoding of 128 has 8 bits, not 5"),
+        id="takum-code-low-bit-flipped-e7",
+    ),
+    pytest.param(
         swap_fault(
             minifloat, 16, 0x63D0, 0x63D2, lambda u: minifloat.decode_uint(PRESETS["float16"], u)
         ),
