@@ -22,7 +22,7 @@ import re
 from types import ModuleType
 from typing import ClassVar, Union
 
-from . import posit, takum
+from . import minifloat, posit, takum
 from .core import (
     BitString,
     DyadicValue,
@@ -121,11 +121,14 @@ def parse_format(text: str) -> FormatSpec:
 def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:
     """Decode bits in the given format.
 
-    The handle's batch decode of the one pattern: minifloats require their
-    exact width; posit/takum accept any length up to the handle's width
-    (appended zeros never change the value).
+    Minifloats require their exact width; posit/takum accept any length up
+    to the handle's width (appended zeros never change the value).
     """
-    return DyadicValue.from_triple(next(fmt.decode_patterns(bits.width, (bits.uint,))))
+    if isinstance(fmt, MinifloatSpec):
+        return minifloat.decode(fmt, bits)
+    if fmt.n is not None and bits.width > fmt.n:
+        raise FormatError(f"width {bits.width} conflicts with {fmt.name}")
+    return fmt.codec.decode(bits)
 
 
 def signed_integer_count(width: int) -> int:
