@@ -264,7 +264,10 @@ def digit_limit():
         pytest.param(lambda: takum.min_length(HUGE), DomainError, "a", id="takum.min_length"),
         pytest.param(lambda: posit.encode_uint(HUGE), CapacityError, "a", id="posit.encode_uint"),
         pytest.param(
-            lambda: takum.encode_integer(-HUGE), DomainError, "a negative", id="takum.encode_integer"
+            lambda: takum.encode_integer(-HUGE),
+            DomainError,
+            "a negative",
+            id="takum.encode_integer",
         ),
         pytest.param(lambda: BitString.from_uint(HUGE, 8), FormatError, "a", id="from_uint"),
         pytest.param(lambda: posit.decode_uint(HUGE, 8), FormatError, "a", id="posit.decode_uint"),
