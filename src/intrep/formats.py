@@ -3,8 +3,8 @@
 A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
 takum handles may carry a width or stand for the whole family (width None);
 minifloat widths are intrinsic to the spec.  Every handle carries its
-family's operations (name, width, codec, decode_patterns, closed_form,
-precision_profile), so callers do not branch on the handle's type.
+family's operations (name, width, codec, decode, decode_patterns,
+closed_form, precision_profile), so callers do not branch on its type.
 A handle answers for its own width: closed_form(n=None) works at
 resolve_width(handle, n), from core so that a minifloat spec uses it too,
 and precision_profile() at resolve_width(handle), which refuses a bare
@@ -22,7 +22,7 @@ import re
 from types import ModuleType
 from typing import ClassVar, Union
 
-from . import minifloat, posit, takum
+from . import posit, takum
 from .core import (
     BitString,
     DyadicValue,
@@ -66,13 +66,22 @@ class _TaperedFormat(FrozenSlots):
     def width(self) -> int | None:
         return self.n
 
+    def _check_width(self, n: int) -> None:
+        """Refuse a width above a sized handle's own; any width up to it decodes."""
+        if self.n is not None and n > self.n:
+            raise FormatError(f"width {int_text(n)} conflicts with {self.name}")
+
+    def decode(self, bits: BitString) -> DyadicValue:
+        """The codec's decode of bits of any width up to a sized handle's own."""
+        self._check_width(bits.width)
+        return self.codec.decode(bits)
+
     def decode_patterns(self, n: int, patterns):
         """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints.
 
         A sized handle refuses widths above its own; the gap ladder climbs those below.
         """
-        if self.n is not None and n > self.n:
-            raise FormatError(f"width {int_text(n)} conflicts with {self.name}")
+        self._check_width(n)
         return self.codec.decode_uints(patterns, n)
 
     def closed_form(self, n: int | None = None) -> int:
@@ -119,16 +128,12 @@ def parse_format(text: str) -> FormatSpec:
 
 
 def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:
-    """Decode bits in the given format.
+    """Decode bits in the given format: the handle's own decode.
 
     Minifloats require their exact width; posit/takum accept any length up
     to the handle's width (appended zeros never change the value).
     """
-    if isinstance(fmt, MinifloatSpec):
-        return minifloat.decode(fmt, bits)
-    if fmt.n is not None and bits.width > fmt.n:
-        raise FormatError(f"width {bits.width} conflicts with {fmt.name}")
-    return fmt.codec.decode(bits)
+    return fmt.decode(bits)
 
 
 def signed_integer_count(width: int) -> int:

@@ -12,7 +12,8 @@ exponent field is spent, captured by SpecialValues:
 decode_uint(spec, u) decodes a pattern held as a plain integer, and
 decode_uints(spec, patterns) decodes many; both run the one decode body,
 _decode, on the layout the spec worked out when it was built, and
-decode(spec, BitString) checks the width and wraps decode_uint.
+decode(spec, BitString), which the spec's decode member calls, checks the
+width and wraps decode_uint.
 """
 
 from __future__ import annotations
@@ -111,6 +112,10 @@ class MinifloatSpec(FrozenSlots):
     def codec(self):
         """A posit or takum handle's variable-length codec module; a minifloat has none."""
         raise FormatError(f"{self.name} has no variable-length encoding")
+
+    def decode(self, bits: BitString) -> DyadicValue:
+        """decode(self, bits): bits must be of its width."""
+        return decode(self, bits)
 
     def decode_patterns(self, n: int, patterns):
         """decode_uints(self, patterns); n must be its width."""

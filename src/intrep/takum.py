@@ -20,7 +20,9 @@ encode_uint(m) gives the shortest pattern of the integer m as (u, width),
 and encode_integer(m) wraps it in a BitString.  _code(e), the direction,
 regime and characteristic bits that code the exponent e, is the one
 statement of the layout outside _decode: the encoder builds its patterns
-from it, and non_fraction_bits counts it.
+from it, and non_fraction_bits counts it.  lambert_w0, which
+consecutive_exponent_analytic reads, is one Newton iteration on the log
+form of w * e^w = x for every x.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .core import (
 MIN_EXPONENT = -255
 MAX_EXPONENT = 254
 MIN_WIDTH = 5
-LAMBERT_W0_ITERATIONS = 100  # Halley or Newton steps before lambert_w0 gives up
-LAMBERT_W0_LOG_FORM_ABOVE = 1e300  # lambert_w0's residual is taken in log form above this x
+LAMBERT_W0_ITERATIONS = 100  # Newton steps before lambert_w0 gives up
 
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
@@ -221,36 +222,23 @@ def largest_consecutive(n: int) -> int:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch W0 on [0, inf), by Halley iteration: the w with w * e^w = x.
+    """Principal branch W0 for finite x >= 0: the w with w * e^w = x.
 
-    Returns w once |w * e^w - x| <= 1e-12 * max(1, x), else raises ArithmeticError.
+    Newton steps on f = w + log(w) - log(x), the log of w * e^w / x, which
+    never overflows, return w once |f| <= 1e-12, else raise ArithmeticError.
     Seeded with log(x) - log(log(x)) for x > e and with x itself below that.
-    Above LAMBERT_W0_LOG_FORM_ABOVE, where w * e^w could overflow, the same
-    relative bound is met in log form, |w + log(w) - log(x)| <= 1e-12, by
-    Newton steps on that residual; so every finite x converges.
     """
-    if x < 0 or math.isnan(x):
-        raise DomainError(f"lambert_w0 needs x >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"lambert_w0 needs finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    tolerance = 1e-12 * max(1.0, x)
     log_x = math.log(x)
     w = log_x - math.log(log_x) if x > math.e else x
-    log_form = x > LAMBERT_W0_LOG_FORM_ABOVE
     for _ in range(LAMBERT_W0_ITERATIONS):
-        if log_form:
-            f = w + math.log(w) - log_x
-            if abs(f) <= 1e-12:
-                return w
-            # Newton's method for f(w) = w + log(w) - log(x).
-            w -= f * w / (w + 1.0)
-        else:
-            ew = math.exp(w)
-            f = w * ew - x
-            if abs(f) <= tolerance:
-                return w
-            # Halley's method for f(w) = w e^w - x.
-            w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        f = w + math.log(w) - log_x
+        if abs(f) <= 1e-12:
+            return w
+        w -= f * w / (w + 1.0)  # Newton's method for f
     raise ArithmeticError(f"lambert_w0 did not converge for x={x}")
 
 

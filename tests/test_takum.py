@@ -181,13 +181,20 @@ def test_lambert_w0_known_points():
     assert takum.lambert_w0(math.e) == pytest.approx(1.0, abs=1e-12)
     # W0(1) is the omega constant.
     assert takum.lambert_w0(1.0) == pytest.approx(0.5671432904097838, abs=1e-12)
-    with pytest.raises(DomainError):
-        takum.lambert_w0(-1.0)
+    for x in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"got {x}$"):
+            takum.lambert_w0(x)
 
 
 @pytest.mark.parametrize(
     "x",
-    [1e-12, 0.25, 1.0, 2.5, math.e, 3.0, 100.0, 1e6, 1e18, 1e30, 1e300, 1e301, 1e308, 1.7e308],
+    [
+        *(5e-324, 1e-12, 0.25, 1.0, 2.5, math.e, 3.0, 100.0, 1e6, 1e18, 1e30),
+        *(9.99e299, 1e300, 1.01e300, 1e301, 1e308, 1.7e308),
+        # The seed changes form at e.
+        math.nextafter(math.e, 0.0),
+        math.nextafter(math.e, math.inf),
+    ],
 )
 def test_lambert_w0_matches_mpmath(x):
     w = takum.lambert_w0(x)
@@ -197,13 +204,14 @@ def test_lambert_w0_matches_mpmath(x):
 
 
 def test_analytic_consecutive_exponent():
-    for n in range(5, 65):
+    # Every width the analytic route answers.
+    for n in range(5, 1027):
         assert takum.consecutive_exponent_analytic(n) == takum.consecutive_exponent(n), n
 
 
 def test_analytic_consecutive_exponent_at_the_end_of_double_range():
-    # 2^(n-3) ln 2 is about 3.1e307 and 6.2e307 at n = 1025 and 1026, where
-    # w * e^w overflows while lambert_w0 iterates; 2^1024 is no double.
+    # 2^(n-3) ln 2 is about 3.1e307 and 6.2e307 at n = 1025 and 1026, near
+    # the top of double range; 2^1024 is no double.
     for n in (1025, 1026):
         assert takum.consecutive_exponent_analytic(n) == takum.consecutive_exponent(n), n
     with pytest.raises(DomainError, match="n=1027$"):
