@@ -12,12 +12,20 @@ from typing import NamedTuple
 
 from . import core, formats, minifloat, posit, takum
 from .core import BitString, BudgetError, CapacityError, DomainError, FormatError, int_text
-from .formats import PositFormat, TakumFormat
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_BUDGET = 3
+
+# The summary table's closed-form rows, in table order.
+TABLE_FORMATS = (
+    "posit8", "takum8",
+    "float16", "bfloat16", "posit16", "takum16",
+    "float32", "posit32", "takum32",
+    "float64", "posit64", "takum64",
+    "float128", "posit128", "takum128",
+)
 
 
 class TableRow(NamedTuple):
@@ -49,20 +57,10 @@ def build_table() -> list[TableRow]:
         TableRow("e4m3 (computed)", e4m3, e4m3 / count, "oracle", True),
         TableRow("e5m2", e5m2, e5m2 / count, "oracle"),
     ]
-
-    def closed_form(fmt: formats.FormatSpec) -> TableRow:
+    for fmt in map(formats.parse_format, TABLE_FORMATS):
         value = fmt.closed_form()
         ratio = value / formats.signed_integer_count(fmt.width)
-        return TableRow(fmt.name, value, ratio, "closed_form")
-
-    for n in (8, 16, 32, 64, 128):
-        if n == 16:
-            rows.append(closed_form(minifloat.PRESETS["float16"]))
-            rows.append(closed_form(minifloat.PRESETS["bfloat16"]))
-        elif n >= 32:
-            rows.append(closed_form(minifloat.PRESETS[f"float{n}"]))
-        rows.append(closed_form(PositFormat(n)))
-        rows.append(closed_form(TakumFormat(n)))
+        rows.append(TableRow(fmt.name, value, ratio, "closed_form"))
     return rows
 
 
@@ -166,8 +164,11 @@ def _exponent(k: int) -> int | str:
 
 def figure_rows(n_min: int, n_max: int) -> list[tuple[int, int | str, int | str]]:
     """(n, posit exponent, takum exponent) of the largest consecutive integer."""
+    core.check_int(n_min, None, "n_min")
+    core.check_int(n_max, None, "n_max")
     if not takum.MIN_WIDTH <= n_min <= n_max <= 1024:
-        raise FormatError(f"need {takum.MIN_WIDTH} <= n_min <= n_max <= 1024, got {n_min}..{n_max}")
+        got = f"{int_text(n_min)}..{int_text(n_max)}"
+        raise FormatError(f"need {takum.MIN_WIDTH} <= n_min <= n_max <= 1024, got {got}")
     return [
         (n, _exponent(posit.largest_consecutive(n)), _exponent(takum.largest_consecutive(n)))
         for n in range(n_min, n_max + 1)
@@ -225,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", required=True, type=int, help="integer to encode")
 
     p = add("min-bits", cmd_min_bits, "minimal representation length of an integer")
-    p.add_argument("--format", required=True, help="posit or takum")
+    p.add_argument("--format", required=True, help="posit[N] or takum[N]; N bits at most")
     p.add_argument("--value", required=True, type=int, help="integer")
 
     p = add("max-consecutive", cmd_max_consecutive, "largest consecutive representable integer")
-    p.add_argument("--format", required=True, help="posit[N], takum[N], or a minifloat preset")
+    p.add_argument("--format", required=True, help="positN, takumN, or a minifloat preset")
     p.add_argument("--exact", action="store_true", help="print the exact decimal value")
 
     p = add("table", cmd_table, "summary table across the standard formats")
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = add("precision-profile", cmd_precision_profile, "CSV of non-fraction bits per exponent")
-    p.add_argument("--format", required=True, help="positN, takum[N], or a minifloat preset")
+    p.add_argument("--format", required=True, help="positN, takumN, or a minifloat preset")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = add("verify", cmd_verify, "run every formula-vs-oracle suite")

@@ -76,15 +76,15 @@ class BitString:
     def from_uint(cls, value: int, width: int) -> "BitString":
         """The width-bit string of the unsigned integer value.
 
-        FormatError when either is not an int, or value is negative or has
-        more than width bits: a bit-length test, which builds no shifted copy
-        of a wide value.
+        FormatError when either is not an int, width is below 1, or value is
+        negative or has more than width bits: a bit-length test, which builds
+        no shifted copy of a wide value.
         """
         if type(value) is not int:
             check_int(value, None, "value")
-        if type(width) is not int:
-            check_int(width, None, "width")
-        if width < 1 or value < 0 or value.bit_length() > width:
+        if type(width) is not int or width < 1:
+            check_int(width, 1, "width")
+        if value < 0 or value.bit_length() > width:
             raise FormatError(f"{int_text(value)} does not fit in {int_text(width)} bits")
         self = object.__new__(cls)
         self._value = value
@@ -260,7 +260,11 @@ def integer_profile(m: int) -> tuple[int, int]:
 
 
 def check_int(value, floor: int | None, name: str) -> int:
-    """value, if an int (not a bool) of at least floor (None: any int), else FormatError naming it."""
+    """value, if an int (not a bool) of at least floor (None: any int), else FormatError naming it.
+
+    A hot path calls it only when type(x) is not int or x < floor, the same
+    two tests, so the floor it names still takes effect.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{name} must be an integer, got {value!r}")
     if floor is not None and value < floor:
@@ -295,7 +299,7 @@ def encode_shortest(m: int, max_bits: int, family: str, length, code) -> tuple[i
     length refuses m (DomainError) where the family has no pattern for it,
     and m only names the integer in that refusal.  (0, 1) for m = 0,
     CapacityError when the shortest pattern exceeds max_bits, and
-    FormatError when max_bits or m is not an int.
+    FormatError when max_bits or m is not an int or max_bits is negative.
 
     code(e) is the (bits, length) between the sign and the fraction of a
     value with coded exponent e; a positive integer with bit length v has
@@ -305,7 +309,7 @@ def encode_shortest(m: int, max_bits: int, family: str, length, code) -> tuple[i
     of two, whose pattern is its code alone, has trailing zeros to drop.  A
     negative m's pattern is the two's complement 2^width - u.
     """
-    if type(max_bits) is not int:
+    if type(max_bits) is not int or max_bits < 0:
         check_int(max_bits, 0, "max_bits")
     if type(m) is not int:
         check_int(m, None, "m")

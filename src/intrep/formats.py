@@ -67,7 +67,9 @@ class _TaperedFormat(FrozenSlots):
         return self.n
 
     def _check_width(self, n: int) -> None:
-        """Refuse a width above a sized handle's own; any width up to it decodes."""
+        """Refuse a non-int width, or one above a sized handle's own; any width up to it decodes."""
+        if type(n) is not int:
+            check_int(n, None, "width")
         if self.n is not None and n > self.n:
             raise FormatError(f"width {int_text(n)} conflicts with {self.name}")
 

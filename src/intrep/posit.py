@@ -42,19 +42,15 @@ MIN_WIDTH = 3
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     """Exact value of the n-bit posit pattern u: a DyadicValue's fields, or None for NaR."""
-    if type(n) is not int:
+    if type(n) is not int or n < 1:
         check_int(n, 1, "width")
-    if n < 1:
-        raise FormatError(f"{int_text(u)} does not fit in {n} bits")
     return _decode(u, n - 1, (1 << (n - 1)) - 1)
 
 
 def decode_uints(patterns, n: int):
     """decode_uint of each n-bit pattern, lazily and in order: the layout is worked out once."""
-    if type(n) is not int:
+    if type(n) is not int or n < 1:
         check_int(n, 1, "width")
-    if n < 1:
-        return map(decode_uint, patterns, repeat(n))  # refuses each pattern as decode_uint does
     return map(_decode, patterns, repeat(n - 1), repeat((1 << (n - 1)) - 1))
 
 

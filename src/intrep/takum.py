@@ -51,10 +51,8 @@ LAMBERT_W0_ITERATIONS = 100  # Newton steps before lambert_w0 gives up
 
 def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
     """Exact value of the n-bit takum pattern u: a DyadicValue's fields, or None for NaR."""
-    if type(n) is not int:
+    if type(n) is not int or n < 1:
         check_int(n, 1, "width")
-    if n < 1:
-        raise FormatError(f"{int_text(u)} does not fit in {n} bits")
     if n < 12:
         return _decode(u, n - 1, 12 - n, 0, 0x7FF)
     return _decode(u, n - 1, 0, n - 12, (1 << (n - 1)) - 1)
@@ -62,10 +60,8 @@ def decode_uint(u: int, n: int) -> tuple[int, int, int] | None:
 
 def decode_uints(patterns, n: int):
     """decode_uint of each n-bit pattern, lazily and in order: the layout is worked out once."""
-    if type(n) is not int:
+    if type(n) is not int or n < 1:
         check_int(n, 1, "width")
-    if n < 1:
-        return map(decode_uint, patterns, repeat(n))  # refuses each pattern as decode_uint does
     if n < 12:
         layout = n - 1, 12 - n, 0, 0x7FF
     else:

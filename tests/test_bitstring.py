@@ -37,3 +37,14 @@ def test_equality_includes_width():
     assert BitString("01") != BitString("001")
     assert BitString("01") != BitString("10")
     assert hash(BitString("01")) == hash(BitString.from_uint(1, 2))
+
+
+def test_a_bit_string_is_not_equal_to_its_text():
+    # __eq__ defers to the other operand, so str's own comparison answers.
+    assert BitString("01") != "01"
+    assert not BitString("01") == "01"
+
+
+def test_repr_rebuilds_the_bit_string():
+    assert repr(BitString("0b00_101")) == "BitString('00101')"
+    assert eval(repr(BitString.from_uint(5, 8))) == BitString.from_uint(5, 8)

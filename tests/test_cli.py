@@ -723,6 +723,10 @@ def test_cli_and_oracle_load_on_first_use():
     assert after == [True, True]
 
 
+def test_dir_lists_the_lazy_submodules():
+    assert {"cli", "oracle"} <= set(dir(intrep))
+
+
 def test_an_unknown_package_attribute_is_the_standard_error():
     with pytest.raises(AttributeError, match=r"^module 'intrep' has no attribute 'nope'$"):
         intrep.nope

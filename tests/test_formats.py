@@ -205,6 +205,20 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
             8.0,
             id="TakumFormat.decode_patterns",
         ),
+        pytest.param(
+            lambda: PositFormat(8).decode_patterns("8", [1]),
+            "width",
+            "8",
+            id="posit8.decode_patterns-str",
+        ),
+        pytest.param(
+            lambda: TakumFormat(12).decode_patterns(None, [1]),
+            "width",
+            None,
+            id="takum12.decode_patterns-None",
+        ),
+        pytest.param(lambda: cli.figure_rows(5.0, 8), "n_min", 5.0, id="figure_rows-n_min"),
+        pytest.param(lambda: cli.figure_rows(5, "8"), "n_max", "8", id="figure_rows-n_max"),
         pytest.param(lambda: posit.encode_uint(3, 7.5), "max_bits", 7.5, id="posit.encode_uint"),
         pytest.param(
             lambda: takum.encode_integer(3, True), "max_bits", True, id="takum.encode_integer"
@@ -245,6 +259,30 @@ def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call,
     # bool would otherwise name a handle "posit8.0" or bound a range by True.
     with pytest.raises(FormatError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,name,floor,value",
+    [
+        pytest.param(lambda: posit.decode_uint(1, 0), "width", 1, 0, id="posit.decode_uint"),
+        pytest.param(lambda: takum.decode_uint(1, 0), "width", 1, 0, id="takum.decode_uint"),
+        # At the call, before any pattern is drawn: the batch is lazy, its refusal is not.
+        pytest.param(lambda: posit.decode_uints([], 0), "width", 1, 0, id="posit.decode_uints"),
+        pytest.param(lambda: takum.decode_uints([], -2), "width", 1, -2, id="takum.decode_uints"),
+        pytest.param(lambda: BitString.from_uint(0, 0), "width", 1, 0, id="from_uint"),
+        pytest.param(lambda: posit.encode_uint(5, -1), "max_bits", 0, -1, id="posit.encode_uint"),
+        pytest.param(
+            lambda: takum.encode_integer(5, -1), "max_bits", 0, -1, id="takum.encode_integer"
+        ),
+    ],
+)
+def test_a_width_or_budget_below_its_floor_is_a_format_error(call, name, floor, value):
+    # The floor each guard names to check_int, in check_int's one text: not
+    # "u does not fit in n bits", and not the budget's CapacityError.
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert type(refusal.value) is FormatError
+    assert str(refusal.value) == f"{name} must be at least {floor}, got {value}"
 
 
 HUGE = 1 << 20000  # 6,021 decimal digits, past CPython's default limit of 4,300
@@ -299,6 +337,7 @@ def digit_limit():
             "a",
             id="cli._needed_bits",
         ),
+        pytest.param(lambda: cli.figure_rows(5, HUGE), FormatError, "a", id="cli.figure_rows"),
     ],
 )
 def test_a_refusal_of_an_integer_past_the_digit_limit_keeps_its_type(
@@ -356,7 +395,8 @@ def test_batch_decode_refuses_what_decode_uint_refuses(fmt, n, u):
         fmt.codec.decode_uint(u, n)
     with pytest.raises(FormatError) as batch:
         list(fmt.decode_patterns(n, [u]))
-    assert str(batch.value) == str(single.value) == f"{u} does not fit in {n} bits"
+    text = f"{u} does not fit in {n} bits" if n >= 1 else f"width must be at least 1, got {n}"
+    assert str(batch.value) == str(single.value) == text
 
 
 @pytest.mark.parametrize("u", [16, -1])
