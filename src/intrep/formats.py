@@ -4,7 +4,8 @@ A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
 takum handles may carry a width or stand for the whole family (width None);
 minifloat widths are intrinsic to the spec.  Every handle carries its
 family's operations (name, width, codec, decode, decode_patterns,
-closed_form, precision_profile), so callers do not branch on its type.
+ladder_decode, closed_form, precision_profile), so callers do not branch
+on its type.
 A handle answers for its own width: closed_form(n=None) works at
 resolve_width(handle, n), from core so that a minifloat spec uses it too,
 and precision_profile() at resolve_width(handle), which refuses a bare
@@ -12,8 +13,11 @@ posit or takum in one text, "NAME needs an explicit width"; every width a
 sized handle refuses is refused in one text, "width N conflicts with NAME".
 decode_patterns(n, patterns) is the batch decode: the family's decode_uint
 of each n-bit pattern, lazily and in order, with the width's masks and
-shifts worked out once for the whole batch, and the only operation the
-oracle's gap ladder asks of a handle.
+shifts worked out once for the whole batch.  ladder_decode(w, patterns) is
+the only operation the oracle's gap ladder asks of a handle: the batch
+decode of width-w patterns in an order whose values keep under appended
+zeros and ascend within each sign half, decode_patterns itself for a posit
+or takum, a sign-magnitude reordering for a minifloat.
 """
 
 from __future__ import annotations
@@ -85,6 +89,10 @@ class _TaperedFormat(FrozenSlots):
         """
         self._check_width(n)
         return self.codec.decode_uints(patterns, n)
+
+    # A posit or takum pattern keeps its value under appended zeros, and the
+    # values ascend within each sign half, so the gap ladder decodes them raw.
+    ladder_decode = decode_patterns
 
     def closed_form(self, n: int | None = None) -> int:
         """The codec's largest_consecutive at resolve_width(self, n)."""

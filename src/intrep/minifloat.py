@@ -122,6 +122,21 @@ class MinifloatSpec(FrozenSlots):
         resolve_width(self, n)
         return decode_uints(self, patterns)
 
+    def ladder_decode(self, w: int, patterns):
+        """decode_uints of width-w patterns in sign-magnitude order, w up to its width n.
+
+        Width-w pattern u is the spec's u << (n - w) below 2^(w-1) and
+        sign | (2^w - u) << (n - w) above it, so appended zeros keep its value,
+        and as a sign-magnitude value grows with its magnitude, values ascend
+        within each sign half as a posit's do.  2^(w-1) is the spec's -0; from
+        width 2 on it is even, as 0 is, so neither is ever a gap's u.
+        """
+        n = self.width
+        shift, top, sign = n - w, 1 << w, 1 << (n - 1)
+        return decode_uints(
+            self, (u << shift if u < top >> 1 else sign | (top - u) << shift for u in patterns)
+        )
+
     def closed_form(self, n: int | None = None) -> int:
         """largest_consecutive(self); n, if given, must be its width."""
         resolve_width(self, n)

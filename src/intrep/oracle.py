@@ -3,15 +3,14 @@
 Everything here works by decoding pattern spaces — no shortcuts shared
 with the formulas under test — so agreement between the two routes is
 meaningful evidence.  Patterns are plain integers, decoded a width at a
-time by the handle's decode_patterns, at most MAX_DECODES per question.
-Posit and takum values do not change under appended zeros and ascend with
-the pattern within each sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1,
-and so do a minifloat's in its _SignMagnitude view, so every question
-climbs one gap ladder, filtered a width at a time: it makes no gap without
-an integer strictly between its neighbours' values one width down, decodes
-a gap's odd pattern only if a wanted one is inside, and ends a run early
-where a count of patterns proves it.  Every sweep runs in the calling
-process.
+time by the handle's ladder_decode, at most MAX_DECODES per question.  Its
+values do not change under appended zeros and ascend with the pattern
+within each sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1, so every
+question climbs one gap ladder, filtered a width at a time: it makes no
+gap without an integer strictly between its neighbours' values one width
+down, decodes a gap's odd pattern only if a wanted one is inside, and ends
+a run early where a count of patterns proves it.  Every sweep runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .core import (
     BudgetError,
     DomainError,
     DyadicValue,
-    FormatError,
     check_int,
     resolve_width,
 )
@@ -47,7 +45,7 @@ class ConsecutiveReport(NamedTuple):
     n: int
     value: int
     exponent: int | None  # log2(value) when value is a power of two
-    source: str  # "closed_form" or "oracle"
+    source: str  # always "oracle"; kept, as callers build the report positionally
     agreement: bool | None  # oracle vs closed form; None when no closed form applies
 
 
@@ -75,43 +73,14 @@ def _in_window(window: int, narrows: bool = False):
     return holds
 
 
-class _SignMagnitude(NamedTuple):
-    """A minifloat's patterns in the order the gap ladder climbs, a width at a time.
-
-    Width-w pattern u is the spec's u << (n - w) below 2^(w-1) and
-    sign | (2^w - u) << (n - w) above it, so appended zeros keep its value,
-    and as a sign-magnitude value grows with its magnitude, values ascend
-    within each sign half as a posit's do.  2^(w-1) is the spec's -0; from
-    width 2 on it is even, as 0 is, so neither is ever a gap's u.
-    """
-
-    spec: minifloat.MinifloatSpec
-
-    def decode_patterns(self, w: int, patterns):
-        """The spec's decode_patterns of each width-w view pattern's spec pattern."""
-        n = self.spec.width
-        shift, top, sign = n - w, 1 << w, 1 << (n - 1)
-        spec_patterns = (u << shift if u < top >> 1 else sign | (top - u) << shift for u in patterns)
-        return self.spec.decode_patterns(n, spec_patterns)
-
-
-def _ladder_handle(fmt: FormatSpec) -> PositFormat | TakumFormat | _SignMagnitude:
-    """The handle the gap ladder climbs: a posit or takum itself, a minifloat's view."""
-    try:
-        fmt.codec
-    except FormatError:  # a minifloat: its values change under appended zeros
-        return _SignMagnitude(fmt)
-    return fmt
-
-
 def _integers_at_width(fmt: FormatSpec, n: int, window: int) -> set[int]:
     """The integers in [-window, window] of the n-bit patterns, found as representable_set says."""
-    ladder = _gap_ladder(_ladder_handle(fmt), n, _in_window(window))
+    ladder = _gap_ladder(fmt, n, _in_window(window))
     return {m for _, integers in ladder for m in integers if -window <= m <= window}
 
 
-def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, n: int, holds):
-    """(width, integers of the patterns decoded at width) for width = 1..n.
+def _gap_ladder(fmt: FormatSpec, n: int, holds):
+    """(width, integers of the patterns fmt.ladder_decode decoded at width) for width = 1..n.
 
     A gap (u, lo, hi) holds the odd pattern u and the integers lo < m < hi, lo
     the floor of u - 1's value, hi the ceiling of u + 1's (NaR: ±inf), and
@@ -128,7 +97,7 @@ def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, n: int, holds):
     """
     live = list(holds([(0, -1, 1)], 1))
     spent = len(live)
-    yield 1, _integers(fmt.decode_patterns(1, (g[0] for g in live)))
+    yield 1, _integers(fmt.ladder_decode(1, (g[0] for g in live)))
     gaps = [(1, 0, inf), (3, -inf, 0)]  # 01 and 11: between zero, NaR and zero again
     for width in range(2, n + 1):
         room = (2 << (n - width)) - 1
@@ -138,7 +107,7 @@ def _gap_ladder(fmt: PositFormat | TakumFormat | _SignMagnitude, n: int, holds):
         spent += len(live)
         if spent > MAX_DECODES:
             raise BudgetError(f"{spent} decodes to width {width}, over the budget of {MAX_DECODES}")
-        values = fmt.decode_patterns(width, (g[0] for g in live))
+        values = fmt.ladder_decode(width, (g[0] for g in live))
         if width == n:  # no width is left to cut gaps for
             yield width, _integers(values)
             return
@@ -168,17 +137,16 @@ def _consecutive_run(found: set[int], k: int) -> int:
     return k
 
 
-def representable_set(
-    fmt: FormatSpec, n: int | None = None, window: int | None = None
-) -> tuple[int, ...]:
+def representable_set(fmt: FormatSpec, n: int | None = None, *, window: int) -> tuple[int, ...]:
     """The representable integers in [-window, window] at width n, ascending.
 
-    The gap ladder climbs to width n (a minifloat's: its own width, in its
-    _SignMagnitude view) and decodes only the odd patterns with an integer
-    of the window between their neighbours.
+    The gap ladder climbs to width n (a minifloat's: its own width) and
+    decodes only the odd patterns with an integer of the window between
+    their neighbours.
     """
+    width = resolve_width(fmt, n)
     check_int(window, 1, "window")
-    return tuple(sorted(_integers_at_width(fmt, resolve_width(fmt, n), window)))
+    return tuple(sorted(_integers_at_width(fmt, width, window)))
 
 
 def largest_consecutive(
@@ -187,11 +155,11 @@ def largest_consecutive(
     """Largest consecutive integer from the width-n patterns, checked against the closed form.
 
     The value is the largest k with [-k, k] representable, the last k of
-    _consecutive_walk to width n (a minifloat's in its _SignMagnitude view).
+    _consecutive_walk to width n.
     workers is ignored.
     """
     width = resolve_width(fmt, n)
-    *_, (_, k) = _consecutive_walk(_ladder_handle(fmt), width)
+    *_, (_, k) = _consecutive_walk(fmt, width)
     try:
         closed = fmt.closed_form(width)
     except DomainError:  # the format's shape has no closed form
@@ -212,9 +180,7 @@ def min_length_table(fmt: FormatSpec, targets) -> dict[int, int | None]:
     which it has no patterns, or within DEFAULT_MAX_BITS for a bare one.
     """
     fmt.codec  # refuses a minifloat, which has no variable-length encoding
-    targets = list(targets)
-    if any(isinstance(m, bool) or not isinstance(m, int) for m in targets):
-        raise FormatError("targets must be integers")
+    targets = [check_int(m, None, "target") for m in targets]
     lengths: dict[int, int | None] = dict.fromkeys(targets)
     wanted = [*sorted(lengths), inf]  # the sentinel: every lo has a least wanted above it
     holds = lambda gaps, _: [g for g in gaps if wanted[bisect_right(wanted, g[1])] < g[2]]
@@ -239,7 +205,7 @@ class CheckResult(NamedTuple):
     note: bool = False  # informational line, never counted as a failure
 
 
-def _consecutive_walk(fmt: PositFormat | TakumFormat | _SignMagnitude, max_n: int):
+def _consecutive_walk(fmt: FormatSpec, max_n: int):
     """(n, largest consecutive integer at width n) for n = 2..max_n, in one pass.
 
     The integers of width n are those of width n - 1 and of its odd patterns,

@@ -20,7 +20,7 @@ encode_uint(m) gives the shortest pattern of the integer m as (u, width),
 and encode_integer(m) wraps it in a BitString.  _code(e), the regime run,
 termination bit and exponent field that code the exponent e, is the one
 statement of the layout outside _decode: the encoder builds its patterns
-from it, and non_fraction_bits counts it.
+from it, and non_fraction_bits counts its length from its run, _run(e).
 """
 
 from __future__ import annotations
@@ -151,16 +151,21 @@ def encode_integer(m: int, max_bits: int = DEFAULT_MAX_BITS) -> BitString:
     return BitString.from_uint(*encode_uint(m, max_bits))
 
 
+def _run(e: int) -> int:
+    """Regime run length for the coded exponent e: e // 4 + 1 ones, or -(e // 4) zeros if e < 0."""
+    return e // 4 + 1 if e >= 0 else -(e // 4)
+
+
 def _code(e: int) -> tuple[int, int]:
     """(bits, length) between the sign and the fraction of a posit with coded exponent e.
 
-    The regime run of k = e // 4 + 1 ones for e >= 0, or of k = -(e // 4)
-    zeros for e < 0, its termination bit and the exponent field e mod 4.
+    The regime run of _run(e) bits, ones for e >= 0 and zeros below, its
+    termination bit and the exponent field e mod 4.
     """
+    k = _run(e)
     if e >= 0:
-        k = e // 4 + 1
         return (((1 << k) - 1) << 3) | e % 4, k + 3
-    return 4 | e % 4, 3 - e // 4
+    return 4 | e % 4, k + 3
 
 
 def largest_consecutive(n: int) -> int:
@@ -172,12 +177,12 @@ def largest_consecutive(n: int) -> int:
 def non_fraction_bits(exponent: int) -> int:
     """Bits an n-large posit spends on sign, regime, termination, and exponent.
 
-    The sign and the exponent's code, _code(e).  FormatError when e is not
-    an int.
+    The sign and the length of the exponent's code, _code(e), counted from
+    its run without building its bits.  FormatError when e is not an int.
     """
     if type(exponent) is not int:
         check_int(exponent, None, "exponent")
-    return 1 + _code(exponent)[1]
+    return 4 + _run(exponent)
 
 
 def exponent_range(n: int) -> range:

@@ -191,6 +191,12 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
             id="representable_set",
         ),
         pytest.param(
+            lambda: oracle.min_length_table(PositFormat(), [1, 2.0]),
+            "target",
+            2.0,
+            id="min_length_table",
+        ),
+        pytest.param(
             lambda: posit.largest_consecutive(8.0), "posit width", 8.0, id="posit.largest_consecutive"
         ),
         pytest.param(lambda: takum.exponent_range(5.0), "takum width", 5.0, id="takum.exponent_range"),
@@ -499,11 +505,17 @@ def test_decode_looks_up_the_family_decode_at_each_call(capsys, monkeypatch, mod
 
 def test_no_family_dispatch_outside_formats():
     # Callers go through the handle's members; no module, formats.py
-    # included, asks which family a handle belongs to.
+    # included, asks which family a handle belongs to, neither by isinstance
+    # nor by probing a member in a try and reading its refusal as the answer.
     families = {"PositFormat", "TakumFormat", "MinifloatSpec"}
     found = []
     for path in sorted(Path(intrep.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Try) and any(
+                isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Attribute)
+                for stmt in node.body
+            ):
+                found.append((path.name, node.lineno))
             if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
                 continue
             if len(node.args) == 2 and families & {

@@ -6,8 +6,8 @@ so the oracle's posit and takum sweeps, at one width or over many, decode
 only odd patterns, and of those only the ones whose neighbours leave room
 for a wanted integer (the gap ladder); the width walk also skips the gaps
 past a bound that, by a count of patterns, its run cannot reach.  A
-minifloat's patterns are put in the same order by the oracle's
-sign-magnitude view, which the ladder climbs in its place.  The reference
+minifloat's patterns are put in the same order by its ladder_decode, a
+sign-magnitude view, which the ladder climbs through.  The reference
 loops below skip nothing: every pattern for representable sets, every odd
 pattern for minimal lengths.  The oracle must give their results exactly,
 also when a decode fault hides or misplaces one pattern.
@@ -15,7 +15,6 @@ also when a decode fault hides or misplaces one pattern.
 
 import random
 from itertools import pairwise, repeat
-from typing import NamedTuple
 
 import pytest
 
@@ -142,30 +141,23 @@ def test_minifloat_values_ascend_with_the_pattern_within_each_half():
         assert all(ascending(b, a) for a, b in pairwise(negative)), spec
 
 
-class PatternSpec(NamedTuple):
-    """A stand-in minifloat whose every pattern decodes to itself."""
-
-    width: int
-
-    def decode_patterns(self, n, patterns):
-        return list(patterns)
-
-
-def test_the_minifloat_view_orders_its_halves_and_keeps_appended_zeros():
-    # oracle._SignMagnitude's width-n sign halves hold every pattern of the
-    # spec but the two zeros: the positive one ascending, the negative one
-    # from the largest magnitude down, so with the order above its values
-    # ascend within each half as a posit's do.  One width down, u is the
-    # view's 2u.
+def test_the_minifloat_ladder_decode_orders_its_halves_and_keeps_appended_zeros(monkeypatch):
+    # With every spec pattern decoding to itself, ladder_decode shows the
+    # spec pattern each width-w pattern stands for.  Its width-n sign halves
+    # hold every pattern of the spec but the two zeros: the positive one
+    # ascending, the negative one from the largest magnitude down, so with
+    # the order above its values ascend within each half as a posit's do.
+    # Pattern u of width w is pattern 2u one width up.
+    monkeypatch.setattr(minifloat, "decode_uints", lambda spec, patterns: list(patterns))
     for n in range(2, 17):
-        view, sign = oracle._SignMagnitude(PatternSpec(n)), 1 << (n - 1)
-        assert view.decode_patterns(n, range(1, sign)) == list(range(1, sign))
-        negative = view.decode_patterns(n, range(sign + 1, sign << 1))
+        spec, sign = MinifloatSpec(1, n - 2, 0), 1 << (n - 1)
+        assert spec.ladder_decode(n, range(1, sign)) == list(range(1, sign))
+        negative = spec.ladder_decode(n, range(sign + 1, sign << 1))
         assert negative == [sign | m for m in range(sign - 1, 0, -1)]
         for w in range(1, n):
             below = [u for u in range(1 << w) if u != 1 << (w - 1)]
             doubled = [2 * u for u in below]
-            assert view.decode_patterns(w, below) == view.decode_patterns(w + 1, doubled), (n, w)
+            assert spec.ladder_decode(w, below) == spec.ladder_decode(w + 1, doubled), (n, w)
 
 
 def test_minifloat_sets_and_runs_match_the_full_enumeration():
@@ -177,7 +169,7 @@ def test_minifloat_sets_and_runs_match_the_full_enumeration():
         everything = {v[0] * (v[1] << v[2]) for v in values if v is not None and v[2] >= 0}
         for window in (1, 2, 3, 5, 8, 100, 1 << n):
             expected = tuple(sorted(m for m in everything if -window <= m <= window))
-            assert oracle.representable_set(spec, n, window) == expected, (spec, window)
+            assert oracle.representable_set(spec, n, window=window) == expected, (spec, window)
         assert oracle.largest_consecutive(spec).value == consecutive_run(everything), spec
 
 
@@ -188,7 +180,7 @@ def test_representable_sets_match_the_full_enumeration(fmt):
         everything = reference_integers(fmt, n, max(windows))
         for window in windows:
             expected = tuple(sorted(m for m in everything if -window <= m <= window))
-            assert oracle.representable_set(fmt, n, window) == expected, (n, window)
+            assert oracle.representable_set(fmt, n, window=window) == expected, (n, window)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +285,7 @@ def test_the_ladder_decodes_no_pattern_between_zero_and_one(decode_fault, module
     oracle.min_length_table(type(fmt)(18), range(-3000, 3001))
     oracle.largest_consecutive(fmt, 18)
     for n in range(fmt.codec.MIN_WIDTH, 19):
-        assert oracle.representable_set(fmt, n, 1 << n)
+        assert oracle.representable_set(fmt, n, window=1 << n)
     assert decoded
     for u, n in decoded:
         if n > 1:
@@ -315,7 +307,7 @@ def test_the_narrowed_run_matches_the_whole_window(cls):
     # representable_set keeps the window 2^n that largest_consecutive's walk
     # narrows wherever a gap holds more integers than patterns of width n.
     for n in range(cls.codec.MIN_WIDTH, 21):
-        expected = consecutive_run(set(oracle.representable_set(cls(), n, 1 << n)))
+        expected = consecutive_run(set(oracle.representable_set(cls(), n, window=1 << n)))
         assert oracle.largest_consecutive(cls(), n).value == expected, n
 
 

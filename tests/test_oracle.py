@@ -24,20 +24,20 @@ POSIT5_INTEGERS = (-64, -16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 64)
 
 
 def test_posit5_representable_set():
-    result = oracle.representable_set(PositFormat(), 5, 100)
+    result = oracle.representable_set(PositFormat(), 5, window=100)
     assert result == POSIT5_INTEGERS
     assert 16 in result
     assert 3 not in result
 
 
 def test_representable_set_membership():
-    result = oracle.representable_set(PositFormat(), 5, 100)
+    result = oracle.representable_set(PositFormat(), 5, window=100)
     for m in range(-130, 131):
         assert (m in result) == (m in POSIT5_INTEGERS), m
 
 
 def test_takum12_covers_small_integers():
-    result = oracle.representable_set(TakumFormat(), 12, 10)
+    result = oracle.representable_set(TakumFormat(), 12, window=10)
     assert result == tuple(range(-10, 11))
 
 
@@ -48,22 +48,25 @@ def test_e4m3_largest_integer():
 
 
 def test_representable_set_validation():
-    with pytest.raises(FormatError):
+    with pytest.raises(TypeError):
         oracle.representable_set(PositFormat(), 8)  # no window
     with pytest.raises(FormatError):
-        oracle.representable_set(PositFormat(), 8, 0)
+        oracle.representable_set(PositFormat(), 8, window=0)
+    # A bad width and a bad window: the width is resolved first.
+    with pytest.raises(FormatError, match="^posit width must be an integer, got '8'$"):
+        oracle.representable_set(PositFormat(), "8", window=0)
     with pytest.raises(FormatError):
         oracle.representable_set(PositFormat(), 5, window=True)
     # No width cap: a narrow window costs a few decodes a width, however wide.
-    assert oracle.representable_set(PositFormat(), 64, 10) == tuple(range(-10, 11))
+    assert oracle.representable_set(PositFormat(), 64, window=10) == tuple(range(-10, 11))
 
 
 @pytest.mark.parametrize("fmt", [PositFormat(), TakumFormat()], ids=["posit", "takum"])
 def test_a_tapered_sweep_starts_no_pool(monkeypatch, fmt):
     # The gap ladder runs in this process: largest_consecutive's workers is ignored.
-    serial = oracle.representable_set(fmt, 16, 50)
+    serial = oracle.representable_set(fmt, 16, window=50)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-    assert oracle.representable_set(fmt, 16, 50) == serial
+    assert oracle.representable_set(fmt, 16, window=50) == serial
     assert oracle.largest_consecutive(fmt, 16, workers=2).agreement is True
 
 
@@ -184,7 +187,7 @@ def test_the_budget_admits_exactly_the_decodes_a_question_makes(
 )
 def test_the_walk_yields_every_width(fmt, max_n):
     # The ladder ends once no gap is live; the walk's window never empties.
-    walk = oracle._consecutive_walk(oracle._ladder_handle(fmt), max_n)
+    walk = oracle._consecutive_walk(fmt, max_n)
     assert [n for n, _ in walk] == list(range(2, max_n + 1))
 
 

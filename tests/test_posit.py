@@ -124,6 +124,12 @@ def test_non_fraction_bits():
     assert posit.non_fraction_bits(-1) == 5
     assert posit.non_fraction_bits(-4) == 5
     assert posit.non_fraction_bits(-5) == 6
+    # The length of the code, counted without building it: a code of
+    # 10^30 / 4 bits would not fit in memory.
+    assert posit.non_fraction_bits(10**30) == 10**30 // 4 + 5
+    assert posit.non_fraction_bits(-(10**30)) == 4 + 10**30 // 4
+    for e in range(-2000, 2001):
+        assert posit.non_fraction_bits(e) == 1 + posit._code(e)[1], e
 
 
 def test_every_exponent_code_decodes_to_its_power_of_two():
