@@ -1,9 +1,9 @@
 """Bit strings and exact binary values.
 
 Shared ground for the codec modules: an immutable MSB-first bit string, an
-exact value type built on Python integers, the bit-level profile of a
-nonzero integer, the encoders' shortest-pattern frame, check_int, the one
-check of every width and budget, and resolve_width, a handle's width.
+exact value type on Python integers, a nonzero integer's bit-level profile,
+the encoders' shortest-pattern frame, check_int, the one check of every
+width and budget, and a handle's widths: resolve_width, check_width.
 """
 
 from __future__ import annotations
@@ -281,9 +281,18 @@ def resolve_width(fmt, n: int | None = None) -> int:
         return intrinsic
     if intrinsic is None:
         return type(fmt)(n).n  # a bare posit/takum handle: the width meets its floor
-    if check_int(n, 1, "width") != intrinsic:
+    if check_width(fmt, n) != intrinsic:
         raise FormatError(f"width {int_text(n)} conflicts with {fmt.name}")
     return n
+
+
+def check_width(fmt, w: int) -> int:
+    """w, if fmt has patterns of that width: an int of at least 1, at most a sized handle's own."""
+    if type(w) is not int or w < 1:
+        check_int(w, 1, "width")
+    if fmt.width is not None and w > fmt.width:
+        raise FormatError(f"width {int_text(w)} conflicts with {fmt.name}")
+    return w
 
 
 DEFAULT_MAX_BITS = 256

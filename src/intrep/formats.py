@@ -1,23 +1,21 @@
 """Uniform handle on the supported number formats.
 
-A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit and
-takum handles may carry a width or stand for the whole family (width None);
-minifloat widths are intrinsic to the spec.  Every handle carries its
-family's operations (name, width, codec, decode, decode_patterns,
-ladder_decode, closed_form, precision_profile), so callers do not branch
-on its type.
-A handle answers for its own width: closed_form(n=None) works at
-resolve_width(handle, n), from core so that a minifloat spec uses it too,
-and precision_profile() at resolve_width(handle), which refuses a bare
-posit or takum in one text, "NAME needs an explicit width"; every width a
-sized handle refuses is refused in one text, "width N conflicts with NAME".
-decode_patterns(n, patterns) is the batch decode: the family's decode_uint
-of each n-bit pattern, lazily and in order, with the width's masks and
-shifts worked out once for the whole batch.  ladder_decode(w, patterns) is
-the only operation the oracle's gap ladder asks of a handle: the batch
-decode of width-w patterns in an order whose values keep under appended
-zeros and ascend within each sign half, decode_patterns itself for a posit
-or takum, a sign-magnitude reordering for a minifloat.
+A FormatSpec is a PositFormat, a TakumFormat, or a MinifloatSpec.  Posit
+and takum handles may carry a width or stand for the whole family (width
+None); minifloat widths are intrinsic to the spec.  Every handle carries
+its family's operations (name, width, codec, decode, ladder_decode,
+closed_form, precision_profile), so callers do not branch on its type.  A
+handle answers for its own width: closed_form(n=None) works at
+resolve_width(handle, n), and precision_profile() at resolve_width(handle),
+which refuses a bare posit or takum in one text, "NAME needs an explicit
+width"; the widths of its patterns pass core.check_width, so core raises
+every refusal of a width a sized handle does not have.  ladder_decode(w,
+patterns) is the one batch decode, and the only operation the oracle's gap
+ladder asks of a handle: the decode of width-w patterns, lazily, in an
+order whose values keep under appended zeros and ascend within each sign
+half.  A posit's or takum's is its codec's decode_uints, with the width's
+masks and shifts worked out once per batch; a minifloat's reorders its
+patterns by sign and magnitude.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .core import (
     FormatError,
     FrozenSlots,
     check_int,
-    int_text,
+    check_width,
     resolve_width,
 )
 from .minifloat import PRESETS, MinifloatSpec
@@ -70,29 +68,19 @@ class _TaperedFormat(FrozenSlots):
     def width(self) -> int | None:
         return self.n
 
-    def _check_width(self, n: int) -> None:
-        """Refuse a non-int width, or one above a sized handle's own; any width up to it decodes."""
-        if type(n) is not int:
-            check_int(n, None, "width")
-        if self.n is not None and n > self.n:
-            raise FormatError(f"width {int_text(n)} conflicts with {self.name}")
-
     def decode(self, bits: BitString) -> DyadicValue:
         """The codec's decode of bits of any width up to a sized handle's own."""
-        self._check_width(bits.width)
+        check_width(self, bits.width)
         return self.codec.decode(bits)
 
-    def decode_patterns(self, n: int, patterns):
-        """The codec's decode_uint of each n-bit pattern, lazily: its decode_uints.
+    def ladder_decode(self, w: int, patterns):
+        """The codec's decode_uints of the width-w patterns, w up to a sized handle's own.
 
-        A sized handle refuses widths above its own; the gap ladder climbs those below.
+        A posit or takum pattern keeps its value under appended zeros, and the
+        values ascend within each sign half, so the gap ladder decodes them raw.
         """
-        self._check_width(n)
-        return self.codec.decode_uints(patterns, n)
-
-    # A posit or takum pattern keeps its value under appended zeros, and the
-    # values ascend within each sign half, so the gap ladder decodes them raw.
-    ladder_decode = decode_patterns
+        check_width(self, w)
+        return self.codec.decode_uints(patterns, w)
 
     def closed_form(self, n: int | None = None) -> int:
         """The codec's largest_consecutive at resolve_width(self, n)."""
@@ -125,7 +113,7 @@ _FAMILY_PATTERN = re.compile(r"^(posit|takum)(\d+)?$")
 
 def parse_format(text: str) -> FormatSpec:
     """Parse names like "posit16", "takum", "e4m3", or "bfloat16"."""
-    name = text.strip().lower()
+    name = text.strip().lower() if isinstance(text, str) else ""
     match = _FAMILY_PATTERN.match(name)
     if match:
         family, width = match.group(1), match.group(2)
@@ -148,4 +136,5 @@ def decode(fmt: FormatSpec, bits: BitString) -> DyadicValue:
 
 def signed_integer_count(width: int) -> int:
     """Positive integers of width-bit two's complement: 2^(width-1) - 1."""
+    check_int(width, 1, "width")
     return (1 << (width - 1)) - 1

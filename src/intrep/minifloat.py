@@ -28,6 +28,7 @@ from .core import (
     FormatError,
     FrozenSlots,
     check_int,
+    check_width,
     int_text,
     resolve_width,
 )
@@ -117,11 +118,6 @@ class MinifloatSpec(FrozenSlots):
         """decode(self, bits): bits must be of its width."""
         return decode(self, bits)
 
-    def decode_patterns(self, n: int, patterns):
-        """decode_uints(self, patterns); n must be its width."""
-        resolve_width(self, n)
-        return decode_uints(self, patterns)
-
     def ladder_decode(self, w: int, patterns):
         """decode_uints of width-w patterns in sign-magnitude order, w up to its width n.
 
@@ -131,6 +127,7 @@ class MinifloatSpec(FrozenSlots):
         within each sign half as a posit's do.  2^(w-1) is the spec's -0; from
         width 2 on it is even, as 0 is, so neither is ever a gap's u.
         """
+        check_width(self, w)
         n = self.width
         shift, top, sign = n - w, 1 << w, 1 << (n - 1)
         return decode_uints(

@@ -1,22 +1,22 @@
 """Exhaustive brute-force verification of the closed-form results.
 
-Everything here works by decoding pattern spaces — no shortcuts shared
-with the formulas under test — so agreement between the two routes is
-meaningful evidence.  Patterns are plain integers, decoded a width at a
-time by the handle's ladder_decode, at most MAX_DECODES per question.  Its
-values do not change under appended zeros and ascend with the pattern
-within each sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1, so every
-question climbs one gap ladder, filtered a width at a time: it makes no
-gap without an integer strictly between its neighbours' values one width
-down, decodes a gap's odd pattern only if a wanted one is inside, and ends
-a run early where a count of patterns proves it.  Every sweep runs in the
-calling process.
+Everything here works by decoding pattern spaces — no shortcuts shared with
+the formulas under test — so agreement between the two routes is meaningful
+evidence.  Patterns are plain integers, decoded a width at a time by the
+handle's ladder_decode, at most MAX_DECODES per question.  Its values do
+not change under appended zeros and ascend with the pattern within each
+sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1, so every question
+climbs one gap ladder, filtered a width at a time: it makes no gap without
+an integer strictly between its neighbours' values one width down, decodes
+a gap's odd pattern only if a wanted one is inside, and ends a run early
+where a count of patterns proves it.  The negation closure and the round
+trip call the codec kernels directly; the first checks zero and NaR by
+name.  Every sweep runs in the calling process.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, tee
 from math import inf
 from typing import NamedTuple
 
@@ -271,17 +271,27 @@ def _negated(value: tuple[int, int, int] | None) -> tuple[int, int, int] | None:
     return value if value is None or not value[1] else (-value[0], value[1], value[2])
 
 
+def _least_unnegated(codec, n: int, step: int) -> int | None:
+    """The least wrong n-bit p, or None: 0 not zero, 2^n - p not -p, or 2^(n-1) not NaR."""
+    half = 1 << (n - 1)
+    if codec.decode_uint(0, n) != (1, 0, 0):
+        return 0
+    ps, negatives = range(1, half, step), range(2 * half - 1, half, -step)
+    for p, value, negative in zip(ps, codec.decode_uints(ps, n), codec.decode_uints(negatives, n)):
+        if negative != _negated(value):
+            return p
+    return None if codec.decode_uint(half, n) is None else half
+
+
 def check_negation_closure(max_n: int = 14) -> CheckResult:
     """Every pattern's two's complement decodes to its negative.
 
-    Patterns pair up as p and -p mod 2^n with p in [0, 2^(n-1)], so each is
-    decoded once, the p in one lazy batch and their negatives in another;
-    0 and 2^(n-1) pair with themselves, so each must be zero or NaR.  Past
-    the first width, p runs over 0, the odd patterns and 2^(n-1) only: an
-    even pair 2q, -2q mod 2^n is the (n-1)-bit pair q, -q mod 2^(n-1)
-    zero-extended, checked one width before.  A failure names the least p
-    whose -p mod 2^n does not decode to _negated(decode(p)).  It decodes
-    every pattern, so it refuses 2^max_n > MAX_DECODES before any decode.
+    0 and 2^(n-1), their own two's complements, must be zero and NaR; every
+    other p in [1, 2^(n-1)) pairs with 2^n - p, the p in one lazy batch and
+    their negatives in another.  Past the first width, p runs over the odd
+    patterns only: an even pair 2q, 2^n - 2q is the (n-1)-bit pair q,
+    2^(n-1) - q zero-extended, checked one width before.  A failure names
+    the least wrong p; 2^max_n > MAX_DECODES is refused before any decode.
     """
     check_int(max_n, takum.MIN_WIDTH, "max_n")
     if 1 << max_n > MAX_DECODES:
@@ -290,15 +300,9 @@ def check_negation_closure(max_n: int = 14) -> CheckResult:
     name = f"two's-complement negation closure, n={takum.MIN_WIDTH}..{max_n}"
     for fmt in (PositFormat(), TakumFormat()):
         for n in range(takum.MIN_WIDTH, max_n + 1):
-            half = 1 << (n - 1)
-            step = 1 if n == takum.MIN_WIDTH else 2
-            # -p mod 2^n is 2^n - p, but for 0 and half, which pair with themselves.
-            ps, ascending = tee(chain((0,), range(1, half, step), (half,)))
-            negatives = chain((0,), range((half << 1) - 1, half, -step), (half,))
-            values = fmt.decode_patterns(n, ascending)
-            for p, value, negative in zip(ps, values, fmt.decode_patterns(n, negatives)):
-                if negative != _negated(value):
-                    return CheckResult(name, False, f"{fmt.family} pattern {p:0{n}b} at n={n}")
+            p = _least_unnegated(fmt.codec, n, 1 if n == takum.MIN_WIDTH else 2)
+            if p is not None:
+                return CheckResult(name, False, f"{fmt.family} pattern {p:0{n}b} at n={n}")
     return CheckResult(name, True, "negation holds for every finite pattern")
 
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pickle
 import random
 import re
@@ -50,7 +51,9 @@ def test_parse_format(text, expected):
     assert parse_format(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "posit2", "takum4", "float8", "posit0", "p8", "takumx"])
+@pytest.mark.parametrize(
+    "text", ["", "posit2", "takum4", "float8", "posit0", "p8", "takumx", 8, None]
+)
 def test_parse_format_rejects(text):
     with pytest.raises(FormatError):
         parse_format(text)
@@ -108,7 +111,7 @@ def test_handles_pickle(fmt):
     assert type(copy) is type(fmt) and copy == fmt
     # A minifloat's decode layout is rebuilt by the constructor, not pickled.
     n = fmt.width or 8
-    assert list(copy.decode_patterns(n, range(256))) == list(fmt.decode_patterns(n, range(256)))
+    assert list(copy.ladder_decode(n, range(256))) == list(fmt.ladder_decode(n, range(256)))
 
 
 def test_format_width():
@@ -206,22 +209,28 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
             lambda: list(posit.decode_uints([1], 8.0)), "width", 8.0, id="posit.decode_uints"
         ),
         pytest.param(
-            lambda: list(TakumFormat().decode_patterns(8.0, [1])),
+            lambda: list(TakumFormat().ladder_decode(8.0, [1])),
             "width",
             8.0,
-            id="TakumFormat.decode_patterns",
+            id="TakumFormat.ladder_decode",
         ),
         pytest.param(
-            lambda: PositFormat(8).decode_patterns("8", [1]),
+            lambda: PositFormat(8).ladder_decode("8", [1]),
             "width",
             "8",
-            id="posit8.decode_patterns-str",
+            id="posit8.ladder_decode-str",
         ),
         pytest.param(
-            lambda: TakumFormat(12).decode_patterns(None, [1]),
+            lambda: TakumFormat(12).ladder_decode(None, [1]),
             "width",
             None,
-            id="takum12.decode_patterns-None",
+            id="takum12.ladder_decode-None",
+        ),
+        pytest.param(
+            lambda: PRESETS["e4m3"].ladder_decode(8.0, [1]), "width", 8.0, id="e4m3.ladder_decode"
+        ),
+        pytest.param(
+            lambda: formats.signed_integer_count(1.0), "width", 1.0, id="signed_integer_count"
         ),
         pytest.param(lambda: cli.figure_rows(5.0, 8), "n_min", 5.0, id="figure_rows-n_min"),
         pytest.param(lambda: cli.figure_rows(5, "8"), "n_max", "8", id="figure_rows-n_max"),
@@ -276,6 +285,12 @@ def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call,
         pytest.param(lambda: posit.decode_uints([], 0), "width", 1, 0, id="posit.decode_uints"),
         pytest.param(lambda: takum.decode_uints([], -2), "width", 1, -2, id="takum.decode_uints"),
         pytest.param(lambda: BitString.from_uint(0, 0), "width", 1, 0, id="from_uint"),
+        pytest.param(
+            lambda: PRESETS["e4m3"].ladder_decode(0, [1]), "width", 1, 0, id="e4m3.ladder_decode"
+        ),
+        pytest.param(
+            lambda: formats.signed_integer_count(0), "width", 1, 0, id="signed_integer_count"
+        ),
         pytest.param(lambda: posit.encode_uint(5, -1), "max_bits", 0, -1, id="posit.encode_uint"),
         pytest.param(
             lambda: takum.encode_integer(5, -1), "max_bits", 0, -1, id="takum.encode_integer"
@@ -371,7 +386,7 @@ def decode_each(fmt, n: int, patterns) -> list:
 def test_batch_decode_agrees_on_every_short_pattern(fmt):
     for n in range(1, 17):
         patterns = range(1 << n)
-        assert list(fmt.decode_patterns(n, patterns)) == decode_each(fmt, n, patterns), n
+        assert list(fmt.ladder_decode(n, patterns)) == decode_each(fmt, n, patterns), n
 
 
 @TAPERED
@@ -379,7 +394,7 @@ def test_batch_decode_agrees_on_random_wide_patterns(fmt):
     rng = random.Random(15)
     for n in range(17, 1025):
         patterns = [rng.getrandbits(n) for _ in range(6)] + [0, 1 << (n - 1), (1 << n) - 1]
-        assert list(fmt.decode_patterns(n, patterns)) == decode_each(fmt, n, patterns), n
+        assert list(fmt.ladder_decode(n, patterns)) == decode_each(fmt, n, patterns), n
 
 
 @pytest.mark.parametrize("name", ["float16", "bfloat16", "e4m3", "e5m2", "float32", "float64"])
@@ -391,7 +406,7 @@ def test_batch_decode_agrees_on_minifloat_patterns(name):
     else:
         rng = random.Random(name)
         patterns = [rng.getrandbits(n) for _ in range(5000)]
-    assert list(spec.decode_patterns(n, patterns)) == decode_each(spec, n, patterns)
+    assert list(minifloat.decode_uints(spec, patterns)) == decode_each(spec, n, patterns)
 
 
 @TAPERED
@@ -400,7 +415,7 @@ def test_batch_decode_refuses_what_decode_uint_refuses(fmt, n, u):
     with pytest.raises(FormatError) as single:
         fmt.codec.decode_uint(u, n)
     with pytest.raises(FormatError) as batch:
-        list(fmt.decode_patterns(n, [u]))
+        list(fmt.ladder_decode(n, [u]))
     text = f"{u} does not fit in {n} bits" if n >= 1 else f"width must be at least 1, got {n}"
     assert str(batch.value) == str(single.value) == text
 
@@ -411,19 +426,21 @@ def test_minifloat_batch_decode_refuses_what_decode_uint_refuses(u):
     with pytest.raises(FormatError) as single:
         minifloat.decode_uint(spec, u)
     with pytest.raises(FormatError) as batch:
-        list(spec.decode_patterns(spec.width, [u]))
+        list(minifloat.decode_uints(spec, [u]))
     assert str(batch.value) == str(single.value) == f"{u} does not fit in 4 bits"
 
 
-@pytest.mark.parametrize("name,n", [("float16", 8), ("e4m3", 16), ("bfloat16", 15)])
+@pytest.mark.parametrize("name,n", [("float16", 8), ("e4m3", 16), ("bfloat16", 15), ("e4m3", 9)])
 def test_a_minifloat_refuses_a_width_not_its_own(name, n):
-    # The width is intrinsic to the spec: decoding n-bit patterns or asking
-    # for an n-bit closed form would silently answer for the spec's width.
+    # The width is intrinsic to the spec: an n-bit closed form would silently
+    # answer for the spec's width.  Its ladder decodes the narrower widths
+    # the gap ladder climbs through, but no pattern wider than the spec.
     spec = PRESETS[name]
     with pytest.raises(FormatError, match=f"^width {n} conflicts with {name}$"):
-        spec.decode_patterns(n, [0x3C])
-    with pytest.raises(FormatError, match=f"^width {n} conflicts with {name}$"):
         spec.closed_form(n)
+    wider = max(n, spec.width + 1)
+    with pytest.raises(FormatError, match=f"^width {wider} conflicts with {name}$"):
+        spec.ladder_decode(wider, [1])
 
 
 @pytest.mark.parametrize("name,wider,narrower,run", [("posit8", 16, 5, 16), ("takum12", 13, 7, 64)])
@@ -433,13 +450,13 @@ def test_a_sized_tapered_handle_refuses_a_width_not_its_own(name, wider, narrowe
     # the gap ladder climbs through them.
     fmt = parse_format(name)
     with pytest.raises(FormatError, match=f"^width {wider} conflicts with {name}$"):
-        fmt.decode_patterns(wider, [(1 << (wider - 1)) - 1])
+        fmt.ladder_decode(wider, [(1 << (wider - 1)) - 1])
     for n in (wider, narrower):
         with pytest.raises(FormatError, match=f"^width {n} conflicts with {name}$"):
             fmt.closed_form(n)
     patterns = range(1 << narrower)
     expected = list(fmt.codec.decode_uints(patterns, narrower))
-    assert list(fmt.decode_patterns(narrower, patterns)) == expected
+    assert list(fmt.ladder_decode(narrower, patterns)) == expected
     report = oracle.largest_consecutive(fmt)
     assert (report.value, report.agreement) == (run, True)
 
@@ -543,3 +560,23 @@ def test_every_definition_has_a_reader():
     }
     unread = sorted(name for name in names if words[name] < 2)
     assert unread == []
+
+
+def test_only_core_refuses_a_width_a_handle_does_not_have():
+    # core.check_width and resolve_width are the width rule of every handle;
+    # the refusal's text anywhere else would be a second copy of the rule.
+    sources = sorted(Path(intrep.__file__).parent.glob("*.py"))
+    found = [path.name for path in sources if "conflicts with" in path.read_text()]
+    assert found == ["core.py"]
+
+
+def test_every_handle_has_the_same_operations():
+    # One interface per family: the same public methods on every handle, and
+    # besides them name, width and codec; other members describe its shape.
+    handles = [PositFormat(), TakumFormat(8), *PRESETS.values()]
+    operations = {"closed_form", "decode", "ladder_decode", "precision_profile"}
+    public = [{name for name in dir(type(h)) if not name.startswith("_")} for h in handles]
+    for handle, names in zip(handles, public):
+        methods = {name for name in names if inspect.isfunction(getattr(type(handle), name))}
+        assert methods == operations, handle.name
+    assert set.intersection(*public) == {*operations, "name", "width", "codec"}

@@ -374,8 +374,10 @@ def test_check_takum_consecutive_catches_mutated_formula(monkeypatch, module, ch
         # neither may be finite and nonzero.
         (takum, {0b000000: (1, 1, 0)}, "takum pattern 000000"),
         (posit, {0b100000: (1, 1, 0)}, "posit pattern 100000"),
+        # Each is its own negative, so only their names tell them apart.
+        (posit, {0b000000: None, 0b100000: (1, 0, 0)}, "posit pattern 000000"),
     ],
-    ids=["negative-half", "positive-half-nar", "zero-and-nar", "zero", "nar"],
+    ids=["negative-half", "positive-half-nar", "zero-and-nar", "zero", "nar", "zero-nar-swapped"],
 )
 def test_check_negation_closure_catches_mutated_kernel(decode_fault, module, overrides, named):
     decode_fault(lambda u, n, value: overrides[u] if n == 6 and u in overrides else value, module)

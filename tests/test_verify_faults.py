@@ -37,6 +37,15 @@ def swap_fault(module, n, first, second, true_decode):
     return install
 
 
+def pattern_fault(module, pattern, value):
+    """Decode pattern(n), the n-bit pattern at every width n, to value."""
+
+    def install(monkeypatch, decode_fault):
+        decode_fault(lambda u, n, true: value if u == pattern(n) else true, module)
+
+    return install
+
+
 def item(number, what):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {number}: {what}")
 
@@ -120,6 +129,24 @@ FAULTS = [
         re.escape("encode/decode round trip with minimal width, |m|<=4096"),
         re.escape("takum encoding of 128 has 8 bits, not 5"),
         id="takum-code-low-bit-flipped-e7",
+    ),
+    pytest.param(
+        pattern_fault(posit, lambda n: 0, (0, 0, 0)),
+        re.escape("two's-complement negation closure, n=5..14"),
+        re.escape("posit pattern 00000 at n=5"),
+        id="posit-zero-decoded-as-nar",
+    ),
+    pytest.param(
+        pattern_fault(posit, lambda n: 1 << (n - 1), (1, 0, 0)),
+        re.escape("two's-complement negation closure, n=5..14"),
+        re.escape("posit pattern 10000 at n=5"),
+        id="posit-nar-decoded-as-zero",
+    ),
+    pytest.param(
+        pattern_fault(takum, lambda n: 0, (0, 0, 0)),
+        re.escape("two's-complement negation closure, n=5..14"),
+        re.escape("takum pattern 00000 at n=5"),
+        id="takum-zero-decoded-as-nar",
     ),
     pytest.param(
         swap_fault(
