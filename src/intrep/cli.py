@@ -66,6 +66,7 @@ def build_table() -> list[TableRow]:
 
 def render_magnitude(value: int, exact: bool = False) -> str:
     """Render counts like 2^11 = 2048 or 2^24 (~ 1.7e+07); DomainError past the digit limit."""
+    core.check_int(value, None, "value")
     power = f"2^{value.bit_length() - 1}" if value > 0 and value & (value - 1) == 0 else None
     if exact or value < 10**5:
         text = core.decimal_text(value)

@@ -3,7 +3,8 @@
 Shared ground for the codec modules: an immutable MSB-first bit string, an
 exact value type on Python integers, a nonzero integer's bit-level profile,
 the encoders' shortest-pattern frame, check_int, the one check of every
-width and budget, and a handle's widths: resolve_width, check_width.
+width and budget, does_not_fit, the one refusal of a pattern too wide for
+its width, and a handle's widths: resolve_width, check_width.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def int_text(m) -> str:
         return str(m)
     except ValueError:
         return f"a {'negative ' if m < 0 else ''}{m.bit_length()}-bit integer"
+
+
+def does_not_fit(u, width: int) -> FormatError:
+    """The refusal of a pattern u outside [0, 2^width): the one text of every codec's."""
+    return FormatError(f"{int_text(u)} does not fit in {int_text(width)} bits")
 
 
 def decimal_text(m: int) -> str:
@@ -85,7 +91,7 @@ class BitString:
         if type(width) is not int or width < 1:
             check_int(width, 1, "width")
         if value < 0 or value.bit_length() > width:
-            raise FormatError(f"{int_text(value)} does not fit in {int_text(width)} bits")
+            raise does_not_fit(value, width)
         self = object.__new__(cls)
         self._value = value
         self._width = width
@@ -200,6 +206,8 @@ class DyadicValue(_Triple):
     @classmethod
     def from_mantissa(cls, sign: int, numerator: int, exponent2: int) -> "DyadicValue":
         """Finite value sign*numerator*2**exponent2, normalized to an odd significand."""
+        if type(numerator) is not int:
+            raise DomainError(f"from_mantissa needs an int numerator, got {numerator!r}")
         if sign not in (1, -1) or numerator <= 0:
             raise DomainError("finite values need sign in {1,-1} and numerator > 0")
         shift = trailing_zero_count(numerator)

@@ -29,6 +29,7 @@ from .core import (
     FrozenSlots,
     check_int,
     check_width,
+    does_not_fit,
     int_text,
     resolve_width,
 )
@@ -125,14 +126,20 @@ class MinifloatSpec(FrozenSlots):
         sign | (2^w - u) << (n - w) above it, so appended zeros keep its value,
         and as a sign-magnitude value grows with its magnitude, values ascend
         within each sign half as a posit's do.  2^(w-1) is the spec's -0; from
-        width 2 on it is even, as 0 is, so neither is ever a gap's u.
+        width 2 on it is even, as 0 is, so neither is ever a gap's u.  A u
+        outside [0, 2^w) is refused as it is drawn.
         """
         check_width(self, w)
         n = self.width
         shift, top, sign = n - w, 1 << w, 1 << (n - 1)
-        return decode_uints(
-            self, (u << shift if u < top >> 1 else sign | (top - u) << shift for u in patterns)
-        )
+
+        def spec_patterns():
+            for u in patterns:
+                if u >> w:  # u < 0 or u >= 2^w
+                    raise does_not_fit(u, w)
+                yield u << shift if u < top >> 1 else sign | (top - u) << shift
+
+        return decode_uints(self, spec_patterns())
 
     def closed_form(self, n: int | None = None) -> int:
         """largest_consecutive(self); n, if given, must be its width."""
@@ -190,7 +197,7 @@ def _decode(
     """
     s = u >> sign_shift
     if s >> 1:  # u < 0 or u >= 2^width: the sign "bit" is neither 0 nor 1
-        raise FormatError(f"{int_text(u)} does not fit in {sign_shift + 1} bits")
+        raise does_not_fit(u, sign_shift + 1)
     exp_field = (u >> fraction_bits) & all_ones
     frac = u & frac_mask
     if exp_field == all_ones and frac >= nar_from:

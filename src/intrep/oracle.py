@@ -6,12 +6,12 @@ evidence.  Patterns are plain integers, decoded a width at a time by the
 handle's ladder_decode, at most MAX_DECODES per question.  Its values do
 not change under appended zeros and ascend with the pattern within each
 sign half, 1..2^(n-1) - 1 and 2^(n-1) + 1..2^n - 1, so every question
-climbs one gap ladder, filtered a width at a time: it makes no gap without
-an integer strictly between its neighbours' values one width down, decodes
-a gap's odd pattern only if a wanted one is inside, and ends a run early
-where a count of patterns proves it.  The negation closure and the round
-trip call the codec kernels directly; the first checks zero and NaR by
-name.  Every sweep runs in the calling process.
+climbs one gap ladder: it makes no gap without an integer strictly between
+its neighbours' values one width down, and decodes a gap's odd pattern
+only if the question's own rule keeps it; only the walk's rule counts
+patterns, to end a run early where the count proves it.  The negation
+closure and the round trip call the codec kernels directly; the first
+checks zero and NaR by name.  Every sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -56,26 +56,10 @@ def _integers(values):
             yield value[0] * (value[1] << value[2])
 
 
-def _in_window(window: int, narrows: bool = False):
-    """The gap ladder's holds for [-window, window]: a width's gaps reaching into it, in order.
-
-    The ladder makes no gap without an integer inside.  If narrows, a gap with
-    more integers than room proves one missing (the order premise's second
-    use), so a run at the last width ends below max(hi - 1, -lo - 1).
-    """
-    def holds(gaps, room):
-        nonlocal window
-        for g in gaps:  # (u, lo, hi), yielded as is: a copy would double a width's gaps
-            if narrows and g[2] - g[1] - 1 > room:
-                window = min(window, max(g[2] - 1, -g[1] - 1))
-            if -window < g[2] and g[1] < window:
-                yield g
-    return holds
-
-
 def _integers_at_width(fmt: FormatSpec, n: int, window: int) -> set[int]:
     """The integers in [-window, window] of the n-bit patterns, found as representable_set says."""
-    ladder = _gap_ladder(fmt, n, _in_window(window))
+    holds = lambda gaps, _: [g for g in gaps if -window < g[2] and g[1] < window]
+    ladder = _gap_ladder(fmt, n, holds)
     return {m for _, integers in ladder for m in integers if -window <= m <= window}
 
 
@@ -128,13 +112,6 @@ def _gap_ladder(fmt: FormatSpec, n: int, holds):
                     continue
             gaps += (2 * u - 1, lo, hi), (2 * u + 1, lo, hi)
         yield width, integers
-
-
-def _consecutive_run(found: set[int], k: int) -> int:
-    """The largest k' >= k with [-k', k'] in found, given [-k, k] is; k = -1 assumes nothing."""
-    while k + 1 in found and -(k + 1) in found:
-        k += 1
-    return k
 
 
 def representable_set(fmt: FormatSpec, n: int | None = None, *, window: int) -> tuple[int, ...]:
@@ -209,14 +186,27 @@ def _consecutive_walk(fmt: FormatSpec, max_n: int):
     """(n, largest consecutive integer at width n) for n = 2..max_n, in one pass.
 
     The integers of width n are those of width n - 1 and of its odd patterns,
-    so k never decreases.  The ladder wants |m| <= 2^max_n, as k < 2^(n-1),
-    until _in_window narrows it by counting patterns: the order premise's
-    second use, which bounds every k of the walk.
+    so k never decreases.  The ladder wants |m| <= window, first 2^max_n, as
+    k < 2^(n-1).  A gap with more integers than room proves one missing
+    (the order premise's second use), so the run ends below
+    max(hi - 1, -lo - 1): the window shrinks to it, which bounds every k of
+    the walk.
     """
+    window = 1 << max_n
+
+    def holds(gaps, room):
+        nonlocal window
+        for g in gaps:  # (u, lo, hi), yielded as is: a copy would double a width's gaps
+            if g[2] - g[1] - 1 > room:
+                window = min(window, max(g[2] - 1, -g[1] - 1))
+            if -window < g[2] and g[1] < window:
+                yield g
+
     found, k = set(), -1
-    for n, integers in _gap_ladder(fmt, max_n, _in_window(1 << max_n, narrows=True)):
+    for n, integers in _gap_ladder(fmt, max_n, holds):
         found.update(integers)
-        k = _consecutive_run(found, k)
+        while k + 1 in found and -(k + 1) in found:
+            k += 1
         if n > 1:
             yield n, k
 

@@ -31,10 +31,9 @@ from .core import (
     DEFAULT_MAX_BITS,
     BitString,
     DyadicValue,
-    FormatError,
     check_int,
+    does_not_fit,
     encode_shortest,
-    int_text,
 )
 
 MIN_WIDTH = 3
@@ -67,7 +66,7 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
     """
     s = u >> body_bits
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
-        raise FormatError(f"{int_text(u)} does not fit in {body_bits + 1} bits")
+        raise does_not_fit(u, body_bits + 1)
     body = u & body_mask
     if not body:
         return None if s else (1, 0, 0)

@@ -36,8 +36,8 @@ from .core import (
     BitString,
     DomainError,
     DyadicValue,
-    FormatError,
     check_int,
+    does_not_fit,
     encode_shortest,
     int_text,
     trailing_zero_count,
@@ -86,7 +86,7 @@ def _decode(
     """
     s = u >> sign_shift
     if s >> 1:  # u < 0 or u >= 2^n: the sign "bit" is neither 0 nor 1
-        raise FormatError(f"{int_text(u)} does not fit in {sign_shift + 1} bits")
+        raise does_not_fit(u, sign_shift + 1)
     u <<= pad
     if not u & body_mask:
         return None if s else (1, 0, 0)
@@ -224,8 +224,12 @@ def lambert_w0(x: float) -> float:
     never overflows, return w once |f| <= 1e-12, else raise ArithmeticError.
     Seeded with log(x) - log(log(x)) for x > e and with x itself below that.
     """
-    if not 0 <= x < math.inf:
-        raise DomainError(f"lambert_w0 needs finite x >= 0, got {x}")
+    try:
+        finite = 0 <= x < math.inf
+    except TypeError:  # a str or None, which no number compares with
+        finite = False
+    if not finite:
+        raise DomainError(f"lambert_w0 needs finite x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
     log_x = math.log(x)

@@ -267,6 +267,13 @@ def test_explicit_width_below_floor_is_a_format_error(entry, fmt, n):
         pytest.param(
             lambda: takum.non_fraction_bits(1.5), "exponent", 1.5, id="takum.non_fraction_bits"
         ),
+        pytest.param(lambda: cli.render_magnitude(1.0), "value", 1.0, id="render_magnitude"),
+        pytest.param(
+            lambda: cli.render_magnitude(float("nan")),
+            "value",
+            float("nan"),
+            id="render_magnitude-nan",
+        ),
     ],
 )
 def test_a_width_budget_or_window_that_is_not_an_integer_is_a_format_error(call, name, value):
@@ -304,6 +311,35 @@ def test_a_width_or_budget_below_its_floor_is_a_format_error(call, name, floor, 
         call()
     assert type(refusal.value) is FormatError
     assert str(refusal.value) == f"{name} must be at least {floor}, got {value}"
+
+
+@pytest.mark.parametrize(
+    "call,text",
+    [
+        pytest.param(
+            lambda: takum.lambert_w0("8"),
+            "lambert_w0 needs finite x >= 0, got '8'",
+            id="lambert_w0-str",
+        ),
+        pytest.param(
+            lambda: takum.lambert_w0(None),
+            "lambert_w0 needs finite x >= 0, got None",
+            id="lambert_w0-None",
+        ),
+        pytest.param(
+            lambda: DyadicValue.from_mantissa(1, 1.0, 0),
+            "from_mantissa needs an int numerator, got 1.0",
+            id="from_mantissa-float",
+        ),
+    ],
+)
+def test_an_argument_of_the_wrong_type_is_a_domain_error(call, text):
+    # Refused in the domain's own text, not as the TypeError of the first
+    # comparison or shift the argument reaches.
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert type(refusal.value) is DomainError
+    assert str(refusal.value) == text
 
 
 HUGE = 1 << 20000  # 6,021 decimal digits, past CPython's default limit of 4,300
@@ -428,6 +464,16 @@ def test_minifloat_batch_decode_refuses_what_decode_uint_refuses(u):
     with pytest.raises(FormatError) as batch:
         list(minifloat.decode_uints(spec, [u]))
     assert str(batch.value) == str(single.value) == f"{u} does not fit in 4 bits"
+
+
+@pytest.mark.parametrize("u", [16, 17, -1])
+def test_the_minifloat_ladder_refuses_a_pattern_outside_its_width(u):
+    # In the tapered ladders' text, and as the pattern is drawn: 16 would
+    # otherwise decode as the spec's zero, and 17 or -1 be refused in the
+    # text of the spec pattern they map to.
+    values = PRESETS["e4m3"].ladder_decode(4, [u])
+    with pytest.raises(FormatError, match=f"^{u} does not fit in 4 bits$"):
+        list(values)
 
 
 @pytest.mark.parametrize("name,n", [("float16", 8), ("e4m3", 16), ("bfloat16", 15), ("e4m3", 9)])
@@ -567,6 +613,14 @@ def test_only_core_refuses_a_width_a_handle_does_not_have():
     # the refusal's text anywhere else would be a second copy of the rule.
     sources = sorted(Path(intrep.__file__).parent.glob("*.py"))
     found = [path.name for path in sources if "conflicts with" in path.read_text()]
+    assert found == ["core.py"]
+
+
+def test_only_core_refuses_a_pattern_too_wide_for_its_width():
+    # core.does_not_fit is the refusal of every kernel, BitString.from_uint
+    # and the minifloat ladder; its text anywhere else would be a second copy.
+    sources = sorted(Path(intrep.__file__).parent.glob("*.py"))
+    found = [path.name for path in sources if "does not fit in" in path.read_text()]
     assert found == ["core.py"]
 
 

@@ -1,14 +1,16 @@
 """The fault matrix: which faults `verify` catches, one row per fault.
 
 Each row patches one fault in alone, decodes through the decode_fault
-fixture and codec formulas through monkeypatch, runs verify_all() at its
-default budgets and matches the name and detail of the first failing
-CheckResult against the row's regular expressions.  A row `verify` misses
+fixture, a decode kernel or a codec formula through monkeypatch, runs
+verify_all() at its default budgets and matches the name and detail of the
+first failing CheckResult against the row's regular expressions.  A row `verify` misses
 today is a strict xfail whose reason names the ROADMAP item that closes it;
 the fix flips the row, which must then lose its marker, not its assert.
 """
 
+import inspect
 import re
+import textwrap
 
 import pytest
 
@@ -46,6 +48,38 @@ def pattern_fault(module, pattern, value):
     return install
 
 
+def kernel_fault(module, mutate):
+    """Patch module._decode to mutate(it): decode_uint and decode_uints look it up per call."""
+
+    def install(monkeypatch, decode_fault):
+        monkeypatch.setattr(module, "_decode", mutate(module._decode))
+
+    return install
+
+
+def rewritten(old, new):
+    """A mutate for kernel_fault: the kernel recompiled with its one text old replaced by new."""
+
+    def mutate(kernel):
+        source = textwrap.dedent(inspect.getsource(kernel))
+        assert source.count(old) == 1, old
+        namespace = {}
+        exec(source.replace(old, new), kernel.__globals__, namespace)
+        return namespace[kernel.__name__]
+
+    return mutate
+
+
+def relaid(layout, index, value):
+    """A mutate for kernel_fault: layout[index] is value wherever the kernel is given layout."""
+    changed = (*layout[:index], value, *layout[index + 1 :])
+
+    def mutate(kernel):
+        return lambda u, *given: kernel(u, *(changed if given == layout else given))
+
+    return mutate
+
+
 def item(number, what):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {number}: {what}")
 
@@ -54,6 +88,13 @@ POSIT_100 = posit.largest_consecutive(100)
 TAKUM_64 = takum.largest_consecutive(64)
 FLOAT32 = minifloat.largest_consecutive(PRESETS["float32"])
 EXACT_100 = takum.consecutive_exponent(100)
+FLOAT16 = PRESETS["float16"]._layout  # keyed on the layout: bfloat16 shares float16's width
+# The normalising return: posit8 01000000, which is 1, decodes to (2, 1, 0).
+POSIT_SIGN_2 = kernel_fault(posit, rewritten("else 1), numer >> shift", "else 2), numer >> shift"))
+# bias + fraction bits 25 -> 5: every value is 2^20 times too large.
+FLOAT16_OFFSET_5 = kernel_fault(minifloat, relaid(FLOAT16, 6, 5))
+# nar_from 0 -> 1: the all-ones exponent with fraction 0 decodes to 2^16.
+FLOAT16_INFINITY = kernel_fault(minifloat, relaid(FLOAT16, 4, 1))
 
 FAULTS = [
     pytest.param(
@@ -157,6 +198,27 @@ FAULTS = [
         id="float16-1000-1001-swapped",
         marks=item(12, "verify blames the closed form: float16: closed form 2048, oracle 999"),
     ),
+    pytest.param(
+        POSIT_SIGN_2,
+        r".*anchor.*",
+        r".*posit.*",
+        id="posit-sign-2-on-even-numerators",
+        marks=item(27, "no verify suite decodes a standards anchor"),
+    ),
+    pytest.param(
+        FLOAT16_OFFSET_5,
+        r".*anchor.*",
+        r".*float16.*",
+        id="float16-exponent-offset-5",
+        marks=item(27, "no verify suite decodes a standards anchor"),
+    ),
+    pytest.param(
+        FLOAT16_INFINITY,
+        r".*anchor.*",
+        r".*float16.*",
+        id="float16-infinity-as-65536",
+        marks=item(27, "no verify suite decodes a standards anchor"),
+    ),
 ]
 
 
@@ -168,3 +230,20 @@ def test_verify_names_the_fault(monkeypatch, decode_fault, install, name, detail
     first = failures[0]
     assert re.fullmatch(name, first.name), first
     assert re.fullmatch(detail, first.detail), first
+
+
+@pytest.mark.parametrize(
+    "install,decode,expected",
+    [
+        (POSIT_SIGN_2, lambda: posit.decode_uint(0b01000000, 8), (2, 1, 0)),
+        (FLOAT16_OFFSET_5, lambda: minifloat.decode_uint(PRESETS["float16"], 0x3C00), (1, 1, 20)),
+        (FLOAT16_INFINITY, lambda: minifloat.decode_uint(PRESETS["float16"], 0x7C00), (1, 1, 16)),
+    ],
+    ids=["posit-sign-2", "float16-offset-5", "float16-infinity"],
+)
+def test_a_kernel_fault_reaches_every_decode(monkeypatch, decode_fault, install, decode, expected):
+    # A strict xfail row passes on any error, one in its own patch too: this
+    # shows each kernel fault takes effect, and that bfloat16 keeps its 1.0.
+    install(monkeypatch, decode_fault)
+    assert decode() == expected
+    assert minifloat.decode_uint(PRESETS["bfloat16"], 0x3F80) == (1, 1, 0)
