@@ -1,10 +1,12 @@
 """Bit strings and exact binary values.
 
-Shared ground for the codec modules: an immutable MSB-first bit string, an
-exact value type on Python integers, a nonzero integer's bit-level profile,
-the encoders' shortest-pattern frame, check_int, the one check of every
-width and budget, does_not_fit, the one refusal of a pattern too wide for
-its width, and a handle's widths: resolve_width, check_width.
+Shared ground for the codec modules: two checked named tuples, BitString,
+encode_uint's (uint, width) pair of an MSB-first bit string, and
+DyadicValue, the exact value of the decode_uint kernels' triple; a nonzero
+integer's bit-level profile, the encoders' shortest-pattern frame,
+check_int, the one check of every width and budget, does_not_fit, the one
+refusal of a pattern too wide for its width, and a handle's widths:
+resolve_width, check_width.
 """
 
 from __future__ import annotations
@@ -58,25 +60,29 @@ def trailing_zero_count(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-class BitString:
+class _Bits(NamedTuple):
+    uint: int
+    width: int
+
+
+class BitString(_Bits):
     """Immutable bit string, most significant bit first, never empty.
 
-    A value: the bits as an unsigned integer (uint) and their count (width).
-    Text form is ASCII '0'/'1'; parsing accepts an optional "0b" prefix and
-    ignores spaces and underscores.
+    The pair (uint, width) that encode_uint returns, named: len() is 2, and
+    the length in bits is width.  Text form is ASCII '0'/'1'; parsing accepts
+    an optional "0b" prefix and ignores spaces and underscores.
     """
 
-    __slots__ = ("_value", "_width")
+    __slots__ = ()
 
-    def __init__(self, bits: str):
+    def __new__(cls, bits: str):
         if not isinstance(bits, str):
-            raise FormatError(f"not a bit string: {bits!r}")
-        text = bits.strip().removeprefix("0b")
-        text = text.replace(" ", "").replace("_", "")
+            shown = int_text(bits) if isinstance(bits, int) else repr(bits)
+            raise FormatError(f"not a bit string: {shown}")
+        text = bits.strip().removeprefix("0b").replace(" ", "").replace("_", "")
         if not text or text.strip("01"):
             raise FormatError(f"not a bit string: {bits!r}")
-        self._value = int(text, 2)
-        self._width = len(text)
+        return _tuple_new(cls, (int(text, 2), len(text)))
 
     @classmethod
     def from_uint(cls, value: int, width: int) -> "BitString":
@@ -92,30 +98,17 @@ class BitString:
             check_int(width, 1, "width")
         if value < 0 or value.bit_length() > width:
             raise does_not_fit(value, width)
-        self = object.__new__(cls)
-        self._value = value
-        self._width = width
-        return self
+        return _tuple_new(cls, (value, width))
 
-    @property
-    def uint(self) -> int:
-        """The bits read as an unsigned integer."""
-        return self._value
+    @classmethod
+    def _make(cls, iterable) -> "BitString":  # so _replace checks too
+        return cls.from_uint(*iterable)
 
-    @property
-    def width(self) -> int:
-        return self._width
-
-    def __eq__(self, other: object):
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return self._value == other._value and self._width == other._width
-
-    def __hash__(self):
-        return hash((self._value, self._width))
+    def __getnewargs__(self):  # pickle and copy rebuild through the parser
+        return (str(self),)
 
     def __str__(self) -> str:
-        return format(self._value, f"0{self._width}b")
+        return format(self.uint, f"0{self.width}b")
 
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
@@ -220,7 +213,7 @@ class DyadicValue(_Triple):
         Built by tuple.__new__, unchecked: the checking __new__ would cost a
         Python frame per decode.
         """
-        return _NAR if triple is None else tuple.__new__(cls, triple)
+        return _NAR if triple is None else _tuple_new(cls, triple)
 
     @property
     def is_zero(self) -> bool:
@@ -255,6 +248,7 @@ class DyadicValue(_Triple):
 
 
 _NAR = DyadicValue(0, 0, 0)
+_tuple_new = tuple.__new__  # the value types' unchecked build: one global read per call
 
 
 def integer_profile(m: int) -> tuple[int, int]:

@@ -117,7 +117,11 @@ def parse_format(text: str) -> FormatSpec:
     match = _FAMILY_PATTERN.match(name)
     if match:
         family, width = match.group(1), match.group(2)
-        n = int(width) if width else None
+        try:
+            n = int(width) if width else None
+        except ValueError:  # the interpreter's limit on str-to-int digits
+            limit = "past the str-to-int digit limit"
+            raise FormatError(f"a {len(width)}-digit {family} width, {limit}") from None
         return PositFormat(n) if family == "posit" else TakumFormat(n)
     if name in PRESETS:
         return PRESETS[name]

@@ -27,6 +27,7 @@ from .core import (
     DomainError,
     DyadicValue,
     check_int,
+    int_text,
     resolve_width,
 )
 from .formats import FormatSpec, PositFormat, TakumFormat
@@ -245,9 +246,15 @@ def check_minifloat_consecutive() -> CheckResult:
 
 
 def check_min_length(fmt: FormatSpec, max_m: int = 4096) -> CheckResult:
-    """The formula against the oracle's table for m = 1..max_m; the table takes no bound from it."""
-    name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
+    """The formula against the oracle's table for m = 1..max_m; the table takes no bound from it.
+
+    Each m needs a decode of its own: past MAX_DECODES, none is decoded.
+    """
     check_int(max_m, 1, "max_m")
+    if max_m > MAX_DECODES:
+        detail = f"decodes a pattern per m, past the budget of {MAX_DECODES}"
+        raise BudgetError(f"{fmt.name} min-length to m={int_text(max_m)} {detail}")
+    name = f"{fmt.name} min-length formula vs oracle, m=1..{max_m}"
     formula = {m: fmt.codec.min_length(m) for m in range(1, max_m + 1)}
     table = min_length_table(fmt, formula)
     for m, expected in formula.items():
@@ -300,10 +307,14 @@ def check_round_trip(max_m: int = 4096) -> CheckResult:
     """Each |m| <= max_m encodes, at min_length(m) bits, to a pattern decoding to m.
 
     Patterns stay plain (u, width) integers, through the codec's encode_uint
-    and decode_uint; a value is built only to name a failing decode.
+    and decode_uint; a value is built only to name a failing decode.  Each
+    family decodes 2 * max_m + 1 patterns: past MAX_DECODES, none is decoded.
     """
-    name = f"encode/decode round trip with minimal width, |m|<={max_m}"
     check_int(max_m, 1, "max_m")
+    if 2 * max_m + 1 > MAX_DECODES:
+        detail = f"decodes 2|m| + 1 patterns per family, past the budget of {MAX_DECODES}"
+        raise BudgetError(f"round trip to |m|={int_text(max_m)} {detail}")
+    name = f"encode/decode round trip with minimal width, |m|<={max_m}"
     for fmt in (PositFormat(), TakumFormat()):
         encode, decode = fmt.codec.encode_uint, fmt.codec.decode_uint
         for a in range(max_m + 1):

@@ -100,9 +100,7 @@ def _decode(u: int, body_bits: int, body_mask: int) -> tuple[int, int, int] | No
 
 def decode(bits: BitString) -> DyadicValue:
     """Exact value of a posit bit string of any length >= 1."""
-    # The slots, not the uint and width properties, each of which is a
-    # Python function call per read.
-    return DyadicValue.from_triple(decode_uint(bits._value, bits._width))
+    return DyadicValue.from_triple(decode_uint(bits.uint, bits.width))
 
 
 def min_length(m: int) -> int:

@@ -114,9 +114,7 @@ def _decode(
 
 def decode(bits: BitString) -> DyadicValue:
     """Exact value of a takum bit string of any length >= 1."""
-    # The slots, not the uint and width properties, each of which is a
-    # Python function call per read.
-    return DyadicValue.from_triple(decode_uint(bits._value, bits._width))
+    return DyadicValue.from_triple(decode_uint(bits.uint, bits.width))
 
 
 def min_length(m: int) -> int:
@@ -253,7 +251,7 @@ def consecutive_exponent_analytic(n: int) -> int:
     """
     check_int(n, MIN_WIDTH, "takum width")
     if n - 3 >= sys.float_info.max_exp:
-        raise DomainError(f"2^(n-3) overflows double precision for n={n}")
+        raise DomainError(f"2^(n-3) overflows double precision for n={int_text(n)}")
     x = math.log(2.0) * math.pow(2.0, n - 3)
     t = lambert_w0(x) / math.log(2.0) - 1.0
     return math.ceil(t - 1e-9)

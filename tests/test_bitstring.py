@@ -1,6 +1,9 @@
+import copy
+import pickle
+
 import pytest
 
-from intrep import BitString, FormatError
+from intrep import BitString, FormatError, posit, takum
 
 
 def test_parse_and_str():
@@ -48,3 +51,38 @@ def test_a_bit_string_is_not_equal_to_its_text():
 def test_repr_rebuilds_the_bit_string():
     assert repr(BitString("0b00_101")) == "BitString('00101')"
     assert eval(repr(BitString.from_uint(5, 8))) == BitString.from_uint(5, 8)
+
+
+@pytest.mark.parametrize("codec", [posit, takum], ids=["posit", "takum"])
+def test_a_bit_string_equals_its_pair(codec):
+    assert BitString("0101") == (5, 4)
+    assert BitString("0101") != (5, 5)
+    for m in (0, 1, -1, 5, -5, 12, 1000, -(2**40) - 3):
+        assert codec.encode_integer(m) == codec.encode_uint(m)
+
+
+def test_replace_is_checked():
+    with pytest.raises(FormatError, match="^16 does not fit in 4 bits$"):
+        BitString.from_uint(5, 4)._replace(uint=16)
+    assert BitString.from_uint(5, 4)._replace(width=8) == BitString("00000101")
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda b: pickle.loads(pickle.dumps(b)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_pickle_and_copy_rebuild_an_equal_bit_string(clone):
+    for bits in (BitString("0"), BitString("00101"), BitString.from_uint(3, 300)):
+        twin = clone(bits)
+        assert type(twin) is BitString
+        assert twin == bits
+        assert str(twin) == str(bits)
+
+
+@pytest.mark.parametrize("field", ["uint", "width", "extra"])
+def test_a_bit_string_refuses_assignment(field):
+    bits = BitString("0101")
+    with pytest.raises(AttributeError):
+        setattr(bits, field, 3)
+    assert (bits.uint, bits.width) == (5, 4)

@@ -13,6 +13,7 @@ import intrep
 from intrep import (
     PRESETS,
     BitString,
+    BudgetError,
     CapacityError,
     DomainError,
     DyadicValue,
@@ -52,9 +53,13 @@ def test_parse_format(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["", "posit2", "takum4", "float8", "posit0", "p8", "takumx", 8, None]
+    "text",
+    [
+        *["", "posit2", "takum4", "float8", "posit0", "p8", "takumx", 8, None],
+        pytest.param("posit" + "9" * 5000, id="posit-width-past-the-digit-limit"),
+    ],
 )
-def test_parse_format_rejects(text):
+def test_parse_format_rejects(digit_limit, text):
     with pytest.raises(FormatError):
         parse_format(text)
 
@@ -395,6 +400,23 @@ def digit_limit():
             id="cli._needed_bits",
         ),
         pytest.param(lambda: cli.figure_rows(5, HUGE), FormatError, "a", id="cli.figure_rows"),
+        pytest.param(lambda: BitString(HUGE), FormatError, "a", id="BitString"),
+        pytest.param(
+            lambda: takum.consecutive_exponent_analytic(HUGE),
+            DomainError,
+            "a",
+            id="takum.consecutive_exponent_analytic",
+        ),
+        pytest.param(
+            lambda: oracle.check_round_trip(HUGE), BudgetError, "a", id="check_round_trip"
+        ),
+        pytest.param(
+            lambda: oracle.check_min_length(PositFormat(), HUGE),
+            BudgetError,
+            "a",
+            id="check_min_length",
+        ),
+        pytest.param(lambda: oracle.verify_all(16, HUGE), BudgetError, "a", id="verify_all"),
     ],
 )
 def test_a_refusal_of_an_integer_past_the_digit_limit_keeps_its_type(

@@ -309,6 +309,33 @@ def test_width_sweeps_refuse_an_over_budget_range_before_any_decode(decode_fault
         check(25)
 
 
+def test_the_round_trip_budget_counts_the_patterns_each_family_decodes(monkeypatch):
+    # |m| <= 49 is 2 * 49 + 1 = 99 patterns per family; 50 would be 101.
+    monkeypatch.setattr(oracle, "MAX_DECODES", 99)
+    assert oracle.check_round_trip(49).passed
+    detail = r"decodes 2\|m\| \+ 1 patterns per family, past the budget of 99"
+    with pytest.raises(BudgetError, match=rf"^round trip to \|m\|=50 {detail}$"):
+        oracle.check_round_trip(50)
+
+
+def test_the_min_length_check_refuses_past_the_budget_before_any_decode(
+    monkeypatch, decode_fault
+):
+    count = 0
+
+    def counting(u, n, value):
+        nonlocal count
+        count += 1
+        return value
+
+    decode_fault(counting, posit, takum)
+    monkeypatch.setattr(oracle, "MAX_DECODES", 99)
+    detail = "decodes a pattern per m, past the budget of 99"
+    with pytest.raises(BudgetError, match=f"^posit min-length to m=100 {detail}$"):
+        oracle.check_min_length(PositFormat(), 100)
+    assert count == 0
+
+
 def test_verify_all_small_budget_passes():
     results = oracle.verify_all(max_n=8, max_m=64)
     assert all(r.passed for r in results)
